@@ -4,11 +4,14 @@ Every operation records its parents and a backward closure on the output
 tensor. Node ids increase with creation order, so sorting a reachable set
 by id gives a topological order for free: a backward pass seeds the loss
 gradient and replays the closures in reverse creation order, visiting each
-node exactly once.
+node exactly once. Inside ``no_grad()`` ops record nothing, so inference
+builds no graph.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 
 import numpy as np
@@ -19,6 +22,22 @@ from scipy.special import expit
 CHECK_FINITE = False
 
 _node_ids = itertools.count()
+
+_recording = contextvars.ContextVar("flowcast_autodiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, op results keep no parents and no backward closure.
+
+    Their values are unchanged; they just cannot be differentiated, and the
+    intermediate arrays of a forward pass are freed as soon as it is done.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 class Tensor:
@@ -32,6 +51,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+        if not _recording.get():
+            _parents, _backward = (), None
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)

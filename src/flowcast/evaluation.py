@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import imputation
+from .autodiff import no_grad
 from .dataset import (
     POINTS_PER_DAY,
     WEEK_DAYS,
@@ -202,7 +203,8 @@ def evaluate(
 
     for batch in day_batches(samples, points_per_day):
         s, s_d, s_w, target, target_mask, ts = stack_batch(batch)
-        pred = np.asarray(predict(s, s_d, s_w, ts), dtype=float)
+        with no_grad():
+            pred = np.asarray(predict(s, s_d, s_w, ts), dtype=float)
         if pred.shape != target.shape:
             raise DataError(
                 f"predictor returned shape {pred.shape}, expected {target.shape}"

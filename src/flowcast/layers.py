@@ -12,20 +12,17 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from scipy.special import expit
 
 from .autodiff import (
     Tensor,
-    add,
+    _accumulate,
     add_bias,
-    concat,
     conv1d_same,
     matmul,
-    mul,
     relu,
     reshape,
-    sigmoid,
     slice_axis,
-    tanh,
 )
 
 GATES = ("f", "i", "c", "o")
@@ -120,42 +117,151 @@ def zero_state(size: int, width: int = 1) -> LstmState:
     )
 
 
-def _gate(W: Tensor, U: Tensor, b: Tensor, x: Tensor, h: Tensor) -> Tensor:
-    return add_bias(add(matmul(W, x), matmul(U, h)), b)
+# Row blocks of the packed [4p, p] weights: the three sigmoid gates first, so
+# one expit call covers rows [0, 3p) and one tanh call the candidate rows.
+_PACKED_ORDER = ("f", "i", "o", "c")
 
 
-def _step_2d(params: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> LstmState:
-    f = sigmoid(_gate(params.W_f, params.U_f, params.b_f, x, h))
-    i = sigmoid(_gate(params.W_i, params.U_i, params.b_i, x, h))
-    z = tanh(_gate(params.W_c, params.U_c, params.b_c, x, h))
-    c_new = add(mul(f, c), mul(i, z))
-    o = sigmoid(_gate(params.W_o, params.U_o, params.b_o, x, h))
-    return LstmState(h=mul(o, tanh(c_new)), c=c_new)
+def _packed(params: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack the named gate tensors into W, U [4p, p] and b [4p].
+
+    Built on every call, never cached: callers perturb or rebind ``.data``
+    between forward passes (gradient checks, best-epoch restore).
+    """
+    return tuple(
+        np.concatenate([getattr(params, f"{kind}_{gate}").data for gate in _PACKED_ORDER])
+        for kind in ("W", "U", "b")
+    )
+
+
+@dataclass
+class _Trace:
+    """Forward activations kept for backpropagation through time.
+
+    Time is the leading axis: ``gates[t]`` holds the activated f, i, o, z
+    rows of step t, ``h[t]``/``c[t]`` the state entering step t (so index n
+    is the final state) and ``tanh_c[t]`` the tanh of the cell leaving it.
+    """
+
+    gates: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+    tanh_c: np.ndarray
+
+
+def _lstm_forward(W, U, b, seq, h0, c0) -> _Trace:
+    """Run the cell over seq [p, n, batch] from state (h0, c0), each [p, batch]."""
+    p, n, width = seq.shape
+    sig = 3 * p
+    projected = W @ seq.transpose(1, 0, 2)
+    projected += b[:, None]
+    gates = np.empty((n, 4 * p, width))
+    h = np.empty((n + 1, p, width))
+    c = np.empty((n + 1, p, width))
+    tanh_c = np.empty((n, p, width))
+    h[0], c[0] = h0, c0
+    for t in range(n):
+        a = gates[t]
+        np.add(projected[t], U @ h[t], out=a)
+        expit(a[:sig], out=a[:sig])
+        np.tanh(a[sig:], out=a[sig:])
+        f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
+        np.add(f * c[t], i * z, out=c[t + 1])
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=h[t + 1])
+    return _Trace(gates, h, c, tanh_c)
+
+
+def _lstm_backward(W, U, seq, trace: _Trace, dh_out, dc_last):
+    """Backpropagation through time for one ``_lstm_forward`` call.
+
+    ``dh_out`` [n, p, batch] is the gradient into each step's hidden output
+    and ``dc_last`` [p, batch] the gradient into the final cell. Returns the
+    packed dW, dU, db, the input gradient [p, n, batch] and the gradients
+    into h0 and c0.
+    """
+    n, rows, width = trace.gates.shape
+    p = rows // 4
+    sig = 3 * p
+    d_pre = np.empty_like(trace.gates)
+    dh = np.zeros((p, width))
+    dc = dc_last
+    for t in reversed(range(n)):
+        a = trace.gates[t]
+        f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
+        tc = trace.tanh_c[t]
+        dh = dh + dh_out[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        g = d_pre[t]
+        g[:p] = dc * trace.c[t] * f * (1.0 - f)
+        g[p : 2 * p] = dc * z * i * (1.0 - i)
+        g[2 * p : sig] = dh * tc * o * (1.0 - o)
+        g[sig:] = dc * i * (1.0 - z * z)
+        dc = dc * f
+        dh = U.T @ g
+    d_pre = d_pre.transpose(1, 0, 2).reshape(rows, n * width)
+    h_prev = trace.h[:-1].transpose(1, 0, 2).reshape(p, n * width)
+    dW = d_pre @ seq.reshape(p, n * width).T
+    dU = d_pre @ h_prev.T
+    db = d_pre.sum(axis=1)
+    dseq = (W.T @ d_pre).reshape(p, n, width)
+    return dW, dU, db, dseq, dh, dc
+
+
+def _accumulate_packed(params: LstmParams, dW, dU, db) -> None:
+    p = params.size
+    for k, gate in enumerate(_PACKED_ORDER):
+        rows = slice(k * p, (k + 1) * p)
+        _accumulate(getattr(params, f"W_{gate}"), dW[rows])
+        _accumulate(getattr(params, f"U_{gate}"), dU[rows])
+        _accumulate(getattr(params, f"b_{gate}"), db[rows])
+
+
+def _param_tensors(params: LstmParams) -> tuple[Tensor, ...]:
+    return tuple(tensor for _, tensor in params.named())
 
 
 def lstm_step(params: LstmParams, x: Tensor, prev: LstmState) -> LstmState:
     """One timestep: gate activations, cell update, gated tanh output.
 
-    Accepts a vector (one sample) or a matrix whose trailing axis is a batch.
+    Accepts a vector (one sample) or a matrix whose trailing axis is a batch;
+    the new state has the shape of x. Uses the layer's cell arithmetic and
+    records one tape node holding both the new h and c.
     """
-    if x.data.ndim == 1:
-        size = x.data.shape[0]
-        state = _step_2d(
-            params,
-            reshape(x, (size, 1)),
-            reshape(prev.h, (size, 1)),
-            reshape(prev.c, (size, 1)),
-        )
-        return LstmState(reshape(state.h, (size,)), reshape(state.c, (size,)))
-    if x.data.ndim != 2:
+    if x.data.ndim not in (1, 2):
         raise ValueError(f"lstm_step input must be 1-D or 2-D, got {x.data.shape}")
-    return _step_2d(params, x, prev.h, prev.c)
+    shape = x.data.shape
+    p = shape[0]
+    width = 1 if x.data.ndim == 1 else shape[1]
+    seq = x.data.reshape(p, 1, width)
+    W, U, b = _packed(params)
+    trace = _lstm_forward(
+        W, U, b, seq, prev.h.data.reshape(p, width), prev.c.data.reshape(p, width)
+    )
+
+    def bwd(g):
+        dW, dU, db, dseq, dh0, dc0 = _lstm_backward(W, U, seq, trace, g[None, :p], g[p:])
+        _accumulate_packed(params, dW, dU, db)
+        _accumulate(x, dseq.reshape(shape))
+        _accumulate(prev.h, dh0.reshape(prev.h.data.shape))
+        _accumulate(prev.c, dc0.reshape(prev.c.data.shape))
+
+    both = Tensor(
+        np.concatenate([trace.h[1], trace.c[1]]),
+        _parents=(x, prev.h, prev.c) + _param_tensors(params),
+        _backward=bwd,
+    )
+    return LstmState(
+        h=reshape(slice_axis(both, 0, 0, p), shape),
+        c=reshape(slice_axis(both, 0, p, 2 * p), shape),
+    )
 
 
 def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
     """Run the cell over columns oldest to newest; column t of the output is h_t.
 
-    seq is [p, n] or [p, n, batch]; the output shape matches the input.
+    seq is [p, n] or [p, n, batch]; the output shape matches the input. The
+    whole layer is one tape node whose backward closure runs BPTT.
     """
     shape = seq.data.shape
     if seq.data.ndim not in (2, 3):
@@ -164,14 +270,22 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
     if n == 0:
         raise ValueError("lstm_layer needs at least one time column")
     width = 1 if seq.data.ndim == 2 else shape[2]
-    state = zero_state(p, width)
-    columns = []
-    for t in range(n):
-        x = reshape(slice_axis(seq, 1, t, t + 1), (p, width))
-        state = _step_2d(params, x, state.h, state.c)
-        columns.append(state.h)
-    stacked = concat([reshape(col, (p, 1, width)) for col in columns], axis=1)
-    return reshape(stacked, shape)
+    x = seq.data.reshape(p, n, width)
+    W, U, b = _packed(params)
+    zeros = np.zeros((p, width))
+    trace = _lstm_forward(W, U, b, x, zeros, zeros)
+
+    def bwd(g):
+        dh_out = g.reshape(p, n, width).transpose(1, 0, 2)
+        dW, dU, db, dseq, _, _ = _lstm_backward(W, U, x, trace, dh_out, zeros)
+        _accumulate_packed(params, dW, dU, db)
+        _accumulate(seq, dseq.reshape(shape))
+
+    return Tensor(
+        np.ascontiguousarray(trace.h[1:].transpose(1, 0, 2)).reshape(shape),
+        _parents=(seq,) + _param_tensors(params),
+        _backward=bwd,
+    )
 
 
 def conv_stack(spec: ConvStackSpec, params: list[ConvLayerParams], seq: Tensor) -> Tensor:

@@ -204,7 +204,14 @@ def model_spec_for(arch: str, p: int, wcfg: WindowConfig) -> ModelSpec:
             f"stream widths differ (recent {wcfg.n}, daily {wcfg.daily_width}, "
             f"weekly {wcfg.weekly_width}); the model needs equal-width streams"
         )
-    return ModelSpec(topology=ARCHITECTURES[arch], p=p, n=wcfg.n, h=wcfg.h)
+    topology = ARCHITECTURES[arch]
+    conv_spec = topology.conv_spec
+    if conv_spec is not None and p < max(conv_spec.kernel_sizes):
+        raise DataError(
+            f"{arch} convolves along the station axis with kernels up to "
+            f"{max(conv_spec.kernel_sizes)} wide; the dataset has only {p} stations"
+        )
+    return ModelSpec(topology=topology, p=p, n=wcfg.n, h=wcfg.h)
 
 
 @dataclass(frozen=True)
@@ -279,6 +286,11 @@ def train(
         raise DataError("no training samples")
     if not val_samples:
         raise DataError("no validation samples")
+    if not any(sample.target_mask.any() for sample in val_samples):
+        raise DataError(
+            "validation has no observed target cells, so there is no score "
+            "to select the best epoch by"
+        )
     started = time.perf_counter()
     params = parameters(model)
     state = adam_init(params)
@@ -379,8 +391,8 @@ def train_once(
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> tuple[TrainedModel, TrainLog, PreparedData]:
     """Prepare the dataset and train a single model from one seed."""
-    prepared = prepare_data(ds, method, wcfg, fractions)
     spec = model_spec_for(arch, ds.num_stations, wcfg)
+    prepared = prepare_data(ds, method, wcfg, fractions)
     model = build(spec, seed)
     model, log = train(
         model, prepared.train_samples, prepared.val_samples, cfg, ds.points_per_day
@@ -441,8 +453,8 @@ def run_experiment(
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> ExperimentResult:
     """Train cfg.runs independent models and aggregate their metrics."""
-    prepared = prepare_data(ds, method, wcfg, fractions)
     spec = model_spec_for(arch, ds.num_stations, wcfg)
+    prepared = prepare_data(ds, method, wcfg, fractions)
     runs = []
     for seed in cfg.seeds[: cfg.runs]:
         model = build(spec, seed)

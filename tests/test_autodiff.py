@@ -13,6 +13,7 @@ from flowcast.autodiff import (
     conv1d_same,
     matmul,
     mul,
+    no_grad,
     relu,
     reshape,
     scale,
@@ -224,3 +225,31 @@ def test_composed_network_grads():
         return tensor_mean(mul(matmul(w2, h), matmul(w2, h)))
 
     check_gradients(f, [w1, w2])
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        a = t([[1.0, -2.0], [0.5, 3.0]])
+        with no_grad():
+            out = tensor_sum(sigmoid(matmul(a, a)))
+            leaf = t([1.0])
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert leaf.requires_grad
+        np.testing.assert_array_equal(out.data, tensor_sum(sigmoid(matmul(a, a))).data)
+
+    def test_recording_restored_after_exception(self):
+        a = t([1.0, 2.0])
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the block")
+        out = mul(a, a)
+        assert out._parents == (a, a) and out._backward is not None
+
+    def test_nested_blocks_restore_outer_state(self):
+        a = t([1.0, 2.0])
+        with no_grad():
+            with no_grad():
+                pass
+            assert mul(a, a)._backward is None
+        assert mul(a, a)._backward is not None

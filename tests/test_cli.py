@@ -6,6 +6,10 @@ be checked directly against small synthetic workspaces.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,37 @@ class TestDataErrors:
         )
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_cnn_wider_than_station_axis(self, ws, tmp_path):
+        # p=3 stations against a 4-wide kernel; run as a user would, so an
+        # uncaught exception would show as a traceback and exit status 1
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "flowcast.cli",
+                "train",
+                "--dataset",
+                str(ws["data"]),
+                "--arch",
+                "LSTM1-S-CNN1",
+                "--seed",
+                "0",
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "data error:" in proc.stderr
+        assert "3 stations" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_checkpoint_file(self, ws, tmp_path):
         rc = cli.main(

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from flowcast.dataset import FlowDataset, WindowSample, stack_batch
+from flowcast.dataset import FlowDataset, WindowSample, day_batches, stack_batch
 from flowcast.errors import DataError
 from flowcast.evaluation import (
     DEFAULT_RATIOS,
@@ -20,7 +20,7 @@ from flowcast.evaluation import (
     rmse,
     robustness_sweep,
 )
-from flowcast.hybrid import ARCHITECTURES, ModelSpec, build
+from flowcast.hybrid import ARCHITECTURES, ModelSpec, build, forward_batch
 from flowcast.synthgen import SynthConfig, generate
 from flowcast.training import TrainConfig, train_once
 
@@ -241,6 +241,42 @@ class TestEvaluate:
         report = evaluate(model, samples, points_per_day=PPD)
         assert math.isfinite(report.mae)
         assert report.mae <= report.rmse
+
+    def test_model_scores_equal_graph_mode_predictions(self):
+        spec = ModelSpec(topology=ARCHITECTURES["LSTM1-SP-CNN1"], p=4, n=4, h=H)
+        model = build(spec, seed=3)
+        rng = np.random.default_rng(10)
+        samples = []
+        for t in (3, 5, 14, 20, 27):
+            block = rng.normal(size=(4, 4))
+            samples.append(
+                WindowSample(
+                    s=block,
+                    s_d=rng.normal(size=(4, 4)),
+                    s_w=rng.normal(size=(4, 4)),
+                    target=rng.normal(size=(4, H)),
+                    s_mask=np.ones_like(block, bool),
+                    s_d_mask=np.ones_like(block, bool),
+                    s_w_mask=np.ones_like(block, bool),
+                    target_mask=rng.random((4, H)) < 0.8,
+                    t=t,
+                )
+            )
+        recorded = {}
+        for batch in day_batches(samples, PPD):
+            s, s_d, s_w, _, _, ts = stack_batch(batch)
+            out = forward_batch(model, s, s_d, s_w)
+            assert out._backward is not None
+            recorded[ts.tobytes()] = out.data
+
+        def replay(s, s_d, s_w, ts):
+            return recorded[ts.tobytes()]
+
+        views = ("overall", "horizon", "station")
+        got = evaluate(model, samples, views, points_per_day=PPD)
+        want = evaluate(replay, samples, views, points_per_day=PPD)
+        assert (got.mae, got.rmse, got.cells) == (want.mae, want.rmse, want.cells)
+        assert got.csv_rows() == want.csv_rows()
 
     def test_junk_predictor_rejected(self):
         with pytest.raises(DataError, match="predictor"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tensor, backward, tensor_sum
+from flowcast.autodiff import Tensor, backward, concat, mul, tensor_sum
 from flowcast.layers import (
     ConvLayerParams,
     ConvStackSpec,
@@ -94,6 +94,24 @@ class TestLstmStep:
             want = scalar_lstm_reference(params, seq)
             assert np.max(np.abs(got.data - want)) < 1e-12
 
+    def test_gradients_through_state(self):
+        rng = np.random.default_rng(17)
+        p, B = 3, 2
+        params = init_lstm(rng, p)
+        x = Tensor(rng.normal(size=(p, B)), requires_grad=True)
+        prev = LstmState(
+            Tensor(rng.normal(size=(p, B)), requires_grad=True),
+            Tensor(rng.normal(size=(p, B)), requires_grad=True),
+        )
+        weights = Tensor(rng.normal(size=(2 * p, B)))
+
+        def loss():
+            state = lstm_step(params, x, prev)
+            return tensor_sum(mul(concat([state.h, state.c]), weights))
+
+        leaves = [t for _, t in params.named()] + [x, prev.h, prev.c]
+        check_gradients(loss, leaves)
+
     def test_hidden_bounded_by_one(self):
         rng = np.random.default_rng(2)
         params = init_lstm(rng, 6)
@@ -155,6 +173,28 @@ class TestLstmLayer:
         seq = Tensor(rng.normal(size=(p, n)), requires_grad=True)
         leaves = [t for _, t in params.named()] + [seq]
         check_gradients(lambda: tensor_sum(lstm_layer(params, seq)), leaves)
+
+    def test_gradients_with_batch_axis(self):
+        rng = np.random.default_rng(15)
+        p, n, B = 3, 4, 2
+        params = init_lstm(rng, p)
+        seq = Tensor(rng.normal(size=(p, n, B)), requires_grad=True)
+        # unequal output weights, so every column's adjoint differs
+        weights = Tensor(rng.normal(size=(p, n, B)))
+        leaves = [t for _, t in params.named()] + [seq]
+        check_gradients(lambda: tensor_sum(mul(lstm_layer(params, seq), weights)), leaves)
+
+    def test_rebound_parameter_changes_next_forward(self):
+        # training restores the best epoch by assigning new arrays to .data
+        rng = np.random.default_rng(16)
+        params = init_lstm(rng, 4)
+        seq = Tensor(rng.normal(size=(4, 5, 3)))
+        before = lstm_layer(params, seq).data
+        params.U_o.data = params.U_o.data + 0.5
+        after = lstm_layer(params, seq).data
+        fresh = LstmParams(**{name: Tensor(t.data.copy()) for name, t in params.named()})
+        assert not np.allclose(before, after)
+        np.testing.assert_array_equal(after, lstm_layer(fresh, seq).data)
 
 
 class TestConvStack:

@@ -1,5 +1,6 @@
 """Tests for the optimizer, training loop, and experiment aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,15 @@ class TestModelSpecFor:
         spec = model_spec_for("LSTM2-SP-CNN3", 4, WindowConfig())
         assert (spec.p, spec.n, spec.h) == (4, 21, 9)
 
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_stations_fewer_than_widest_kernel(self, arch):
+        conv_spec = ARCHITECTURES[arch].conv_spec
+        if conv_spec is None:
+            assert model_spec_for(arch, 1, WindowConfig()).p == 1
+        else:
+            with pytest.raises(DataError, match="only 3 stations"):
+                model_spec_for(arch, 3, WindowConfig())
+
 
 class TestPrepareData:
     def test_sample_counts(self, synth, prepared):
@@ -288,6 +298,16 @@ class TestTrain:
             train(model, [], prepared.val_samples, cfg)
         with pytest.raises(DataError, match="validation"):
             train(model, prepared.train_samples, [], cfg)
+
+    def test_unscorable_validation_rejected(self, synth, prepared):
+        model = tiny_model(synth)
+        blind = [
+            dataclasses.replace(sample, target_mask=np.zeros_like(sample.target_mask))
+            for sample in prepared.val_samples
+        ]
+        cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        with pytest.raises(DataError, match="no observed target cells"):
+            train(model, prepared.train_samples, blind, cfg)
 
     def test_divergence_aborts(self, synth, prepared):
         model = tiny_model(synth)

@@ -113,9 +113,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution, skipping constants the graph never needs."""
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise ValueError(
+            f"gradient contribution {g.shape} does not match tensor {t.data.shape}"
+        )
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy, never g itself: add's backward hands the same g to both parents.
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def zero_grads(tensors) -> None:
@@ -290,8 +296,6 @@ def conv1d_same(signal, kernels, bias) -> Tensor:
     if bias.data.shape != (c_out,):
         raise ValueError(f"conv1d_same: bias {bias.data.shape} does not match {c_out} output channels")
     left = (k - 1) // 2
-    if k > p + (k - 1):
-        raise ValueError(f"conv1d_same: kernel size {k} exceeds padded signal length {p + k - 1}")
 
     padded = np.zeros((c_in, p + k - 1) + rest)
     padded[:, left:left + p] = signal.data

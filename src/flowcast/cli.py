@@ -9,6 +9,7 @@ reruns are byte-comparable. Exit codes: 0 success, 1 usage, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -92,10 +93,12 @@ def _load_config(path: str) -> dict:
     return payload
 
 
-def _config_digest(args, resolved: dict) -> str:
-    """Hash of the config file if given, else of the resolved settings."""
-    if args.config:
-        return hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _config_digest(resolved: dict) -> str:
+    """Hash of the effective settings: config file and flags, resolved."""
     blob = json.dumps(resolved, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -233,21 +236,17 @@ def cmd_train(args) -> None:
     cfg = _train_config(args, config)
     wcfg = _window_config(config)
     out = _out_dir(args, config)
+    ds = load_csv(dataset_path)
     digest = _config_digest(
-        args,
         {
             "command": "train",
-            "dataset": dataset_path,
+            "dataset_sha256": _file_sha256(dataset_path),
             "arch": archs,
             "impute": method,
-            "seeds": cfg.seeds,
-            "runs": cfg.runs,
-            "lr": cfg.lr,
-            "l2": cfg.l2,
-            "max_epochs": cfg.max_epochs,
-        },
+            "window": dataclasses.asdict(wcfg),
+            "train": dataclasses.asdict(cfg),
+        }
     )
-    ds = load_csv(dataset_path)
 
     rows = []
     for arch in archs:
@@ -284,18 +283,17 @@ def cmd_eval(args) -> None:
     if method is not None:
         method = _resolve_method(method)
     out = _out_dir(args, config)
-    digest = _config_digest(
-        args,
-        {
-            "command": "eval",
-            "checkpoint": checkpoint_path,
-            "dataset": dataset_path,
-            "views": views,
-            "impute": method,
-        },
-    )
     trained = load_checkpoint(checkpoint_path)
     ds = load_csv(dataset_path)
+    digest = _config_digest(
+        {
+            "command": "eval",
+            "checkpoint_sha256": _file_sha256(checkpoint_path),
+            "dataset_sha256": _file_sha256(dataset_path),
+            "views": views,
+            "impute": method,
+        }
+    )
     report = evaluate_on(trained, ds, views=views, method=method)
     stamped = EvalReport(
         views=report.views,
@@ -334,7 +332,6 @@ def cmd_sweep(args) -> None:
     out = _out_dir(args, config)
     resolved = {
         "command": "sweep",
-        "dataset": dataset_path,
         "scope": scope,
         "methods": methods,
         "ratios": ratios,
@@ -349,8 +346,8 @@ def cmd_sweep(args) -> None:
                 "sweep scope 'test' needs a checkpoint "
                 "(--checkpoint or config sweep.checkpoint)"
             )
-        resolved["checkpoint"] = checkpoint_path
         subject = load_checkpoint(checkpoint_path)
+        resolved["checkpoint_sha256"] = _file_sha256(checkpoint_path)
     else:
         arch_value = args.arch or config.get("arch")
         if not arch_value:
@@ -359,11 +356,14 @@ def cmd_sweep(args) -> None:
         if len(archs) != 1:
             raise UsageError("sweep retrains exactly one architecture")
         subject = archs[0]
-        resolved["arch"] = subject
         cfg = _train_config(args, config, seeds_override=seeds)
+        resolved["arch"] = subject
+        resolved["window"] = dataclasses.asdict(wcfg)
+        resolved["train"] = dataclasses.asdict(cfg)
 
-    digest = _config_digest(args, resolved)
     ds = load_csv(dataset_path)
+    resolved["dataset_sha256"] = _file_sha256(dataset_path)
+    digest = _config_digest(resolved)
     rows = []
     for method in methods:
         sweep = robustness_sweep(

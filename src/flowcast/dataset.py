@@ -1,9 +1,9 @@
 """Flow tables and window extraction.
 
 A dataset is a stations-by-timestamps matrix at a fixed points-per-day
-cadence, with a boolean observation mask. Window extraction produces the
-three aligned input blocks (near-term, one day back, one week back) plus the
-forecast target for every admissible in-day position.
+cadence, with a boolean observation mask. Windows are anchors at every
+admissible in-day position; a batch gathers the three aligned input blocks
+(near-term, one day back, one week back) plus the forecast target on demand.
 
 CSV layout: first column an ISO-8601 timestamp, one column per station,
 missing cells empty. A sidecar named ``<file>.meta.json`` carries the ordered
@@ -14,17 +14,23 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 
 POINTS_PER_DAY = 288
+
+
+def _minutes_per_point(points_per_day: int) -> int:
+    if points_per_day < 1 or 1440 % points_per_day:
+        raise DataError(
+            f"points_per_day {points_per_day} does not divide the 1440 minutes of a day"
+        )
+    return 1440 // points_per_day
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,7 @@ class FlowDataset:
             raise DataError(
                 f"{flows.shape[0]} rows for {len(self.station_ids)} station ids"
             )
+        _minutes_per_point(self.points_per_day)
         if flows.shape[1] % self.points_per_day != 0:
             raise DataError(
                 f"{flows.shape[1]} timestamps is not a whole number of "
@@ -73,7 +80,7 @@ class FlowDataset:
         return self.flows.shape[1] // self.points_per_day
 
     def timestamp(self, index: int) -> dt.datetime:
-        step = dt.timedelta(minutes=1440 // self.points_per_day)
+        step = dt.timedelta(minutes=_minutes_per_point(self.points_per_day))
         return dt.datetime.combine(self.start_date, dt.time()) + index * step
 
 
@@ -111,9 +118,6 @@ class WindowSample:
     s_d: np.ndarray
     s_w: np.ndarray
     target: np.ndarray
-    s_mask: np.ndarray
-    s_d_mask: np.ndarray
-    s_w_mask: np.ndarray
     target_mask: np.ndarray
     t: int
 
@@ -207,7 +211,7 @@ def load_csv(path) -> FlowDataset:
     flows = np.full((p, T), np.nan)
     mask = np.zeros((p, T), dtype=bool)
     first_stamp = None
-    step = dt.timedelta(minutes=1440 // points_per_day)
+    step = dt.timedelta(minutes=_minutes_per_point(points_per_day))
     for index, row in enumerate(body):
         if len(row) != p + 1:
             raise DataError(
@@ -234,10 +238,6 @@ def load_csv(path) -> FlowDataset:
                     f"{path} row {index + 2}: bad flow value {cell!r}"
                 ) from None
             mask[s, index] = True
-    if T % points_per_day != 0:
-        raise DataError(
-            f"{path}: {T} rows is not a whole number of {points_per_day}-point days"
-        )
     return FlowDataset(
         flows=flows,
         mask=mask,
@@ -291,12 +291,6 @@ def apply_standardization(ds: FlowDataset, stats: StandardStats) -> FlowDataset:
     return replace(ds, flows=scaled)
 
 
-def destandardize(values: np.ndarray, stats: StandardStats) -> np.ndarray:
-    """Map standardized station-major values back to vehicle counts."""
-    shape = (stats.mean.size,) + (1,) * (values.ndim - 1)
-    return values * stats.std.reshape(shape) + stats.mean.reshape(shape)
-
-
 def slice_days(ds: FlowDataset, day_range: tuple[int, int]) -> FlowDataset:
     """A standalone dataset covering the given day range."""
     start, stop = day_range
@@ -339,13 +333,56 @@ def window_positions(cfg: WindowConfig, points_per_day: int = POINTS_PER_DAY) ->
 WEEK_DAYS = 7
 
 
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Anchor timestamps into input and target tables that are never copied.
+
+    ``stack_batch`` gathers a batch's blocks when it is used, so memory stays
+    O(p x T); indexing and iteration gather one window as a batch of one.
+    """
+
+    inputs: FlowDataset
+    targets: FlowDataset
+    cfg: WindowConfig
+    anchors: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = self.inputs.flows.shape
+        if self.targets.flows.shape != shape:
+            raise DataError(f"target shape {self.targets.flows.shape} is not {shape}")
+        anchors = np.array(self.anchors, dtype=int)
+        ppd, cfg = self.inputs.points_per_day, self.cfg
+        lo = max(cfg.n, ppd + cfg.n_d, WEEK_DAYS * ppd + cfg.n_w)
+        hi = shape[1] - cfg.h
+        inside = anchors.size == 0 or lo <= anchors.min() <= anchors.max() <= hi
+        if anchors.ndim != 1 or not inside:
+            raise DataError(f"anchors must be 1-D and in [{lo}, {hi}] for {cfg}")
+        anchors.setflags(write=False)
+        object.__setattr__(self, "anchors", anchors)
+
+    def __len__(self) -> int:
+        return self.anchors.size
+
+    def __getitem__(self, key: int | slice) -> Windows | WindowSample:
+        if isinstance(key, slice):
+            return replace(self, anchors=self.anchors[key])
+        *blocks, ts = stack_batch(replace(self, anchors=self.anchors[[key]]))
+        return WindowSample(*(block[..., 0] for block in blocks), t=int(ts[0]))
+
+    def __add__(self, other: "Windows") -> "Windows":
+        shared = other.inputs is self.inputs and other.targets is self.targets
+        if not shared or other.cfg != self.cfg:
+            raise DataError("only windows over the same tables and config concatenate")
+        return replace(self, anchors=np.concatenate([self.anchors, other.anchors]))
+
+
 def extract_windows(
     ds: FlowDataset,
     cfg: WindowConfig,
     day_range: tuple[int, int],
     target_from: FlowDataset | None = None,
-) -> list[WindowSample]:
-    """All window samples whose targets fall inside the given day range.
+) -> Windows:
+    """All windows whose targets fall inside the given day range.
 
     Input blocks may reach back into earlier days; days lacking a full week
     of history are skipped. When ``target_from`` is given, target values and
@@ -354,64 +391,43 @@ def extract_windows(
     start, stop = day_range
     if not (0 <= start < stop <= ds.num_days):
         raise DataError(f"day range {day_range} outside 0..{ds.num_days}")
-    truth = ds if target_from is None else target_from
-    if truth.flows.shape != ds.flows.shape:
-        raise DataError(
-            f"target_from shape {truth.flows.shape} does not match {ds.flows.shape}"
-        )
     ppd = ds.points_per_day
-    positions = window_positions(cfg, ppd)
-    if len(positions) == 0:
+    positions = np.asarray(window_positions(cfg, ppd))
+    if positions.size == 0:
         raise DataError(f"no admissible positions for {cfg} at {ppd} points/day")
-    day_back = ppd
-    week_back = WEEK_DAYS * ppd
-    samples = []
-    for day in range(max(start, WEEK_DAYS), stop):
-        base = day * ppd
-        for pos in positions:
-            t = base + pos
-            t_d = t - day_back
-            t_w = t - week_back
-            samples.append(
-                WindowSample(
-                    s=ds.flows[:, t - cfg.n : t].copy(),
-                    s_d=ds.flows[:, t_d - cfg.n_d : t_d + cfg.n_d + cfg.h].copy(),
-                    s_w=ds.flows[:, t_w - cfg.n_w : t_w + cfg.n_w + cfg.h].copy(),
-                    target=truth.flows[:, t : t + cfg.h].copy(),
-                    s_mask=ds.mask[:, t - cfg.n : t].copy(),
-                    s_d_mask=ds.mask[:, t_d - cfg.n_d : t_d + cfg.n_d + cfg.h].copy(),
-                    s_w_mask=ds.mask[:, t_w - cfg.n_w : t_w + cfg.n_w + cfg.h].copy(),
-                    target_mask=truth.mask[:, t : t + cfg.h].copy(),
-                    t=t,
-                )
-            )
-    if not samples:
+    days = np.arange(max(start, WEEK_DAYS), stop)
+    if days.size == 0:
         raise DataError(
             f"day range {day_range} has no day with a full week of history"
         )
-    return samples
+    anchors = (days[:, None] * ppd + positions).ravel()
+    return Windows(ds, ds if target_from is None else target_from, cfg, anchors)
 
 
-def day_batches(
-    samples: Sequence[WindowSample], points_per_day: int = POINTS_PER_DAY
-) -> list[list[WindowSample]]:
-    """Group chronologically ordered samples into one batch per target day."""
-    grouped = itertools.groupby(samples, key=lambda smp: smp.t // points_per_day)
-    return [list(group) for _, group in grouped]
+def day_batches(windows: Windows) -> list[Windows]:
+    """Split chronologically ordered windows into one batch per target day."""
+    days = windows.anchors // windows.inputs.points_per_day
+    starts = np.flatnonzero(np.diff(days, prepend=-1))
+    return [windows[a:b] for a, b in zip(starts, [*starts[1:], len(windows)])]
 
 
-def stack_batch(
-    batch: Sequence[WindowSample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack a batch on a trailing axis.
+def stack_batch(batch: Windows) -> tuple[np.ndarray, ...]:
+    """Gather a batch of windows from its tables, stacked on a trailing axis.
 
-    Returns (s, s_d, s_w, target, target_mask, ts) where the blocks gain a
-    final batch dimension and ts lists each sample's anchor timestamp.
+    Returns (s, s_d, s_w, target, target_mask, ts): each block is a
+    C-contiguous [p, width, batch] array and ts lists the anchor timestamps.
     """
-    s = np.stack([smp.s for smp in batch], axis=-1)
-    s_d = np.stack([smp.s_d for smp in batch], axis=-1)
-    s_w = np.stack([smp.s_w for smp in batch], axis=-1)
-    target = np.stack([smp.target for smp in batch], axis=-1)
-    target_mask = np.stack([smp.target_mask for smp in batch], axis=-1)
-    ts = np.array([smp.t for smp in batch], dtype=int)
-    return s, s_d, s_w, target, target_mask, ts
+    cfg, ppd, ts = batch.cfg, batch.inputs.points_per_day, np.array(batch.anchors)
+
+    def take(table: np.ndarray, first: int, width: int) -> np.ndarray:
+        # np.take keeps the batch axis innermost, where table[:, idx] would not
+        return np.take(table, ts + np.arange(first, first + width)[:, None], axis=1)
+
+    return (
+        take(batch.inputs.flows, -cfg.n, cfg.n),
+        take(batch.inputs.flows, -ppd - cfg.n_d, cfg.daily_width),
+        take(batch.inputs.flows, -WEEK_DAYS * ppd - cfg.n_w, cfg.weekly_width),
+        take(batch.targets.flows, 0, cfg.h),
+        take(batch.targets.mask, 0, cfg.h),
+        ts,
+    )

@@ -22,6 +22,7 @@ from .dataset import (
     WEEK_DAYS,
     FlowDataset,
     WindowConfig,
+    Windows,
     clean,
     day_batches,
     slice_days,
@@ -173,14 +174,14 @@ def _labels(view: str, p: int, h: int, points_per_day: int, station_ids) -> tupl
 
 def evaluate(
     subject,
-    samples: Sequence,
+    samples: Windows,
     views: Sequence[str] = ("overall",),
     points_per_day: int = POINTS_PER_DAY,
     start_date=None,
     station_ids: Sequence[str] | None = None,
     metadata: dict | None = None,
 ) -> EvalReport:
-    """Score a predictor over window samples, bucketed into the given views.
+    """Score a predictor over windows, bucketed into the given views.
 
     The overall view is always included. Residuals enter a bucket only where
     the target mask is set; the weekday view needs the dataset start date to
@@ -194,14 +195,14 @@ def evaluate(
         raise DataError("no samples to evaluate")
     if "weekday" in requested and start_date is None:
         raise DataError("the weekday view needs the dataset start date")
-    p, h = samples[0].target.shape
+    p, h = samples.targets.num_stations, samples.cfg.h
     sizes = _view_sizes(p, h, points_per_day)
     abs_sums = {name: np.zeros(sizes[name]) for name in requested}
     sq_sums = {name: np.zeros(sizes[name]) for name in requested}
     counts = {name: np.zeros(sizes[name], dtype=int) for name in requested}
     predict = as_predictor(subject)
 
-    for batch in day_batches(samples, points_per_day):
+    for batch in day_batches(samples):
         s, s_d, s_w, target, target_mask, ts = stack_batch(batch)
         with no_grad():
             pred = np.asarray(predict(s, s_d, s_w, ts), dtype=float)

@@ -176,33 +176,34 @@ def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tenso
 
 
 def forward_streams(model: Model, xs: Sequence[Tensor]) -> Tensor:
-    """Core forward pass over already-wrapped stream tensors."""
+    """Core forward pass over [p, n, batch] stream tensors; returns [p, h, batch]."""
     spec = model.spec
     if len(xs) != spec.streams:
         raise ValueError(f"expected {spec.streams} streams, got {len(xs)}")
-    batched = xs[0].data.ndim == 3
-    flats = []
     for index, x in enumerate(xs):
         if x.data.shape[:2] != (spec.p, spec.n):
             raise ValueError(
                 f"stream {index} has shape {x.data.shape}, "
                 f"expected leading dims ({spec.p}, {spec.n})"
             )
+    shapes = [x.data.shape for x in xs]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 3:
+        raise ValueError(f"streams must share one [p, n, batch] shape, got {shapes}")
+    batch = shapes[0][2]
+    flats = []
+    for index, x in enumerate(xs):
         out = apply_topology(spec.topology, model.blocks_for_stream(index), x)
-        width = out.data.shape[0] * out.data.shape[1]
-        tail = out.data.shape[2] if batched else 1
-        flats.append(reshape(out, (width, tail)))
+        flats.append(reshape(out, (out.data.shape[0] * out.data.shape[1], batch)))
     pooled = concat(flats, axis=0)
     predictions = dense(model.head.W, model.head.b, pooled)
-    if batched:
-        return reshape(predictions, (spec.p, spec.h, predictions.data.shape[1]))
-    return reshape(predictions, (spec.p, spec.h))
+    return reshape(predictions, (spec.p, spec.h, batch))
 
 
 def forward(model: Model, sample) -> Tensor:
-    """Forecast one window sample; returns a [p, h] tensor."""
-    xs = [Tensor(sample.s), Tensor(sample.s_d), Tensor(sample.s_w)]
-    return forward_streams(model, xs)
+    """Forecast one window sample as a batch of one; returns a [p, h] tensor."""
+    blocks = (sample.s, sample.s_d, sample.s_w)
+    out = forward_batch(model, *(np.asarray(block)[..., None] for block in blocks))
+    return reshape(out, (model.spec.p, model.spec.h))
 
 
 def forward_batch(model: Model, s, s_d, s_w) -> Tensor:

@@ -24,7 +24,7 @@ from .dataset import (
     FlowDataset,
     StandardStats,
     WindowConfig,
-    WindowSample,
+    Windows,
     apply_standardization,
     clean,
     day_batches,
@@ -45,7 +45,6 @@ from .hybrid import (
     named_parameters,
     parameters,
 )
-from .imputation import ImputationModel
 from . import imputation
 
 
@@ -219,14 +218,32 @@ class PreparedData:
     """Windowed, imputed, standardized splits of one dataset."""
 
     dataset: FlowDataset
-    truth: FlowDataset
     stats: StandardStats
-    imputer: ImputationModel
     window_cfg: WindowConfig
     ranges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    train_samples: list[WindowSample]
-    val_samples: list[WindowSample]
-    test_samples: list[WindowSample]
+    train_samples: Windows
+    val_samples: Windows
+    test_samples: Windows
+
+
+def _fill_and_standardize(
+    ds: FlowDataset,
+    method: str,
+    train_range: tuple[int, int],
+    stats: StandardStats | None,
+) -> tuple[FlowDataset, FlowDataset, StandardStats]:
+    """Clean and fill the table, then standardize it and the cleaned truth.
+
+    Fill rules, and the stats unless given, are fitted on the training days.
+    """
+    cleaned = clean(ds)
+    imputer = imputation.fit(method, slice_days(cleaned, train_range))
+    filled = imputation.impute(imputer, cleaned)
+    if stats is None:
+        filled_std, stats = standardize(filled, train_range)
+    else:
+        filled_std = apply_standardization(filled, stats)
+    return filled_std, apply_standardization(cleaned, stats), stats
 
 
 def prepare_data(
@@ -240,25 +257,16 @@ def prepare_data(
 
     Cleans, splits chronologically, fits imputation on the training days,
     fills the whole table, standardizes with training statistics (or applies
-    given ones), and extracts window samples. Training targets come from the
-    filled table; validation and test targets keep the original values and
-    masks so scoring never trusts an imputed reading.
+    given ones), and extracts windows over the standardized tables. Training
+    targets come from the filled table; validation and test targets keep the
+    original values and masks so scoring never trusts an imputed reading.
     """
-    cleaned = clean(ds)
-    ranges = split(cleaned, fractions)
+    ranges = split(ds, fractions)
     train_range, val_range, test_range = ranges
-    imputer = imputation.fit(method, slice_days(cleaned, train_range))
-    filled = imputation.impute(imputer, cleaned)
-    if stats is None:
-        filled_std, stats = standardize(filled, train_range)
-    else:
-        filled_std = apply_standardization(filled, stats)
-    truth_std = apply_standardization(cleaned, stats)
+    filled_std, truth_std, stats = _fill_and_standardize(ds, method, train_range, stats)
     return PreparedData(
         dataset=filled_std,
-        truth=truth_std,
         stats=stats,
-        imputer=imputer,
         window_cfg=wcfg,
         ranges=ranges,
         train_samples=extract_windows(filled_std, wcfg, train_range),
@@ -271,8 +279,8 @@ def prepare_data(
 
 def train(
     model: Model,
-    train_samples: Sequence[WindowSample],
-    val_samples: Sequence[WindowSample],
+    train_samples: Windows,
+    val_samples: Windows,
     cfg: TrainConfig,
     points_per_day: int = POINTS_PER_DAY,
 ) -> tuple[Model, TrainLog]:
@@ -286,7 +294,7 @@ def train(
         raise DataError("no training samples")
     if not val_samples:
         raise DataError("no validation samples")
-    if not any(sample.target_mask.any() for sample in val_samples):
+    if not any(stack_batch(batch)[4].any() for batch in day_batches(val_samples)):
         raise DataError(
             "validation has no observed target cells, so there is no score "
             "to select the best epoch by"
@@ -294,14 +302,15 @@ def train(
     started = time.perf_counter()
     params = parameters(model)
     state = adam_init(params)
-    batches = [stack_batch(b) for b in day_batches(train_samples, points_per_day)]
+    batches = day_batches(train_samples)
     log = TrainLog()
     best_mae = math.inf
     best_snapshot = None
     for epoch in range(1, cfg.max_epochs + 1):
         total = 0.0
         count = 0
-        for s, s_d, s_w, target, _mask, _ts in batches:
+        for batch in batches:
+            s, s_d, s_w, target, _mask, _ts = stack_batch(batch)
             zero_grads(params)
             loss = mse_loss(forward_batch(model, s, s_d, s_w), target)
             value = loss.item()
@@ -350,9 +359,8 @@ def evaluate_on(
     ds: FlowDataset,
     views: Sequence[str] = ("overall",),
     method: str | None = None,
-    day_range: tuple[int, int] | None = None,
 ):
-    """Score a trained model on a raw dataset, test days by default.
+    """Score a trained model on the test days of a raw dataset.
 
     Rebuilds the inference pipeline around the stored statistics: fill rules
     are fitted on the dataset's training days, inputs imputed, everything
@@ -360,15 +368,12 @@ def evaluate_on(
     the raw dataset has observations.
     """
     fill_method = method or trained.impute_method
-    cleaned = clean(ds)
     train_range, _, test_range = trained.ranges
-    scored = day_range or test_range
-    imputer = imputation.fit(fill_method, slice_days(cleaned, train_range))
-    filled = imputation.impute(imputer, cleaned)
-    filled_std = apply_standardization(filled, trained.stats)
-    truth_std = apply_standardization(cleaned, trained.stats)
+    filled_std, truth_std, _ = _fill_and_standardize(
+        ds, fill_method, train_range, trained.stats
+    )
     samples = extract_windows(
-        filled_std, trained.window_cfg, scored, target_from=truth_std
+        filled_std, trained.window_cfg, test_range, target_from=truth_std
     )
     return evaluate(
         trained.model,
@@ -378,6 +383,20 @@ def evaluate_on(
         start_date=ds.start_date,
         station_ids=ds.station_ids,
         metadata={"arch": trained.arch, "impute": fill_method},
+    )
+
+
+def _bundle(model: Model, arch: str, method: str, prep: PreparedData) -> TrainedModel:
+    """A trained model plus the preprocessing that produced its data."""
+    return TrainedModel(
+        model=model,
+        arch=arch,
+        impute_method=method,
+        stats=prep.stats,
+        window_cfg=prep.window_cfg,
+        ranges=prep.ranges,
+        start_date=prep.dataset.start_date,
+        points_per_day=prep.dataset.points_per_day,
     )
 
 
@@ -397,17 +416,7 @@ def train_once(
     model, log = train(
         model, prepared.train_samples, prepared.val_samples, cfg, ds.points_per_day
     )
-    trained = TrainedModel(
-        model=model,
-        arch=arch,
-        impute_method=method,
-        stats=prepared.stats,
-        window_cfg=wcfg,
-        ranges=prepared.ranges,
-        start_date=ds.start_date,
-        points_per_day=ds.points_per_day,
-    )
-    return trained, log, prepared
+    return _bundle(model, arch, method, prepared), log, prepared
 
 
 @dataclass(frozen=True)
@@ -463,16 +472,6 @@ def run_experiment(
         )
         val = evaluate(model, prepared.val_samples, ("overall",), ds.points_per_day)
         test = evaluate(model, prepared.test_samples, ("overall",), ds.points_per_day)
-        trained = TrainedModel(
-            model=model,
-            arch=arch,
-            impute_method=method,
-            stats=prepared.stats,
-            window_cfg=wcfg,
-            ranges=prepared.ranges,
-            start_date=ds.start_date,
-            points_per_day=ds.points_per_day,
-        )
         runs.append(
             RunResult(
                 seed=seed,
@@ -481,7 +480,7 @@ def run_experiment(
                 test_mae=test.mae,
                 test_rmse=test.rmse,
                 log=log,
-                trained=trained,
+                trained=_bundle(model, arch, method, prepared),
             )
         )
     return ExperimentResult(arch=arch, impute_method=method, runs=tuple(runs))

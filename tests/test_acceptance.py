@@ -14,7 +14,7 @@ import numpy as np
 
 from flowcast import cli
 from flowcast.autodiff import Tensor, tensor_sum
-from flowcast.dataset import FlowDataset, WindowConfig, extract_windows
+from flowcast.dataset import FlowDataset, WindowConfig, extract_windows, stack_batch
 from flowcast.evaluation import (
     evaluate,
     historical_mean_predictor,
@@ -165,6 +165,9 @@ def test_criterion_3_window_count_and_slicing(capsys):
     )
     enumeration_ok = anchors == expected
 
+    # Every checked window is compared twice against direct slicing: read on
+    # its own, and as one column of a single gather over all windows.
+    batch = stack_batch(samples)
     checked = rng.choice(len(samples), size=1000, replace=False)
     mismatches = 0
     for index in checked:
@@ -172,17 +175,20 @@ def test_criterion_3_window_count_and_slicing(capsys):
         t = w.t
         td = t - ppd
         tw = t - 7 * ppd
-        pieces = (
-            (w.s, flows[:, t - 21 : t]),
-            (w.s_d, flows[:, td - 6 : td + 15]),
-            (w.s_w, flows[:, tw - 6 : tw + 15]),
-            (w.target, flows[:, t : t + 9]),
-            (w.s_mask, mask[:, t - 21 : t]),
-            (w.s_d_mask, mask[:, td - 6 : td + 15]),
-            (w.s_w_mask, mask[:, tw - 6 : tw + 15]),
-            (w.target_mask, mask[:, t : t + 9]),
+        want = (
+            flows[:, t - 21 : t],
+            flows[:, td - 6 : td + 15],
+            flows[:, tw - 6 : tw + 15],
+            flows[:, t : t + 9],
+            mask[:, t : t + 9],
         )
-        if not all(np.array_equal(got, want) for got, want in pieces):
+        alone = (w.s, w.s_d, w.s_w, w.target, w.target_mask)
+        column = tuple(block[..., index] for block in batch[:5])
+        agrees = batch[5][index] == t and all(
+            np.array_equal(a, direct) and np.array_equal(c, direct)
+            for a, c, direct in zip(alone, column, want)
+        )
+        if not agrees:
             mismatches += 1
     ok = count_ok and enumeration_ok and mismatches == 0
     report(

@@ -19,6 +19,8 @@ from flowcast.errors import NumericError
 from flowcast.hybrid import ARCHITECTURES
 from flowcast.version import VERSION
 
+from test_dataset import write_seven_per_day_csv
+
 
 def read_rows(path):
     """Data rows of a metric CSV: comment lines and the header stripped."""
@@ -257,6 +259,24 @@ class TestDataErrors:
         assert "3 stations" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_cadence_not_tiling_a_day(self, ws, tmp_path, capsys):
+        data = write_seven_per_day_csv(tmp_path / "seven.csv", days=14)
+        rc = cli.main(
+            [
+                "eval",
+                "--checkpoint",
+                str(ws["checkpoint"]),
+                "--dataset",
+                str(data),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "does not divide" in err
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_file(self, ws, tmp_path):
         rc = cli.main(
             [
@@ -389,6 +409,29 @@ class TestTrain:
         reference = (ws["out"] / "metrics.csv").read_bytes()
         assert first == reference
 
+    def test_digest_covers_flags_over_config(self, ws, tmp_path):
+        args = [
+            "train",
+            "--config",
+            str(ws["cfg"]),
+            "--dataset",
+            str(ws["data"]),
+            "--arch",
+            "LSTM1",
+            "--impute",
+            "mean",
+            "--seed",
+            "1",
+            "--runs",
+            "1",
+            "--out",
+            str(tmp_path),
+        ]
+        assert cli.main(args) == 0
+        seed0 = provenance_lines(ws["out"] / "metrics.csv")[1]
+        seed1 = provenance_lines(tmp_path / "metrics.csv")[1]
+        assert seed0 != seed1
+
     def test_log_lines_parse(self, ws):
         lines = (ws["out"] / "logs" / "LSTM1_mean_seed0.jsonl").read_text().splitlines()
         entries = [json.loads(line) for line in lines]
@@ -430,6 +473,21 @@ class TestEval:
         rows = read_rows(out / "eval_report.csv")
         assert len(rows) == 1 + 9
         assert sum(row[0] == "horizon" for row in rows) == 9
+
+    def test_digest_hashes_dataset_content_not_path(self, ws, tmp_path):
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(ws["data"].read_bytes())
+        Path(str(copy) + ".meta.json").write_bytes(
+            Path(str(ws["data"]) + ".meta.json").read_bytes()
+        )
+        stamps = []
+        for data in (ws["data"], copy, ws["complete"]):
+            out = tmp_path / f"out-{len(stamps)}"
+            args = ["eval", "--checkpoint", str(ws["checkpoint"]), "--dataset", str(data)]
+            assert cli.main(args + ["--out", str(out)]) == 0
+            stamps.append(provenance_lines(out / "eval_report.csv")[1])
+        assert stamps[0] == stamps[1]
+        assert stamps[0] != stamps[2]
 
     def test_json_report_carries_provenance(self, ws, tmp_path):
         out = self.run_eval(ws, tmp_path)

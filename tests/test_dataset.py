@@ -1,6 +1,8 @@
 """Dataset tests: CSV round trips, cleaning, standardization, windows."""
 
 import datetime as dt
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from flowcast.dataset import (
     FlowDataset,
     StandardStats,
     WindowConfig,
+    Windows,
     apply_standardization,
     clean,
-    destandardize,
     extract_windows,
     load_csv,
     save_csv,
@@ -52,6 +54,22 @@ def brute_force_blocks(matrix, cfg, t, ppd=288):
     return s, s_d, s_w, target
 
 
+def write_seven_per_day_csv(path, days=2):
+    """A table whose sidecar claims 7 points per day, at 205-minute steps.
+
+    1440 // 7 = 205 minutes, so the second day would start at 23:55.
+    """
+    start = dt.datetime(2019, 1, 7)
+    rows = ["timestamp,a"] + [
+        f"{(start + i * dt.timedelta(minutes=205)).isoformat()},1.0"
+        for i in range(7 * days)
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    sidecar = {"stations": ["a"], "lane": "ML", "points_per_day": 7}
+    Path(str(path) + ".meta.json").write_text(json.dumps(sidecar))
+    return path
+
+
 class TestFlowDataset:
     def test_validation(self):
         with pytest.raises(DataError, match="equal 2-D shapes"):
@@ -60,6 +78,8 @@ class TestFlowDataset:
             FlowDataset(np.zeros((2, 288)), np.ones((2, 288), bool), ("a",), MONDAY)
         with pytest.raises(DataError, match="whole number"):
             FlowDataset(np.zeros((1, 289)), np.ones((1, 289), bool), ("a",), MONDAY)
+        with pytest.raises(DataError, match="does not divide"):
+            FlowDataset(np.zeros((1, 14)), np.ones((1, 14), bool), ("a",), MONDAY, 7)
 
     def test_immutability(self):
         ds = make_dataset(p=1, days=9)
@@ -138,6 +158,11 @@ class TestCsvRoundTrip:
         sidecar = tmp_path / "flows.csv.meta.json"
         sidecar.write_text(sidecar.read_text().replace("vds1", "vds9"))
         with pytest.raises(DataError, match="sidecar"):
+            load_csv(path)
+
+    def test_cadence_not_tiling_a_day_rejected(self, tmp_path):
+        path = write_seven_per_day_csv(tmp_path / "seven.csv")
+        with pytest.raises(DataError, match="does not divide the 1440 minutes"):
             load_csv(path)
 
     def test_cadence_break_rejected(self, tmp_path):
@@ -224,17 +249,6 @@ class TestStandardize:
         with pytest.raises(DataError, match="at least 2"):
             standardize(ds, (0, 1))
 
-    def test_destandardize_inverts(self):
-        ds = make_dataset(p=3, days=10, seed=3)
-        out, stats = standardize(ds, (0, 8))
-        block = out.flows[:, 500:530]
-        restored = destandardize(block, stats)
-        assert np.allclose(
-            restored[ds.mask[:, 500:530]],
-            ds.flows[:, 500:530][ds.mask[:, 500:530]],
-            atol=1e-10,
-        )
-
     def test_apply_standardization_matches(self):
         ds = make_dataset(p=2, days=10, seed=4)
         out, stats = standardize(ds, (0, 8))
@@ -300,14 +314,11 @@ class TestExtractWindows:
         for index in rng.choice(len(samples), size=60, replace=False):
             sample = samples[index]
             s, s_d, s_w, target = brute_force_blocks(flows, cfg, sample.t)
-            sm, sdm, swm, tm = brute_force_blocks(ds.mask, cfg, sample.t)
+            _, _, _, tm = brute_force_blocks(ds.mask, cfg, sample.t)
             assert np.array_equal(sample.s, s, equal_nan=True)
             assert np.array_equal(sample.s_d, s_d, equal_nan=True)
             assert np.array_equal(sample.s_w, s_w, equal_nan=True)
             assert np.array_equal(sample.target, target, equal_nan=True)
-            assert np.array_equal(sample.s_mask, sm.astype(bool))
-            assert np.array_equal(sample.s_d_mask, sdm.astype(bool))
-            assert np.array_equal(sample.s_w_mask, swm.astype(bool))
             assert np.array_equal(sample.target_mask, tm.astype(bool))
 
     def test_daily_block_centered_one_day_back(self):
@@ -346,7 +357,17 @@ class TestExtractWindows:
         assert np.all(sample.target >= 1000.0)
         assert not sample.target_mask.any()
         assert np.all(sample.s < 1000.0)
-        assert sample.s_mask.all()
+
+    def test_anchors_outside_the_table_rejected(self):
+        ds = make_dataset(p=1, days=9)
+        cfg = WindowConfig()
+        lo, hi = 7 * 288 + cfg.n_w, 9 * 288 - cfg.h
+        assert len(Windows(ds, ds, cfg, [lo, hi])) == 2
+        for bad in ([lo - 1], [hi + 1], [[lo]]):
+            with pytest.raises(DataError, match="anchors"):
+                Windows(ds, ds, cfg, bad)
+        with pytest.raises(DataError, match="target shape"):
+            Windows(ds, make_dataset(p=2, days=9), cfg, [lo])
 
     def test_window_positions_bounds(self):
         cfg = WindowConfig()

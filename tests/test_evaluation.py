@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from flowcast.dataset import FlowDataset, WindowSample, day_batches, stack_batch
+from flowcast.dataset import (
+    FlowDataset,
+    WindowConfig,
+    Windows,
+    day_batches,
+    stack_batch,
+)
 from flowcast.errors import DataError
 from flowcast.evaluation import (
     DEFAULT_RATIOS,
@@ -87,26 +93,33 @@ def grid_predictor(s, s_d, s_w, ts):
     return out
 
 
-def make_samples(rng, ts, mask_fn=None):
-    samples = []
-    for t in ts:
-        target = rng.normal(size=(P, H))
-        mask = np.ones((P, H), dtype=bool) if mask_fn is None else mask_fn(t)
-        block = rng.normal(size=(P, 4))
-        samples.append(
-            WindowSample(
-                s=block,
-                s_d=block,
-                s_w=block,
-                target=target,
-                s_mask=np.ones_like(block, bool),
-                s_d_mask=np.ones_like(block, bool),
-                s_w_mask=np.ones_like(block, bool),
-                target_mask=mask,
-                t=t,
-            )
-        )
-    return samples
+WINDOW = WindowConfig(n=5, h=H, n_d=1, n_w=1)
+WEEK = 7 * PPD
+
+
+def make_samples(rng, ts, mask_fn=None, p=P):
+    """Windows over a small random table, anchored one week after ts.
+
+    Shifting by whole weeks keeps every anchor's timestamp and weekday
+    buckets and gives each window the week of history it needs. A mask_fn
+    sets the target mask of the window at anchor t; where windows overlap,
+    the later one wins, and each sample reads back what the table holds.
+    """
+    anchors = np.asarray(ts) + WEEK
+    days = (anchors.max() + H) // PPD + 1
+    flows = rng.normal(size=(p, days * PPD))
+    mask = np.ones_like(flows, dtype=bool)
+    if mask_fn is not None:
+        for t in anchors:
+            mask[:, t : t + H] = mask_fn(t)
+    ds = FlowDataset(
+        flows=flows,
+        mask=mask,
+        station_ids=tuple(f"s{i}" for i in range(p)),
+        start_date=START,
+        points_per_day=PPD,
+    )
+    return Windows(ds, ds, WINDOW, anchors)
 
 
 class TestEvaluate:
@@ -235,7 +248,7 @@ class TestEvaluate:
             evaluate(wrong, samples, points_per_day=PPD)
 
     def test_model_as_predictor(self):
-        spec = ModelSpec(topology=ARCHITECTURES["LSTM1"], p=P, n=4, h=H)
+        spec = ModelSpec(topology=ARCHITECTURES["LSTM1"], p=P, n=WINDOW.n, h=H)
         model = build(spec, seed=0)
         samples = make_samples(np.random.default_rng(8), [3, 6, 15])
         report = evaluate(model, samples, points_per_day=PPD)
@@ -243,27 +256,14 @@ class TestEvaluate:
         assert report.mae <= report.rmse
 
     def test_model_scores_equal_graph_mode_predictions(self):
-        spec = ModelSpec(topology=ARCHITECTURES["LSTM1-SP-CNN1"], p=4, n=4, h=H)
+        spec = ModelSpec(topology=ARCHITECTURES["LSTM1-SP-CNN1"], p=4, n=WINDOW.n, h=H)
         model = build(spec, seed=3)
         rng = np.random.default_rng(10)
-        samples = []
-        for t in (3, 5, 14, 20, 27):
-            block = rng.normal(size=(4, 4))
-            samples.append(
-                WindowSample(
-                    s=block,
-                    s_d=rng.normal(size=(4, 4)),
-                    s_w=rng.normal(size=(4, 4)),
-                    target=rng.normal(size=(4, H)),
-                    s_mask=np.ones_like(block, bool),
-                    s_d_mask=np.ones_like(block, bool),
-                    s_w_mask=np.ones_like(block, bool),
-                    target_mask=rng.random((4, H)) < 0.8,
-                    t=t,
-                )
-            )
+        samples = make_samples(
+            rng, (3, 5, 14, 20, 27), mask_fn=lambda t: rng.random((4, H)) < 0.8, p=4
+        )
         recorded = {}
-        for batch in day_batches(samples, PPD):
+        for batch in day_batches(samples):
             s, s_d, s_w, _, _, ts = stack_batch(batch)
             out = forward_batch(model, s, s_d, s_w)
             assert out._backward is not None

@@ -301,10 +301,9 @@ class TestTrain:
 
     def test_unscorable_validation_rejected(self, synth, prepared):
         model = tiny_model(synth)
-        blind = [
-            dataclasses.replace(sample, target_mask=np.zeros_like(sample.target_mask))
-            for sample in prepared.val_samples
-        ]
+        val = prepared.val_samples
+        truth = dataclasses.replace(val.targets, mask=np.zeros_like(val.targets.mask))
+        blind = dataclasses.replace(val, targets=truth)
         cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
         with pytest.raises(DataError, match="no observed target cells"):
             train(model, prepared.train_samples, blind, cfg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -18,12 +19,25 @@ import numpy as np
 
 from .dataset import StandardStats, WindowConfig
 from .errors import DataError
-from .hybrid import ModelSpec, Topology, build, named_parameters
+from .hybrid import STREAMS, ModelSpec, Topology, build, named_parameters
 from .training import TrainedModel, parameter_digest
 from .version import VERSION
 
 FORMAT_VERSION = 1
 _PARAM_PREFIX = "param/"
+# Manifest spec entries every model has: three streams, each with its own weights.
+_SPEC_CONSTANTS = {"streams": STREAMS, "share_weights": False}
+# What np.load and zipfile raise on a damaged archive, header or array.
+_UNREADABLE = (
+    zipfile.BadZipFile,
+    OSError,
+    ValueError,
+    EOFError,
+    NotImplementedError,
+    RuntimeError,
+    SyntaxError,
+    tokenize.TokenError,
+)
 
 
 def _array_sha(data: np.ndarray) -> str:
@@ -48,8 +62,7 @@ def build_manifest(trained: TrainedModel) -> dict:
             "p": spec.p,
             "n": spec.n,
             "h": spec.h,
-            "streams": spec.streams,
-            "share_weights": spec.share_weights,
+            **_SPEC_CONSTANTS,
         },
         "window": {"n": wcfg.n, "h": wcfg.h, "n_d": wcfg.n_d, "n_w": wcfg.n_w},
         "ranges": [list(r) for r in trained.ranges],
@@ -82,70 +95,80 @@ def save_checkpoint(path, trained: TrainedModel) -> str:
     return manifest["digest"]
 
 
-def read_manifest(path) -> dict:
-    """Parse and structurally validate the embedded manifest."""
+def _read_archive(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The structurally validated manifest and every stored parameter array.
+
+    Any failure to read the file as an npz archive is a DataError.
+    """
     try:
         with np.load(path, allow_pickle=False) as archive:
-            if "manifest" not in archive:
-                raise DataError(f"{path} has no manifest; not a checkpoint")
-            raw = str(archive["manifest"])
+            arrays = {key: archive[key] for key in archive.files}
     except FileNotFoundError:
         raise DataError(f"checkpoint {path} not found") from None
-    except (zipfile.BadZipFile, OSError, ValueError) as exc:
+    except _UNREADABLE as exc:
         raise DataError(f"{path} is not a checkpoint archive: {exc}") from None
+    if "manifest" not in arrays:
+        raise DataError(f"{path} has no manifest; not a checkpoint")
     try:
-        manifest = json.loads(raw)
+        manifest = json.loads(str(arrays.pop("manifest")))
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError("checkpoint manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"checkpoint format {manifest.get('format_version')!r} unsupported, "
             f"expected {FORMAT_VERSION}"
         )
-    return manifest
+    return manifest, arrays
+
+
+def read_manifest(path) -> dict:
+    """Parse and structurally validate the embedded manifest."""
+    return _read_archive(path)[0]
 
 
 def load_checkpoint(path) -> TrainedModel:
     """Rebuild a TrainedModel, verifying every parameter hash."""
-    manifest = read_manifest(path)
+    manifest, arrays = _read_archive(path)
     try:
-        spec = ModelSpec(
-            topology=Topology(**manifest["topology"]),
-            **manifest["spec"],
-        )
+        spec_fields = dict(manifest["spec"])
+        constants = {key: spec_fields.pop(key, None) for key in _SPEC_CONSTANTS}
+        spec = ModelSpec(topology=Topology(**manifest["topology"]), **spec_fields)
     except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"manifest does not describe a valid model: {exc}") from None
+    if constants != _SPEC_CONSTANTS:
+        raise DataError(f"manifest spec has {constants}; models have {_SPEC_CONSTANTS}")
     model = build(spec, seed=0)
     by_name = dict(named_parameters(model))
     problems = []
-    with np.load(path, allow_pickle=False) as archive:
-        for entry in manifest["params"]:
-            key = _PARAM_PREFIX + entry["name"]
-            if entry["name"] not in by_name:
-                problems.append(f"{entry['name']}: not a parameter of {spec}")
-                continue
-            if key not in archive:
-                problems.append(f"{entry['name']}: missing from archive")
-                continue
-            data = np.ascontiguousarray(archive[key], dtype=float)
-            if list(data.shape) != entry["shape"]:
-                problems.append(
-                    f"{entry['name']}: shape {list(data.shape)} != "
-                    f"manifest {entry['shape']}"
-                )
-                continue
-            actual = _array_sha(data)
-            if actual != entry["sha256"]:
-                problems.append(
-                    f"{entry['name']}: sha256 {actual[:12]}... != "
-                    f"manifest {entry['sha256'][:12]}..."
-                )
-                continue
-            by_name[entry["name"]].data = data
-        if problems:
-            raise DataError(
-                "checkpoint integrity check failed:\n  " + "\n  ".join(problems)
+    for entry in manifest["params"]:
+        key = _PARAM_PREFIX + entry["name"]
+        if entry["name"] not in by_name:
+            problems.append(f"{entry['name']}: not a parameter of {spec}")
+            continue
+        if key not in arrays:
+            problems.append(f"{entry['name']}: missing from archive")
+            continue
+        data = np.ascontiguousarray(arrays[key], dtype=float)
+        if list(data.shape) != entry["shape"]:
+            problems.append(
+                f"{entry['name']}: shape {list(data.shape)} != "
+                f"manifest {entry['shape']}"
             )
+            continue
+        actual = _array_sha(data)
+        if actual != entry["sha256"]:
+            problems.append(
+                f"{entry['name']}: sha256 {actual[:12]}... != "
+                f"manifest {entry['sha256'][:12]}..."
+            )
+            continue
+        by_name[entry["name"]].data = data
+    if problems:
+        raise DataError(
+            "checkpoint integrity check failed:\n  " + "\n  ".join(problems)
+        )
     digest = parameter_digest(model)
     if digest != manifest["digest"]:
         raise DataError(

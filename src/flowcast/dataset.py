@@ -176,7 +176,7 @@ def load_csv(path) -> FlowDataset:
     try:
         with path.open(newline="") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path} is empty")
@@ -193,12 +193,19 @@ def load_csv(path) -> FlowDataset:
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"sidecar {sidecar} is not readable JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"sidecar {sidecar} must hold a JSON object")
         lane = meta.get("lane", lane)
-        points_per_day = int(meta.get("points_per_day", points_per_day))
-        stations = tuple(meta.get("stations", station_ids))
-        if stations != station_ids:
+        points_per_day = meta.get("points_per_day", points_per_day)
+        if not isinstance(points_per_day, int) or isinstance(points_per_day, bool):
+            raise DataError(
+                f"sidecar {sidecar}: points_per_day must be an integer, "
+                f"got {points_per_day!r}"
+            )
+        stations = meta.get("stations", list(station_ids))
+        if stations != list(station_ids):
             raise DataError(
                 f"station columns {station_ids} do not match sidecar {stations}"
             )

@@ -18,7 +18,6 @@ import numpy as np
 from . import imputation
 from .autodiff import no_grad
 from .dataset import (
-    POINTS_PER_DAY,
     WEEK_DAYS,
     FlowDataset,
     WindowConfig,
@@ -176,7 +175,7 @@ def evaluate(
     subject,
     samples: Windows,
     views: Sequence[str] = ("overall",),
-    points_per_day: int = POINTS_PER_DAY,
+    points_per_day: int | None = None,
     start_date=None,
     station_ids: Sequence[str] | None = None,
     metadata: dict | None = None,
@@ -185,7 +184,9 @@ def evaluate(
 
     The overall view is always included. Residuals enter a bucket only where
     the target mask is set; the weekday view needs the dataset start date to
-    anchor day-of-week (reported Monday-first).
+    anchor day-of-week (reported Monday-first). The cadence comes from the
+    windows' table; a given ``points_per_day`` or ``start_date`` must agree
+    with that table.
     """
     requested = tuple(dict.fromkeys(("overall",) + tuple(views)))
     for name in requested:
@@ -195,6 +196,17 @@ def evaluate(
         raise DataError("no samples to evaluate")
     if "weekday" in requested and start_date is None:
         raise DataError("the weekday view needs the dataset start date")
+    table = samples.inputs
+    if points_per_day not in (None, table.points_per_day):
+        raise DataError(
+            f"points_per_day {points_per_day} disagrees with the windows' "
+            f"{table.points_per_day}"
+        )
+    if start_date not in (None, table.start_date):
+        raise DataError(
+            f"start date {start_date} disagrees with the windows' {table.start_date}"
+        )
+    points_per_day = table.points_per_day
     p, h = samples.targets.num_stations, samples.cfg.h
     sizes = _view_sizes(p, h, points_per_day)
     abs_sums = {name: np.zeros(sizes[name]) for name in requested}
@@ -416,12 +428,7 @@ def robustness_sweep(
                 trained_r, _, prepared = training.train_once(
                     arch, injected, method, cfg, wcfg, seed=seed, fractions=fractions
                 )
-                report = evaluate(
-                    trained_r.model,
-                    prepared.test_samples,
-                    ("overall",),
-                    dataset.points_per_day,
-                )
+                report = evaluate(trained_r.model, prepared.test_samples)
                 maes.append(report.mae)
                 rmses.append(report.rmse)
                 cell_counts.append(report.cells)

@@ -8,7 +8,7 @@ dense regression head producing an h-step forecast for every station.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +44,9 @@ KINDS = (
 
 # kernel cascade per CNN depth; the single-layer variant uses the widest kernel
 KERNEL_CASCADES = {1: (4,), 3: (4, 3, 2)}
+
+# near-term, daily and weekly input blocks, each with its own weights
+STREAMS = 3
 
 
 @dataclass(frozen=True)
@@ -98,18 +101,14 @@ class ModelSpec:
     p: int
     n: int
     h: int
-    streams: int = 3
-    share_weights: bool = False
 
     def __post_init__(self) -> None:
-        if self.streams != 3:
-            raise ValueError("models take exactly three input streams")
         if min(self.p, self.n, self.h) < 1:
             raise ValueError(f"p, n, h must be positive: {(self.p, self.n, self.h)}")
 
     @property
     def head_in_width(self) -> int:
-        return self.streams * self.topology.concat_width_factor * self.p * self.n
+        return STREAMS * self.topology.concat_width_factor * self.p * self.n
 
     @property
     def head_out_width(self) -> int:
@@ -130,16 +129,12 @@ class Model:
     blocks: list[StreamBlocks]
     head: DenseParams
 
-    def blocks_for_stream(self, index: int) -> StreamBlocks:
-        return self.blocks[0] if self.spec.share_weights else self.blocks[index]
-
 
 def build(spec: ModelSpec, seed: int) -> Model:
     """Initialize a model deterministically from the seed."""
     rng = np.random.default_rng(seed)
-    copies = 1 if spec.share_weights else spec.streams
     blocks = []
-    for _ in range(copies):
+    for _ in range(STREAMS):
         lstms = [init_lstm(rng, spec.p) for _ in range(spec.topology.lstm_depth)]
         conv_spec = spec.topology.conv_spec
         convs = init_conv_stack(rng, conv_spec) if conv_spec else []
@@ -175,11 +170,10 @@ def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tenso
     return concat([mid, lstm_chain(mid)], axis=0)
 
 
-def forward_streams(model: Model, xs: Sequence[Tensor]) -> Tensor:
-    """Core forward pass over [p, n, batch] stream tensors; returns [p, h, batch]."""
+def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
+    """Forecast a batch stacked on a trailing axis; returns [p, h, batch]."""
     spec = model.spec
-    if len(xs) != spec.streams:
-        raise ValueError(f"expected {spec.streams} streams, got {len(xs)}")
+    xs = [t if isinstance(t, Tensor) else Tensor(t) for t in (s, s_d, s_w)]
     for index, x in enumerate(xs):
         if x.data.shape[:2] != (spec.p, spec.n):
             raise ValueError(
@@ -191,8 +185,8 @@ def forward_streams(model: Model, xs: Sequence[Tensor]) -> Tensor:
         raise ValueError(f"streams must share one [p, n, batch] shape, got {shapes}")
     batch = shapes[0][2]
     flats = []
-    for index, x in enumerate(xs):
-        out = apply_topology(spec.topology, model.blocks_for_stream(index), x)
+    for blocks, x in zip(model.blocks, xs):
+        out = apply_topology(spec.topology, blocks, x)
         flats.append(reshape(out, (out.data.shape[0] * out.data.shape[1], batch)))
     pooled = concat(flats, axis=0)
     predictions = dense(model.head.W, model.head.b, pooled)
@@ -206,16 +200,10 @@ def forward(model: Model, sample) -> Tensor:
     return reshape(out, (model.spec.p, model.spec.h))
 
 
-def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
-    """Forecast a batch stacked on a trailing axis; returns [p, h, batch]."""
-    xs = [t if isinstance(t, Tensor) else Tensor(t) for t in (s, s_d, s_w)]
-    return forward_streams(model, xs)
-
-
 def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
     """Deterministically ordered (name, tensor) pairs, no duplicates."""
     for index, blocks in enumerate(model.blocks):
-        prefix = "shared" if model.spec.share_weights else f"stream{index}"
+        prefix = f"stream{index}"
         for depth, lstm in enumerate(blocks.lstms):
             for name, tensor in lstm.named():
                 yield f"{prefix}.lstm{depth}.{name}", tensor

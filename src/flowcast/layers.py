@@ -22,7 +22,6 @@ from .autodiff import (
     matmul,
     relu,
     reshape,
-    slice_axis,
 )
 
 GATES = ("f", "i", "c", "o")
@@ -65,14 +64,6 @@ class LstmParams:
                 yield name, getattr(self, name)
 
 
-@dataclass
-class LstmState:
-    """Hidden and cell vectors carried between timesteps."""
-
-    h: Tensor
-    c: Tensor
-
-
 @dataclass(frozen=True)
 class ConvStackSpec:
     """Ordered 1D kernel sizes; ReLU follows every conv layer."""
@@ -110,13 +101,6 @@ class DenseParams:
         yield "b", self.b
 
 
-def zero_state(size: int, width: int = 1) -> LstmState:
-    """Fresh all-zero state; width is the trailing batch extent."""
-    return LstmState(
-        h=Tensor(np.zeros((size, width))), c=Tensor(np.zeros((size, width)))
-    )
-
-
 # Row blocks of the packed [4p, p] weights: the three sigmoid gates first, so
 # one expit call covers rows [0, 3p) and one tanh call the candidate rows.
 _PACKED_ORDER = ("f", "i", "o", "c")
@@ -149,8 +133,8 @@ class _Trace:
     tanh_c: np.ndarray
 
 
-def _lstm_forward(W, U, b, seq, h0, c0) -> _Trace:
-    """Run the cell over seq [p, n, batch] from state (h0, c0), each [p, batch]."""
+def _lstm_forward(W, U, b, seq) -> _Trace:
+    """Run the cell over seq [p, n, batch] from the all-zero state."""
     p, n, width = seq.shape
     sig = 3 * p
     projected = W @ seq.transpose(1, 0, 2)
@@ -159,7 +143,7 @@ def _lstm_forward(W, U, b, seq, h0, c0) -> _Trace:
     h = np.empty((n + 1, p, width))
     c = np.empty((n + 1, p, width))
     tanh_c = np.empty((n, p, width))
-    h[0], c[0] = h0, c0
+    h[0], c[0] = 0.0, 0.0
     for t in range(n):
         a = gates[t]
         np.add(projected[t], U @ h[t], out=a)
@@ -172,20 +156,18 @@ def _lstm_forward(W, U, b, seq, h0, c0) -> _Trace:
     return _Trace(gates, h, c, tanh_c)
 
 
-def _lstm_backward(W, U, seq, trace: _Trace, dh_out, dc_last):
+def _lstm_backward(W, U, seq, trace: _Trace, dh_out):
     """Backpropagation through time for one ``_lstm_forward`` call.
 
-    ``dh_out`` [n, p, batch] is the gradient into each step's hidden output
-    and ``dc_last`` [p, batch] the gradient into the final cell. Returns the
-    packed dW, dU, db, the input gradient [p, n, batch] and the gradients
-    into h0 and c0.
+    ``dh_out`` [n, p, batch] is the gradient into each step's hidden output.
+    Returns the packed dW, dU, db and the input gradient [p, n, batch].
     """
     n, rows, width = trace.gates.shape
     p = rows // 4
     sig = 3 * p
     d_pre = np.empty_like(trace.gates)
     dh = np.zeros((p, width))
-    dc = dc_last
+    dc = np.zeros((p, width))
     for t in reversed(range(n)):
         a = trace.gates[t]
         f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
@@ -205,56 +187,7 @@ def _lstm_backward(W, U, seq, trace: _Trace, dh_out, dc_last):
     dU = d_pre @ h_prev.T
     db = d_pre.sum(axis=1)
     dseq = (W.T @ d_pre).reshape(p, n, width)
-    return dW, dU, db, dseq, dh, dc
-
-
-def _accumulate_packed(params: LstmParams, dW, dU, db) -> None:
-    p = params.size
-    for k, gate in enumerate(_PACKED_ORDER):
-        rows = slice(k * p, (k + 1) * p)
-        _accumulate(getattr(params, f"W_{gate}"), dW[rows])
-        _accumulate(getattr(params, f"U_{gate}"), dU[rows])
-        _accumulate(getattr(params, f"b_{gate}"), db[rows])
-
-
-def _param_tensors(params: LstmParams) -> tuple[Tensor, ...]:
-    return tuple(tensor for _, tensor in params.named())
-
-
-def lstm_step(params: LstmParams, x: Tensor, prev: LstmState) -> LstmState:
-    """One timestep: gate activations, cell update, gated tanh output.
-
-    Accepts a vector (one sample) or a matrix whose trailing axis is a batch;
-    the new state has the shape of x. Uses the layer's cell arithmetic and
-    records one tape node holding both the new h and c.
-    """
-    if x.data.ndim not in (1, 2):
-        raise ValueError(f"lstm_step input must be 1-D or 2-D, got {x.data.shape}")
-    shape = x.data.shape
-    p = shape[0]
-    width = 1 if x.data.ndim == 1 else shape[1]
-    seq = x.data.reshape(p, 1, width)
-    W, U, b = _packed(params)
-    trace = _lstm_forward(
-        W, U, b, seq, prev.h.data.reshape(p, width), prev.c.data.reshape(p, width)
-    )
-
-    def bwd(g):
-        dW, dU, db, dseq, dh0, dc0 = _lstm_backward(W, U, seq, trace, g[None, :p], g[p:])
-        _accumulate_packed(params, dW, dU, db)
-        _accumulate(x, dseq.reshape(shape))
-        _accumulate(prev.h, dh0.reshape(prev.h.data.shape))
-        _accumulate(prev.c, dc0.reshape(prev.c.data.shape))
-
-    both = Tensor(
-        np.concatenate([trace.h[1], trace.c[1]]),
-        _parents=(x, prev.h, prev.c) + _param_tensors(params),
-        _backward=bwd,
-    )
-    return LstmState(
-        h=reshape(slice_axis(both, 0, 0, p), shape),
-        c=reshape(slice_axis(both, 0, p, 2 * p), shape),
-    )
+    return dW, dU, db, dseq
 
 
 def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
@@ -272,18 +205,21 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
     width = 1 if seq.data.ndim == 2 else shape[2]
     x = seq.data.reshape(p, n, width)
     W, U, b = _packed(params)
-    zeros = np.zeros((p, width))
-    trace = _lstm_forward(W, U, b, x, zeros, zeros)
+    trace = _lstm_forward(W, U, b, x)
 
     def bwd(g):
         dh_out = g.reshape(p, n, width).transpose(1, 0, 2)
-        dW, dU, db, dseq, _, _ = _lstm_backward(W, U, x, trace, dh_out, zeros)
-        _accumulate_packed(params, dW, dU, db)
+        dW, dU, db, dseq = _lstm_backward(W, U, x, trace, dh_out)
+        for k, gate in enumerate(_PACKED_ORDER):
+            rows = slice(k * p, (k + 1) * p)
+            _accumulate(getattr(params, f"W_{gate}"), dW[rows])
+            _accumulate(getattr(params, f"U_{gate}"), dU[rows])
+            _accumulate(getattr(params, f"b_{gate}"), db[rows])
         _accumulate(seq, dseq.reshape(shape))
 
     return Tensor(
         np.ascontiguousarray(trace.h[1:].transpose(1, 0, 2)).reshape(shape),
-        _parents=(seq,) + _param_tensors(params),
+        _parents=(seq, *(tensor for _, tensor in params.named())),
         _backward=bwd,
     )
 

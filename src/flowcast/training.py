@@ -282,13 +282,14 @@ def train(
     train_samples: Windows,
     val_samples: Windows,
     cfg: TrainConfig,
-    points_per_day: int = POINTS_PER_DAY,
+    points_per_day: int | None = None,
 ) -> tuple[Model, TrainLog]:
     """Optimize the model in place; returns it with best-validation weights.
 
     Day batches run in chronological order, one Adam step each. Validation
     MAE/RMSE are logged per epoch and the parameters of the epoch with the
-    lowest validation MAE are restored before returning.
+    lowest validation MAE are restored before returning. A given
+    ``points_per_day`` must agree with the validation windows' table.
     """
     if not train_samples:
         raise DataError("no training samples")
@@ -321,7 +322,7 @@ def train(
             size = target.shape[-1]
             total += value * size
             count += size
-        report = evaluate(model, val_samples, ("overall",), points_per_day)
+        report = evaluate(model, val_samples, points_per_day=points_per_day)
         entry = EpochEntry(
             epoch=epoch,
             train_loss=total / count,
@@ -365,8 +366,15 @@ def evaluate_on(
     Rebuilds the inference pipeline around the stored statistics: fill rules
     are fitted on the dataset's training days, inputs imputed, everything
     standardized with the checkpointed stats, and targets scored only where
-    the raw dataset has observations.
+    the raw dataset has observations. The dataset must have the model's
+    station count and cadence.
     """
+    fits = (trained.model.spec.p, trained.points_per_day)
+    if (ds.num_stations, ds.points_per_day) != fits:
+        raise DataError(
+            f"the model fits {fits[0]} stations at {fits[1]} points per day; "
+            f"the dataset has {ds.num_stations} at {ds.points_per_day}"
+        )
     fill_method = method or trained.impute_method
     train_range, _, test_range = trained.ranges
     filled_std, truth_std, _ = _fill_and_standardize(
@@ -379,7 +387,6 @@ def evaluate_on(
         trained.model,
         samples,
         views,
-        ds.points_per_day,
         start_date=ds.start_date,
         station_ids=ds.station_ids,
         metadata={"arch": trained.arch, "impute": fill_method},
@@ -413,9 +420,7 @@ def train_once(
     spec = model_spec_for(arch, ds.num_stations, wcfg)
     prepared = prepare_data(ds, method, wcfg, fractions)
     model = build(spec, seed)
-    model, log = train(
-        model, prepared.train_samples, prepared.val_samples, cfg, ds.points_per_day
-    )
+    model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
     return _bundle(model, arch, method, prepared), log, prepared
 
 
@@ -467,11 +472,9 @@ def run_experiment(
     runs = []
     for seed in cfg.seeds[: cfg.runs]:
         model = build(spec, seed)
-        model, log = train(
-            model, prepared.train_samples, prepared.val_samples, cfg, ds.points_per_day
-        )
-        val = evaluate(model, prepared.val_samples, ("overall",), ds.points_per_day)
-        test = evaluate(model, prepared.test_samples, ("overall",), ds.points_per_day)
+        model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
+        val = evaluate(model, prepared.val_samples)
+        test = evaluate(model, prepared.test_samples)
         runs.append(
             RunResult(
                 seed=seed,

@@ -210,3 +210,19 @@ class TestIntegrity:
         rewrite(src, dst, mangle)
         with pytest.raises(DataError, match="valid model"):
             load_checkpoint(dst)
+
+    @pytest.mark.parametrize("field,value", [("share_weights", True), ("streams", 2)])
+    def test_spec_constants_enforced(self, tmp_path, field, value):
+        src = tmp_path / "model.npz"
+        dst = tmp_path / "altered.npz"
+        save_checkpoint(src, fake_trained())
+
+        def alter(payload):
+            manifest = json.loads(str(payload["manifest"]))
+            manifest["spec"][field] = value
+            payload["manifest"] = np.asarray(json.dumps(manifest))
+            return payload
+
+        rewrite(src, dst, alter)
+        with pytest.raises(DataError, match=f"'{field}': {value}"):
+            load_checkpoint(dst)

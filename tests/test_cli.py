@@ -9,12 +9,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowcast import cli
-from flowcast.dataset import load_csv
+from flowcast.dataset import load_csv, save_csv
 from flowcast.errors import NumericError
 from flowcast.hybrid import ARCHITECTURES
 from flowcast.version import VERSION
@@ -275,6 +277,62 @@ class TestDataErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "data error:" in err and "does not divide" in err
+        assert "Traceback" not in err
+
+    def test_sidecar_cadence_not_an_integer(self, ws, tmp_path, capsys):
+        data = tmp_path / "hourly.csv"
+        data.write_bytes(ws["data"].read_bytes())
+        sidecar = json.loads(Path(str(ws["data"]) + ".meta.json").read_text())
+        sidecar["points_per_day"] = "hourly"
+        Path(str(data) + ".meta.json").write_text(json.dumps(sidecar))
+        rc = cli.main(
+            [
+                "train",
+                "--dataset",
+                str(data),
+                "--arch",
+                "LSTM1",
+                "--seed",
+                "0",
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "points_per_day" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("change", ["stations", "cadence"])
+    def test_eval_on_data_the_model_does_not_fit(self, ws, tmp_path, capsys, change):
+        ds = load_csv(ws["data"])
+        if change == "stations":
+            ds = replace(
+                ds,
+                flows=np.vstack([ds.flows, ds.flows[:1]]),
+                mask=np.vstack([ds.mask, ds.mask[:1]]),
+                station_ids=ds.station_ids + ("extra",),
+            )
+        else:
+            ds = replace(
+                ds, flows=ds.flows[:, ::2], mask=ds.mask[:, ::2], points_per_day=144
+            )
+        data = tmp_path / "other.csv"
+        save_csv(ds, data)
+        rc = cli.main(
+            [
+                "eval",
+                "--checkpoint",
+                str(ws["checkpoint"]),
+                "--dataset",
+                str(data),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "the model fits 3 stations at 288" in err
         assert "Traceback" not in err
 
     def test_missing_checkpoint_file(self, ws, tmp_path):

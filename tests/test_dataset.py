@@ -160,6 +160,31 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="sidecar"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            b'{"points_per_day": "hourly"}',
+            b"[1, 2]",
+            b'{"points_per_day": null}',
+            b'{"points_per_day": 288.5}',
+            b'{"points_per_day": true}',
+            b'{"stations": 5}',
+            b"\xff\xfe not text",
+        ],
+    )
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "flows.csv"
+        save_csv(make_dataset(p=1, days=9), path)
+        Path(str(path) + ".meta.json").write_bytes(sidecar)
+        with pytest.raises(DataError, match="sidecar"):
+            load_csv(path)
+
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(b"timestamp,a\n\xff\xfe\x00\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(path)
+
     def test_cadence_not_tiling_a_day_rejected(self, tmp_path):
         path = write_seven_per_day_csv(tmp_path / "seven.csv")
         with pytest.raises(DataError, match="does not divide the 1440 minutes"):

@@ -229,6 +229,23 @@ class TestEvaluate:
         with pytest.raises(DataError, match="start date"):
             evaluate(grid_predictor, samples, views=("weekday",), points_per_day=PPD)
 
+    def test_cadence_comes_from_the_windows(self):
+        samples = make_samples(np.random.default_rng(9), [2, 5, 7])
+        counts = evaluate(grid_predictor, samples, views=("timestamp",)).views[
+            "timestamp"
+        ].counts
+        assert counts.size == PPD
+        assert np.flatnonzero(counts).tolist() == list(range(2, 10))
+
+    @pytest.mark.parametrize(
+        "given",
+        [{"points_per_day": 288}, {"start_date": START + dt.timedelta(days=1)}],
+    )
+    def test_disagreeing_cadence_or_start_rejected(self, given):
+        samples = make_samples(np.random.default_rng(10), [3])
+        with pytest.raises(DataError, match="disagrees with the windows"):
+            evaluate(grid_predictor, samples, **given)
+
     def test_unknown_view_rejected(self):
         samples = make_samples(np.random.default_rng(6), [3])
         with pytest.raises(DataError, match="unknown view"):

@@ -13,7 +13,6 @@ from flowcast.hybrid import (
     build,
     forward,
     forward_batch,
-    forward_streams,
     named_parameters,
     parameter_count,
     parameters,
@@ -65,11 +64,6 @@ GOLDEN_COUNTS = {
 @pytest.mark.parametrize("name,count", sorted(GOLDEN_COUNTS.items()))
 def test_parameter_count_goldens(name, count):
     assert parameter_count(build(spec_for(name), seed=0)) == count
-
-
-def test_shared_weights_shrink_parameter_count():
-    model = build(spec_for("LSTM1", share_weights=True), seed=0)
-    assert parameter_count(model) == 220 + 1060
 
 
 def test_build_deterministic():
@@ -155,7 +149,7 @@ def test_stream_shape_mismatch_rejected():
     model = build(spec_for("LSTM1"), seed=0)
     bad = [Tensor(np.zeros((5, 7))), Tensor(np.zeros((4, 7))), Tensor(np.zeros((5, 7)))]
     with pytest.raises(ValueError, match="stream 1"):
-        forward_streams(model, bad)
+        forward_batch(model, *bad)
 
 
 def test_end_to_end_gradients_full_fd_lstm_only():

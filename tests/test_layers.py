@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tensor, backward, concat, mul, tensor_sum
+from flowcast.autodiff import Tensor, mul, tensor_sum
 from flowcast.layers import (
     ConvLayerParams,
     ConvStackSpec,
     DenseParams,
     LstmParams,
-    LstmState,
     conv_stack,
     dense,
     glorot_uniform,
@@ -19,8 +18,6 @@ from flowcast.layers import (
     init_dense,
     init_lstm,
     lstm_layer,
-    lstm_step,
-    zero_state,
 )
 
 from gradcheck import check_gradients
@@ -67,22 +64,40 @@ def scalar_lstm_reference(params, seq):
     return out
 
 
+def numpy_lstm_step(params, x, h, c):
+    """One step of the gate equations on whole columns, as a composition oracle."""
+    m = {name: t.data for name, t in params.named()}
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    gate = lambda g: m[f"W_{g}"] @ x + m[f"U_{g}"] @ h + m[f"b_{g}"][:, None]
+    c = sig(gate("f")) * c + sig(gate("i")) * np.tanh(gate("c"))
+    return sig(gate("o")) * np.tanh(c), c
+
+
 class TestLstmStep:
     def test_zero_everything_gives_zero_hidden(self):
         p = 4
         params = zero_lstm_params(p)
-        state = lstm_step(params, Tensor(np.random.default_rng(0).normal(size=p)),
-                          LstmState(Tensor(np.zeros(p)), Tensor(np.zeros(p))))
-        assert np.array_equal(state.h.data, np.zeros(p))
+        out = lstm_layer(params, Tensor(np.random.default_rng(0).normal(size=(p, 1))))
+        assert np.array_equal(out.data, np.zeros((p, 1)))
 
     def test_saturated_forget_gate_remembers_cell(self):
-        p = 3
+        # the first column writes tanh(diag) into the cell through an open
+        # input gate; later zero columns close it, and a saturated forget gate
+        # keeps the cell, so every hidden column equals the first
+        p, n = 3, 6
         params = zero_lstm_params(p)
         params.b_f.data[:] = 50.0
-        c0 = np.array([1.5, -2.0, 0.25])
-        state = lstm_step(params, Tensor(np.ones(p)),
-                          LstmState(Tensor(np.zeros(p)), Tensor(c0)))
-        assert np.max(np.abs(state.c.data - c0)) < 1e-12
+        params.b_o.data[:] = 50.0
+        params.b_i.data[:] = -50.0
+        params.W_i.data[:] = 100.0 * np.eye(p)
+        cell = np.array([1.5, -2.0, 0.25])
+        params.W_c.data[:] = np.diag(cell)
+        seq = np.zeros((p, n))
+        seq[:, 0] = 1.0
+        out = lstm_layer(params, Tensor(seq)).data
+        assert np.max(np.abs(out[:, 0] - np.tanh(np.tanh(cell)))) < 1e-12
+        for t in range(1, n):
+            assert np.max(np.abs(out[:, t] - out[:, 0])) < 1e-12
 
     def test_matches_scalar_loop_oracle(self):
         for seed in range(8):
@@ -95,22 +110,22 @@ class TestLstmStep:
             assert np.max(np.abs(got.data - want)) < 1e-12
 
     def test_gradients_through_state(self):
+        # the loss reads only the last time column, so every gradient into an
+        # earlier input column flows through the carried (h, c) state
         rng = np.random.default_rng(17)
-        p, B = 3, 2
+        p, n, B = 3, 4, 2
         params = init_lstm(rng, p)
-        x = Tensor(rng.normal(size=(p, B)), requires_grad=True)
-        prev = LstmState(
-            Tensor(rng.normal(size=(p, B)), requires_grad=True),
-            Tensor(rng.normal(size=(p, B)), requires_grad=True),
-        )
-        weights = Tensor(rng.normal(size=(2 * p, B)))
+        seq = Tensor(rng.normal(size=(p, n, B)), requires_grad=True)
+        w = np.zeros((p, n, B))
+        w[:, -1, :] = rng.normal(size=(p, B))
+        weights = Tensor(w)
 
         def loss():
-            state = lstm_step(params, x, prev)
-            return tensor_sum(mul(concat([state.h, state.c]), weights))
+            return tensor_sum(mul(lstm_layer(params, seq), weights))
 
-        leaves = [t for _, t in params.named()] + [x, prev.h, prev.c]
+        leaves = [t for _, t in params.named()] + [seq]
         check_gradients(loss, leaves)
+        assert np.all(np.abs(seq.grad[:, 0, :]) > 0)
 
     def test_hidden_bounded_by_one(self):
         rng = np.random.default_rng(2)
@@ -126,14 +141,15 @@ class TestLstmLayer:
         params = init_lstm(rng, p)
         x = rng.normal(size=(p, 1))
         layer_out = lstm_layer(params, Tensor(x))
-        step_out = lstm_step(params, Tensor(x[:, 0]), zero_state(p))
-        # step uses a width-1 internal path, so the arithmetic is identical
-        assert np.allclose(layer_out.data[:, 0], step_out.h.data, atol=1e-15)
+        h, _ = numpy_lstm_step(params, x, np.zeros((p, 1)), np.zeros((p, 1)))
+        assert np.allclose(layer_out.data, h, atol=1e-15)
 
     def test_zero_input_zero_params_zero_output(self):
+        # zero parameters give zero hidden for any input, not only a zero one
         params = zero_lstm_params(3)
-        out = lstm_layer(params, Tensor(np.zeros((3, 7))))
-        assert np.array_equal(out.data, np.zeros((3, 7)))
+        for seq in (np.zeros((3, 7)), np.random.default_rng(0).normal(size=(3, 7))):
+            out = lstm_layer(params, Tensor(seq))
+            assert np.array_equal(out.data, np.zeros((3, 7)))
 
     def test_matches_unrolled_step_composition(self):
         rng = np.random.default_rng(4)
@@ -141,10 +157,10 @@ class TestLstmLayer:
         params = init_lstm(rng, p)
         seq = rng.normal(size=(p, n))
         out = lstm_layer(params, Tensor(seq))
-        state = zero_state(p)
+        h, c = np.zeros((p, 1)), np.zeros((p, 1))
         for t in range(n):
-            state = lstm_step(params, Tensor(seq[:, t : t + 1].copy()), state)
-            assert np.allclose(out.data[:, t], state.h.data[:, 0], atol=1e-13)
+            h, c = numpy_lstm_step(params, seq[:, t : t + 1], h, c)
+            assert np.allclose(out.data[:, t], h[:, 0], atol=1e-13)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="time column"):

@@ -1,4 +1,6 @@
-"""Property tests: the window gather, window arithmetic, CSV round trips."""
+"""Property tests: the window gather, window arithmetic, CSV round trips,
+missing-value injection and imputation, split invariance of evaluation, and
+checkpoints with a flipped byte."""
 
 import datetime as dt
 import tempfile
@@ -6,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from flowcast.checkpoint import build_manifest, load_checkpoint, save_checkpoint
 from flowcast.dataset import (
     FlowDataset,
     WindowConfig,
@@ -19,7 +22,11 @@ from flowcast.dataset import (
     stack_batch,
 )
 from flowcast.errors import DataError
+from flowcast.evaluation import VIEWS, evaluate, persistence_predictor
+from flowcast.imputation import METHODS, fit, impute, inject_missing
+from flowcast.training import parameter_digest
 
+from test_checkpoint import fake_trained
 from test_dataset import brute_force_blocks
 
 # cadences that tile a day and leave room for every drawn window config
@@ -129,3 +136,93 @@ def test_csv_round_trip(ds):
     assert np.array_equal(back.mask, ds.mask)
     assert np.array_equal(back.flows[back.mask], ds.flows[ds.mask])
     assert np.isnan(back.flows[~back.mask]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("all", "test")),
+    st.lists(st.floats(0.0, 0.5), min_size=2, max_size=4),
+    st.integers(0, 1000),
+)
+def test_injection_keeps_supersets_across_ratios(table_seed, scope, ratios, seed):
+    rng = np.random.default_rng(table_seed)
+    ds = table(rng, 3, 4, 24, 0.2 * rng.random())
+    day_range = (2, 4) if scope == "test" else None
+    first = 2 * 24 if scope == "test" else 0
+    in_scope = ds.mask[:, first:]
+    removed = set()
+    for ratio in sorted(ratios):
+        count = round(ratio * in_scope.size)
+        if count > in_scope.sum():
+            with pytest.raises(DataError, match="cannot remove"):
+                inject_missing(ds, ratio, seed, scope=scope, day_range=day_range)
+            break
+        injected, pattern = inject_missing(
+            ds, ratio, seed, scope=scope, day_range=day_range
+        )
+        cells = set(zip(*np.nonzero(ds.mask != injected.mask)))
+        assert cells == set(map(tuple, pattern.cells.tolist()))
+        assert len(cells) == count
+        assert all(ds.mask[s, t] and t >= first for s, t in cells)
+        assert removed <= cells
+        removed = cells
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(METHODS), st.integers(1, 3))
+def test_impute_is_identity_on_complete_tables(table_seed, method, days):
+    ds = table(np.random.default_rng(table_seed), 2, days, 24, 0.0)
+    filled = impute(fit(method, ds), ds)
+    assert np.array_equal(filled.flows, ds.flows)
+    assert filled.mask.all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows(), st.data())
+def test_evaluate_adds_up_over_any_split(w, data):
+    assume(len(w) >= 2)
+    cut = data.draw(st.integers(1, len(w) - 1))
+    predict = persistence_predictor(w.cfg.h)
+    start = w.inputs.start_date
+
+    def score(part):
+        return evaluate(predict, part, VIEWS, start_date=start).views
+
+    def sums(vm):
+        # per-bucket sums of |error| and error^2; empty buckets report NaN
+        scored = vm.counts > 0
+        return [
+            np.where(scored, vm.mae, 0.0) * vm.counts,
+            np.where(scored, vm.rmse, 0.0) ** 2 * vm.counts,
+        ]
+
+    whole, head, tail = score(w), score(w[:cut]), score(w[cut:])
+    for view in VIEWS:
+        assert np.array_equal(whole[view].counts, head[view].counts + tail[view].counts)
+        for got, a, b in zip(sums(whole[view]), sums(head[view]), sums(tail[view])):
+            np.testing.assert_allclose(got, a + b, rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flip") / "model.npz"
+    trained = fake_trained(arch="LSTM1", p=1)
+    save_checkpoint(path, trained)
+    return path, parameter_digest(trained.model), build_manifest(trained)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flipped_checkpoint_byte_is_rejected_or_harmless(saved_checkpoint, data):
+    path, digest, manifest = saved_checkpoint
+    raw = bytearray(path.read_bytes())
+    raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    flipped = path.with_name("flipped.npz")
+    flipped.write_bytes(raw)
+    try:
+        loaded = load_checkpoint(flipped)
+    except DataError:
+        return
+    assert parameter_digest(loaded.model) == digest
+    assert build_manifest(loaded) == manifest

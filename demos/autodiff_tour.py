@@ -7,14 +7,20 @@ against a central finite difference. No layers involved: just tensors.
 
 import numpy as np
 
-from flowcast.autodiff import Tensor, backward, matmul, sigmoid, tensor_sum
+from flowcast.autodiff import Tensor, backward, matmul, mul, tensor_sum
+
+
+def squared_sum(W, x):
+    """sum((W @ x) ** 2); a scalar, so backward needs no seed gradient."""
+    y = matmul(W, x)
+    return tensor_sum(mul(y, y))
+
 
 rng = np.random.default_rng(3)
 W = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 x = Tensor(rng.normal(size=(4, 2)))
 
-# loss = sum(sigmoid(W @ x)); a scalar so backward needs no seed gradient
-loss = tensor_sum(sigmoid(matmul(W, x)))
+loss = squared_sum(W, x)
 backward(loss)
 print(f"loss value        : {loss.item():.6f}")
 print(f"dloss/dW          :\n{W.grad.round(4)}")
@@ -23,9 +29,9 @@ print(f"dloss/dW          :\n{W.grad.round(4)}")
 step = 1e-6
 orig = W.data[1, 2]
 W.data[1, 2] = orig + step
-up = tensor_sum(sigmoid(matmul(W, x))).item()
+up = squared_sum(W, x).item()
 W.data[1, 2] = orig - step
-down = tensor_sum(sigmoid(matmul(W, x))).item()
+down = squared_sum(W, x).item()
 W.data[1, 2] = orig
 numeric = (up - down) / (2 * step)
 

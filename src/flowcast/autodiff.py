@@ -15,11 +15,6 @@ import contextvars
 import itertools
 
 import numpy as np
-from scipy.special import expit
-
-# When enabled, every forward op asserts its result is finite. Off by
-# default; tests and debugging turn it on.
-CHECK_FINITE = False
 
 _node_ids = itertools.count()
 
@@ -59,8 +54,6 @@ class Tensor:
         self.node_id = next(_node_ids)
         self._parents = _parents
         self._backward = _backward
-        if CHECK_FINITE and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("tensor holds non-finite values")
 
     @property
     def shape(self):
@@ -83,31 +76,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; the module-level functions do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
-
-    def backward(self):
-        backward(self)
-
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution, skipping constants the graph never needs."""
@@ -118,7 +86,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
             f"gradient contribution {g.shape} does not match tensor {t.data.shape}"
         )
     if t.grad is None:
-        # A copy, never g itself: add's backward hands the same g to both parents.
+        # A copy, never g itself: add_bias hands its own g to x, reshape a view of it.
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
@@ -165,34 +133,17 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise ValueError(f"{op}: shapes differ: {a.data.shape} vs {b.data.shape}")
 
 
-def _finite(out: np.ndarray) -> np.ndarray:
-    if CHECK_FINITE and not np.all(np.isfinite(out)):
-        raise FloatingPointError("forward op produced non-finite values")
-    return out
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: incompatible shapes: {a.data.shape} @ {b.data.shape}")
-    out = _finite(a.data @ b.data)
+    out = a.data @ b.data
 
     def bwd(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
     return Tensor(out, _parents=(a, b), _backward=bwd)
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("add", a, b)
-
-    def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return Tensor(_finite(a.data + b.data), _parents=(a, b), _backward=bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -203,7 +154,7 @@ def sub(a, b) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    return Tensor(_finite(a.data - b.data), _parents=(a, b), _backward=bwd)
+    return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -215,17 +166,7 @@ def mul(a, b) -> Tensor:
         _accumulate(a, b.data * g)
         _accumulate(b, a.data * g)
 
-    return Tensor(_finite(a.data * b.data), _parents=(a, b), _backward=bwd)
-
-
-def scale(x, c: float) -> Tensor:
-    x = _as_tensor(x)
-    c = float(c)
-
-    def bwd(g):
-        _accumulate(x, c * g)
-
-    return Tensor(_finite(c * x.data), _parents=(x,), _backward=bwd)
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
 
 def add_bias(x, v) -> Tensor:
@@ -237,29 +178,9 @@ def add_bias(x, v) -> Tensor:
 
     def bwd(g):
         _accumulate(x, g)
-        _accumulate(v, g.sum(axis=tuple(range(1, g.ndim))) if g.ndim > 1 else g)
+        _accumulate(v, g.sum(axis=tuple(range(1, g.ndim))))
 
-    return Tensor(_finite(x.data + vb), _parents=(x, v), _backward=bwd)
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    y = expit(x.data)
-
-    def bwd(g):
-        _accumulate(x, y * (1.0 - y) * g)
-
-    return Tensor(_finite(y), _parents=(x,), _backward=bwd)
-
-
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.tanh(x.data)
-
-    def bwd(g):
-        _accumulate(x, (1.0 - y * y) * g)
-
-    return Tensor(_finite(y), _parents=(x,), _backward=bwd)
+    return Tensor(x.data + vb, _parents=(x, v), _backward=bwd)
 
 
 def relu(x) -> Tensor:
@@ -270,58 +191,46 @@ def relu(x) -> Tensor:
     def bwd(g):
         _accumulate(x, np.where(keep, g, 0.0))
 
-    return Tensor(_finite(np.where(keep, x.data, 0.0)), _parents=(x,), _backward=bwd)
+    return Tensor(np.where(keep, x.data, 0.0), _parents=(x,), _backward=bwd)
 
 
-def conv1d_same(signal, kernels, bias) -> Tensor:
-    """Same-length cross-correlation along axis 1 of ``signal``.
+def conv1d_same(signal, kernel, bias) -> Tensor:
+    """Same-length one-channel cross-correlation along axis 0 of ``signal``.
 
-    ``signal`` is [c_in, p, *rest], ``kernels`` [c_out, c_in, k], ``bias``
-    [c_out]; trailing axes of the signal ride along unchanged (time steps,
-    batch). Zero padding splits as left = (k-1)//2, right = k-1-left, so
-    the output keeps length p. No kernel flip.
+    ``signal`` is [p, *rest], ``kernel`` [1, 1, k] and ``bias`` [1]; trailing
+    axes of the signal ride along unchanged (time steps, batch). Zero padding
+    splits as left = (k-1)//2, right = k-1-left, so the output keeps length
+    p. No kernel flip.
     """
-    signal, kernels, bias = _as_tensor(signal), _as_tensor(kernels), _as_tensor(bias)
-    if signal.data.ndim < 2:
-        raise ValueError(f"conv1d_same: signal needs [c_in, p, ...], got {signal.data.shape}")
-    if kernels.data.ndim != 3:
-        raise ValueError(f"conv1d_same: kernels need [c_out, c_in, k], got {kernels.data.shape}")
-    c_in, p = signal.data.shape[0], signal.data.shape[1]
-    rest = signal.data.shape[2:]
-    c_out, kc_in, k = kernels.data.shape
-    if kc_in != c_in:
-        raise ValueError(
-            f"conv1d_same: channel mismatch: signal {signal.data.shape} vs kernels {kernels.data.shape}"
-        )
-    if bias.data.shape != (c_out,):
-        raise ValueError(f"conv1d_same: bias {bias.data.shape} does not match {c_out} output channels")
+    signal, kernel, bias = _as_tensor(signal), _as_tensor(kernel), _as_tensor(bias)
+    if signal.data.ndim < 1:
+        raise ValueError(f"conv1d_same: signal needs [p, ...], got {signal.data.shape}")
+    if kernel.data.ndim != 3 or kernel.data.shape[:2] != (1, 1):
+        raise ValueError(f"conv1d_same: kernel must be [1, 1, k], got {kernel.data.shape}")
+    if bias.data.shape != (1,):
+        raise ValueError(f"conv1d_same: bias must be [1], got {bias.data.shape}")
+    p, rest = signal.data.shape[0], signal.data.shape[1:]
+    w = kernel.data[0, 0]
+    k = w.shape[0]
     left = (k - 1) // 2
 
-    padded = np.zeros((c_in, p + k - 1) + rest)
-    padded[:, left:left + p] = signal.data
-    out = np.empty((c_out, p) + rest)
-    for o in range(c_out):
-        acc = np.full((p,) + rest, bias.data[o])
-        for c in range(c_in):
-            for j in range(k):
-                acc += kernels.data[o, c, j] * padded[c, j:j + p]
-        out[o] = acc
+    padded = np.zeros((p + k - 1,) + rest)
+    padded[left:left + p] = signal.data
+    out = np.full((p,) + rest, bias.data[0])
+    for j in range(k):
+        out += w[j] * padded[j:j + p]
 
     def bwd(g):
-        kg = np.zeros_like(kernels.data)
-        bg = np.empty(c_out)
+        kg = np.empty(k)
         pg = np.zeros_like(padded)
-        for o in range(c_out):
-            bg[o] = g[o].sum()
-            for c in range(c_in):
-                for j in range(k):
-                    kg[o, c, j] = (g[o] * padded[c, j:j + p]).sum()
-                    pg[c, j:j + p] += kernels.data[o, c, j] * g[o]
-        _accumulate(kernels, kg)
-        _accumulate(bias, bg)
-        _accumulate(signal, pg[:, left:left + p])
+        for j in range(k):
+            kg[j] = (g * padded[j:j + p]).sum()
+            pg[j:j + p] += w[j] * g
+        _accumulate(kernel, kg.reshape(1, 1, k))
+        _accumulate(bias, np.array([g.sum()]))
+        _accumulate(signal, pg[left:left + p])
 
-    return Tensor(_finite(out), _parents=(signal, kernels, bias), _backward=bwd)
+    return Tensor(out, _parents=(signal, kernel, bias), _backward=bwd)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -347,24 +256,10 @@ def concat(parts, axis: int = 0) -> Tensor:
             _accumulate(t, g[tuple(idx)])
 
     return Tensor(
-        _finite(np.concatenate([t.data for t in parts], axis=axis)),
+        np.concatenate([t.data for t in parts], axis=axis),
         _parents=tuple(parts),
         _backward=bwd,
     )
-
-
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def bwd(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        _accumulate(x, full)
-
-    return Tensor(x.data[idx].copy(), _parents=(x,), _backward=bwd)
 
 
 def reshape(x, shape) -> Tensor:

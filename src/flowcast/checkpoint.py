@@ -2,8 +2,8 @@
 
 The manifest records the architecture, window and imputation settings, split
 ranges, standardization statistics, and a sha256 per parameter array. Loading
-verifies every hash and refuses silently corrupted files, reporting exactly
-which entries diverged.
+checks every manifest field's shape and consistency, verifies every hash and
+refuses silently corrupted files, reporting exactly which entries diverged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import StandardStats, WindowConfig
 from .errors import DataError
 from .hybrid import STREAMS, ModelSpec, Topology, build, named_parameters
-from .training import TrainedModel, parameter_digest
+from .training import TrainedModel, model_spec_for, parameter_digest
 from .version import VERSION
 
 FORMAT_VERSION = 1
@@ -128,17 +128,96 @@ def read_manifest(path) -> dict:
     return _read_archive(path)[0]
 
 
-def load_checkpoint(path) -> TrainedModel:
-    """Rebuild a TrainedModel, verifying every parameter hash."""
-    manifest, arrays = _read_archive(path)
-    try:
-        spec_fields = dict(manifest["spec"])
-        constants = {key: spec_fields.pop(key, None) for key in _SPEC_CONSTANTS}
-        spec = ModelSpec(topology=Topology(**manifest["topology"]), **spec_fields)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise DataError(f"manifest does not describe a valid model: {exc}") from None
+def _matches(value, schema) -> bool:
+    """Whether a parsed JSON value has the shape ``schema`` describes.
+
+    A type is a leaf (``int`` takes no bools), a dict an object with exactly
+    these keys, a one-item list a list of any length and a tuple a list of
+    exactly that length.
+    """
+    if isinstance(schema, dict):
+        return isinstance(value, dict) and value.keys() == schema.keys() and all(
+            _matches(value[key], sub) for key, sub in schema.items()
+        )
+    if isinstance(schema, list):
+        return isinstance(value, list) and all(_matches(item, schema[0]) for item in value)
+    if isinstance(schema, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(schema)
+            and all(map(_matches, value, schema))
+        )
+    if isinstance(value, bool):
+        return schema is bool
+    return isinstance(value, schema)
+
+
+# Every manifest field load_checkpoint reads and the JSON shape it must have.
+_MANIFEST_SCHEMA = {
+    "arch": str,
+    "impute_method": str,
+    "topology": {"kind": str, "lstm_depth": int, "cnn_depth": int},
+    "spec": {"p": int, "n": int, "h": int, "streams": int, "share_weights": bool},
+    "window": {"n": int, "h": int, "n_d": int, "n_w": int},
+    "ranges": ((int, int),) * 3,
+    "stats": {"mean": [float], "std": [float], "train_days": (int, int)},
+    "start_date": str,
+    "points_per_day": int,
+    "params": [{"name": str, "shape": [int], "sha256": str}],
+    "digest": str,
+}
+
+
+def _parse_manifest(manifest: dict) -> tuple[ModelSpec, dict]:
+    """The model spec and the other TrainedModel fields a manifest records.
+
+    Raises DataError naming the first field that is missing, malformed or
+    inconsistent with the rest.
+    """
+    for key, schema in _MANIFEST_SCHEMA.items():
+        if key not in manifest or not _matches(manifest[key], schema):
+            raise DataError(f"checkpoint manifest field {key!r} is missing or malformed")
+    spec_fields = dict(manifest["spec"])
+    constants = {key: spec_fields.pop(key) for key in _SPEC_CONSTANTS}
     if constants != _SPEC_CONSTANTS:
         raise DataError(f"manifest spec has {constants}; models have {_SPEC_CONSTANTS}")
+    try:
+        spec = ModelSpec(topology=Topology(**manifest["topology"]), **spec_fields)
+    except ValueError as exc:
+        raise DataError(f"manifest does not describe a valid model: {exc}") from None
+    window = WindowConfig(**manifest["window"])
+    if model_spec_for(manifest["arch"], spec.p, window) != spec:
+        raise DataError(
+            f"manifest arch {manifest['arch']!r} and window {window} do not give {spec}"
+        )
+    stats = StandardStats.from_json(manifest["stats"])
+    if not (
+        stats.mean.shape == stats.std.shape == (spec.p,)
+        and np.all(np.isfinite(stats.mean))
+        and np.all(np.isfinite(stats.std) & (stats.std > 0))
+    ):
+        raise DataError(
+            f"manifest stats need {spec.p} finite means and positive finite deviations"
+        )
+    try:
+        start_date = dt.date.fromisoformat(manifest["start_date"])
+    except ValueError:
+        raise DataError(f"manifest start date {manifest['start_date']!r} is not a date") from None
+    return spec, {
+        "arch": manifest["arch"],
+        "impute_method": manifest["impute_method"],
+        "stats": stats,
+        "window_cfg": window,
+        "ranges": tuple(tuple(r) for r in manifest["ranges"]),
+        "start_date": start_date,
+        "points_per_day": manifest["points_per_day"],
+    }
+
+
+def load_checkpoint(path) -> TrainedModel:
+    """Rebuild a TrainedModel, verifying every manifest field and parameter hash."""
+    manifest, arrays = _read_archive(path)
+    spec, fields = _parse_manifest(manifest)
     model = build(spec, seed=0)
     by_name = dict(named_parameters(model))
     problems = []
@@ -151,10 +230,11 @@ def load_checkpoint(path) -> TrainedModel:
             problems.append(f"{entry['name']}: missing from archive")
             continue
         data = np.ascontiguousarray(arrays[key], dtype=float)
-        if list(data.shape) != entry["shape"]:
+        expected = list(by_name[entry["name"]].data.shape)
+        if not list(data.shape) == entry["shape"] == expected:
             problems.append(
-                f"{entry['name']}: shape {list(data.shape)} != "
-                f"manifest {entry['shape']}"
+                f"{entry['name']}: shape {list(data.shape)}, "
+                f"manifest {entry['shape']}, model {expected}"
             )
             continue
         actual = _array_sha(data)
@@ -175,13 +255,4 @@ def load_checkpoint(path) -> TrainedModel:
             f"checkpoint digest mismatch: parameters hash to {digest[:12]}..., "
             f"manifest says {manifest['digest'][:12]}..."
         )
-    return TrainedModel(
-        model=model,
-        arch=manifest["arch"],
-        impute_method=manifest["impute_method"],
-        stats=StandardStats.from_json(manifest["stats"]),
-        window_cfg=WindowConfig(**manifest["window"]),
-        ranges=tuple(tuple(r) for r in manifest["ranges"]),
-        start_date=dt.date.fromisoformat(manifest["start_date"]),
-        points_per_day=manifest["points_per_day"],
-    )
+    return TrainedModel(model=model, **fields)

@@ -21,7 +21,6 @@ from .autodiff import (
     conv1d_same,
     matmul,
     relu,
-    reshape,
 )
 
 GATES = ("f", "i", "c", "o")
@@ -79,7 +78,7 @@ class ConvStackSpec:
 
 @dataclass
 class ConvLayerParams:
-    """One conv layer: kernels [out_ch, in_ch, k] and per-channel bias."""
+    """One one-channel conv layer: kernel [1, 1, k] and bias [1]."""
 
     kernel: Tensor
     bias: Tensor
@@ -233,28 +232,21 @@ def conv_stack(spec: ConvStackSpec, params: list[ConvLayerParams], seq: Tensor) 
         raise ValueError(
             f"{len(params)} parameter sets for {len(spec.kernel_sizes)} kernel sizes"
         )
-    shape = seq.data.shape
-    p = shape[0]
+    p = seq.data.shape[0]
     widest = max(spec.kernel_sizes)
     if p < widest:
         raise ValueError(f"station axis length {p} is shorter than kernel {widest}")
-    x = reshape(seq, (1,) + shape)
     for layer, k in zip(params, spec.kernel_sizes):
-        if layer.kernel.data.shape[2] != k:
+        if layer.kernel.data.shape != (1, 1, k):
             raise ValueError(
-                f"kernel width {layer.kernel.data.shape[2]} does not match spec {k}"
+                f"kernel {layer.kernel.data.shape} does not match spec width {k}"
             )
-        x = relu(conv1d_same(x, layer.kernel, layer.bias))
-    if x.data.shape[0] != 1:
-        raise ValueError("conv stack must end with a single channel")
-    return reshape(x, shape)
+        seq = relu(conv1d_same(seq, layer.kernel, layer.bias))
+    return seq
 
 
 def dense(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
-    """Affine regression head, no activation."""
-    if x.data.ndim == 1:
-        out = add_bias(matmul(weights, reshape(x, (x.data.shape[0], 1))), bias)
-        return reshape(out, (weights.data.shape[0],))
+    """Affine regression head over columns x [in, batch], no activation."""
     return add_bias(matmul(weights, x), bias)
 
 

@@ -101,10 +101,11 @@ class TrainLog:
     checkpoint_id: str = ""
 
     @property
-    def best_epoch(self) -> int:
+    def best_entry(self) -> EpochEntry:
+        """The first epoch with the lowest validation MAE, whose weights train restores."""
         if not self.entries:
             raise DataError("empty training log")
-        return min(self.entries, key=lambda e: e.val_mae).epoch
+        return min(self.entries, key=lambda e: e.val_mae)
 
     def to_json_lines(self) -> str:
         lines = [
@@ -473,13 +474,14 @@ def run_experiment(
     for seed in cfg.seeds[: cfg.runs]:
         model = build(spec, seed)
         model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
-        val = evaluate(model, prepared.val_samples)
+        # The restored weights score exactly what their epoch logged on validation.
+        best = log.best_entry
         test = evaluate(model, prepared.test_samples)
         runs.append(
             RunResult(
                 seed=seed,
-                val_mae=val.mae,
-                val_rmse=val.rmse,
+                val_mae=best.val_mae,
+                val_rmse=best.val_rmse,
                 test_mae=test.mae,
                 test_rmse=test.rmse,
                 log=log,

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from flowcast import autodiff
 from flowcast.autodiff import (
     Tensor,
-    add,
     add_bias,
     backward,
     concat,
@@ -16,11 +14,7 @@ from flowcast.autodiff import (
     no_grad,
     relu,
     reshape,
-    scale,
-    sigmoid,
-    slice_axis,
     sub,
-    tanh,
     tensor_mean,
     tensor_sum,
 )
@@ -45,16 +39,12 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(t(np.zeros((2, 3))), t(np.zeros((2, 2))))
 
-    def test_sigmoid_zero(self):
-        assert sigmoid(t([0.0])).data[0] == 0.5
-
     def test_tanh_zero_relu_negative(self):
-        assert tanh(t([0.0])).data[0] == 0.0
         assert relu(t([-3.0])).data[0] == 0.0
 
     def test_binary_shape_error(self):
         with pytest.raises(ValueError, match=r"\(2,\) vs \(3,\)"):
-            add(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
+            sub(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
 
     def test_concat_single(self):
         a = t([[1.0, 2.0]])
@@ -69,38 +59,37 @@ class TestForward:
             concat([t(np.ones((3, 4))), t(np.ones((3, 5)))], axis=0)
 
     def test_conv_identity_kernel(self):
-        sig = t(np.arange(5.0).reshape(1, 5))
+        sig = t(np.arange(5.0))
         out = conv1d_same(sig, t(np.ones((1, 1, 1))), t([0.0]))
         assert np.array_equal(out.data, sig.data)
 
     def test_conv_even_kernel_pad_split(self):
         # k=2 pads 0 on the left and 1 on the right.
-        out = conv1d_same(t([[1.0, 2.0, 3.0]]), t([[[1.0, 1.0]]]), t([0.0]))
-        assert np.array_equal(out.data, [[3.0, 5.0, 3.0]])
+        out = conv1d_same(t([1.0, 2.0, 3.0]), t([[[1.0, 1.0]]]), t([0.0]))
+        assert np.array_equal(out.data, [3.0, 5.0, 3.0])
 
     def test_conv_k4_shape(self):
-        out = conv1d_same(t(np.random.default_rng(0).normal(size=(1, 25))),
+        out = conv1d_same(t(np.random.default_rng(0).normal(size=25)),
                           t(np.zeros((1, 1, 4))), t([0.0]))
-        assert out.data.shape == (1, 25)
+        assert out.data.shape == (25,)
 
     def test_conv_channel_mismatch(self):
-        with pytest.raises(ValueError, match="channel mismatch"):
-            conv1d_same(t(np.ones((2, 5))), t(np.ones((1, 1, 3))), t([0.0]))
+        # The conv has one channel in and out: any other kernel or bias is refused.
+        sig = t(np.ones(5))
+        for kernel, bias in [
+            (np.ones((2, 1, 3)), [0.0]),
+            (np.ones((1, 2, 3)), [0.0]),
+            (np.ones((1, 1, 3)), [0.0, 0.0]),
+        ]:
+            with pytest.raises(ValueError, match="must be"):
+                conv1d_same(sig, t(kernel), t(bias))
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        r1 = tanh(matmul(t(a), t(b))).data
-        r2 = tanh(matmul(t(a), t(b))).data
+        r1 = relu(matmul(t(a), t(b))).data
+        r2 = relu(matmul(t(a), t(b))).data
         assert np.array_equal(r1, r2)
-
-    def test_check_finite_flag(self):
-        autodiff.CHECK_FINITE = True
-        try:
-            with pytest.raises(FloatingPointError):
-                Tensor([np.inf])
-        finally:
-            autodiff.CHECK_FINITE = False
 
 
 class TestBackward:
@@ -119,13 +108,6 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             backward(t([1.0, 2.0]))
 
-    def test_sigmoid_slope_at_zero(self):
-        x = t([0.0])
-        fd = finite_difference(lambda: tensor_sum(sigmoid(x)), [x])[0]
-        assert abs(fd[0] - 0.25) < 1e-9
-        backward(tensor_sum(sigmoid(x)))
-        assert_grads_close(x.grad, fd)
-
     def test_matmul_grad_is_ones_times_bt(self):
         rng = np.random.default_rng(1)
         a = t(rng.normal(size=(3, 4)))
@@ -142,7 +124,7 @@ class TestBackward:
 
         def run():
             w.zero_grad()
-            backward(tensor_sum(tanh(matmul(w, x))))
+            backward(tensor_sum(mul(matmul(w, x), matmul(w, x))))
             return w.grad.copy()
 
         assert np.array_equal(run(), run())
@@ -156,23 +138,18 @@ class TestBackward:
         assert np.array_equal(w.grad, 2.0 * first)
 
     def test_each_node_visited_once_through_fanout(self):
-        # y = x*x + x exercises a node used twice as a parent.
+        # y = x*x - x exercises a node used twice as a parent.
         x = t([2.0])
-        backward(tensor_sum(add(mul(x, x), x)))
-        assert np.allclose(x.grad, [5.0])
+        backward(tensor_sum(sub(mul(x, x), x)))
+        assert np.allclose(x.grad, [3.0])
 
 
 OPS = {
-    "sigmoid": lambda a, b: sigmoid(a),
-    "tanh": lambda a, b: tanh(a),
     "relu": lambda a, b: relu(a),
-    "add": add,
     "sub": sub,
     "mul": mul,
-    "scale": lambda a, b: scale(a, 1.7),
     "matmul2": lambda a, b: matmul(reshape(a, (2, 3)), reshape(b, (3, 2))),
     "concat": lambda a, b: concat([a, b], axis=0),
-    "slice": lambda a, b: slice_axis(a, 0, 1, 4),
     "reshape": lambda a, b: reshape(a, (3, 2)),
     "mean": lambda a, b: reshape(tensor_mean(a), (1,)),
 }
@@ -192,17 +169,18 @@ def test_op_matches_finite_differences(name):
 def test_conv_grads_match_finite_differences():
     rng = np.random.default_rng(5)
     for k in (1, 2, 3, 4):
-        sig = t(rng.normal(size=(2, 7)))
-        ker = t(rng.normal(size=(3, 2, k)))
-        bias = t(rng.normal(size=3))
-        check_gradients(
-            lambda: tensor_sum(conv1d_same(sig, ker, bias)), [sig, ker, bias]
-        )
+        for shape in ((7,), (7, 3), (7, 3, 2)):
+            sig = t(rng.normal(size=shape))
+            ker = t(rng.normal(size=(1, 1, k)))
+            bias = t(rng.normal(size=1))
+            check_gradients(
+                lambda: tensor_sum(conv1d_same(sig, ker, bias)), [sig, ker, bias]
+            )
 
 
 def test_conv_with_trailing_axes_grads():
     rng = np.random.default_rng(6)
-    sig = t(rng.normal(size=(1, 5, 3, 2)))
+    sig = t(rng.normal(size=(5, 3, 2)))
     ker = t(rng.normal(size=(1, 1, 4)))
     bias = t(rng.normal(size=1))
     check_gradients(lambda: tensor_sum(conv1d_same(sig, ker, bias)), [sig, ker, bias])
@@ -221,7 +199,7 @@ def test_composed_network_grads():
     x = Tensor(rng.normal(size=(4, 3)))
 
     def f():
-        h = tanh(matmul(w1, x))
+        h = relu(matmul(w1, x))
         return tensor_mean(mul(matmul(w2, h), matmul(w2, h)))
 
     check_gradients(f, [w1, w2])
@@ -231,12 +209,12 @@ class TestNoGrad:
     def test_ops_record_no_graph(self):
         a = t([[1.0, -2.0], [0.5, 3.0]])
         with no_grad():
-            out = tensor_sum(sigmoid(matmul(a, a)))
+            out = tensor_sum(relu(matmul(a, a)))
             leaf = t([1.0])
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
         assert leaf.requires_grad
-        np.testing.assert_array_equal(out.data, tensor_sum(sigmoid(matmul(a, a))).data)
+        np.testing.assert_array_equal(out.data, tensor_sum(relu(matmul(a, a))).data)
 
     def test_recording_restored_after_exception(self):
         a = t([1.0, 2.0])

@@ -1,6 +1,7 @@
 """Tests for checkpoint save/load and integrity verification."""
 
 import datetime as dt
+import hashlib
 import json
 
 import numpy as np
@@ -177,6 +178,27 @@ class TestIntegrity:
 
         rewrite(src, dst, squash)
         with pytest.raises(DataError, match="head.b: shape"):
+            load_checkpoint(dst)
+
+    def test_parameter_shape_must_fit_the_model(self, tmp_path):
+        # Archive and manifest agree on a two-channel kernel; the model has one.
+        src = tmp_path / "model.npz"
+        dst = tmp_path / "widened.npz"
+        save_checkpoint(src, fake_trained())
+
+        def widen(payload):
+            name = "stream0.conv0.kernel"
+            kernel = np.concatenate([payload["param/" + name]] * 2)
+            payload["param/" + name] = kernel
+            manifest = json.loads(str(payload["manifest"]))
+            entry = next(e for e in manifest["params"] if e["name"] == name)
+            entry["shape"] = list(kernel.shape)
+            entry["sha256"] = hashlib.sha256(kernel.tobytes()).hexdigest()
+            payload["manifest"] = np.asarray(json.dumps(manifest))
+            return payload
+
+        rewrite(src, dst, widen)
+        with pytest.raises(DataError, match=r"conv0.kernel: shape \[2, 1, 4\].*model \[1, 1, 4\]"):
             load_checkpoint(dst)
 
     def test_digest_mismatch(self, tmp_path):

@@ -21,6 +21,7 @@ from flowcast.errors import NumericError
 from flowcast.hybrid import ARCHITECTURES
 from flowcast.version import VERSION
 
+from test_checkpoint import rewrite
 from test_dataset import write_seven_per_day_csv
 
 
@@ -364,6 +365,43 @@ class TestDataErrors:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: m.update(start_date="someday"),
+            lambda m: m["params"][0].pop("sha256"),
+            lambda m: m.update(stats={"mean": [1]}),
+            lambda m: m.update(window={"n": "x"}),
+            lambda m: m.update(ranges=5),
+            lambda m: m.pop("arch"),
+        ],
+        ids=["start_date", "params_sha256", "stats", "window", "ranges", "arch"],
+    )
+    def test_malformed_manifest_field(self, ws, tmp_path, capsys, damage):
+        def rewrite_manifest(payload):
+            manifest = json.loads(str(payload["manifest"]))
+            damage(manifest)
+            payload["manifest"] = np.asarray(json.dumps(manifest))
+            return payload
+
+        damaged = tmp_path / "damaged.npz"
+        rewrite(ws["checkpoint"], damaged, rewrite_manifest)
+        rc = cli.main(
+            [
+                "eval",
+                "--checkpoint",
+                str(damaged),
+                "--dataset",
+                str(ws["data"]),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "manifest" in err
+        assert "Traceback" not in err
 
     def test_sweep_grid_must_start_at_zero(self, ws, tmp_path):
         rc = cli.main(

@@ -267,14 +267,14 @@ class TestConvStack:
 
 class TestDense:
     def test_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0], [2.0], [3.0]])
         out = dense(Tensor(np.eye(3)), Tensor(np.zeros(3)), Tensor(x))
         assert np.array_equal(out.data, x)
 
     def test_zero_weights_give_bias(self):
         b = np.array([5.0, -1.0])
-        out = dense(Tensor(np.zeros((2, 3))), Tensor(b), Tensor(np.ones(3)))
-        assert np.array_equal(out.data, b)
+        out = dense(Tensor(np.zeros((2, 3))), Tensor(b), Tensor(np.ones((3, 1))))
+        assert np.array_equal(out.data, b[:, None])
 
     def test_batch_form(self):
         rng = np.random.default_rng(13)
@@ -286,7 +286,7 @@ class TestDense:
         rng = np.random.default_rng(14)
         W = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        x = Tensor(rng.normal(size=4), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
         check_gradients(lambda: tensor_sum(dense(W, b, x)), [W, b, x])
 
 

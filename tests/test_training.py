@@ -289,7 +289,7 @@ class TestTrain:
         best = min(e.val_mae for e in log.entries)
         report = evaluate(model, prepared.val_samples, ("overall",))
         assert report.mae == pytest.approx(best, abs=1e-12)
-        assert log.best_epoch == min(log.entries, key=lambda e: e.val_mae).epoch
+        assert log.best_entry.epoch == min(log.entries, key=lambda e: e.val_mae).epoch
 
     def test_empty_streams_rejected(self, synth, prepared):
         model = tiny_model(synth)
@@ -359,6 +359,13 @@ class TestExperiments:
             )
             spread = np.std(values)
             assert summary[f"{name}_sd"] == pytest.approx(spread, abs=1e-12)
+
+    def test_validation_scores_are_the_restored_epochs(self, synth, prepared):
+        cfg = TrainConfig(lr=0.05, max_epochs=6, runs=1, seeds=(1,))
+        (run,) = run_experiment("LSTM1", synth, "mean", cfg).runs
+        assert run.log.best_entry.epoch < cfg.max_epochs
+        report = evaluate(run.trained.model, prepared.val_samples)
+        assert (run.val_mae, run.val_rmse) == (report.mae, report.rmse)
 
     def test_runs_differ_across_seeds(self, synth):
         cfg = TrainConfig(max_epochs=1, runs=2, seeds=(0, 1))

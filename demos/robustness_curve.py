@@ -2,7 +2,8 @@
 """Robustness to missing data: error as a function of the injected ratio.
 
 Trains one small hybrid on clean data, then corrupts only the test days at
-0%, 9%, and 21% missing and refits each fill method on the corrupted table.
+0%, 9%, and 21% missing. Each fill method is fitted once on the untouched
+training days and fills every corrupted table.
 Scoring always happens at cells that stayed observed, so the curves measure
 prediction quality, not reconstruction quality.
 """

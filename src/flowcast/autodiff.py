@@ -55,18 +55,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def zero_grad(self):
         self.grad = None
 

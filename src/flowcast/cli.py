@@ -85,12 +85,59 @@ def _load_config(path: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise UsageError(f"config {path} must be a JSON object")
     if payload.get("config_version") != CONFIG_VERSION:
         raise UsageError(
             f"config_version must be {CONFIG_VERSION}, "
             f"got {payload.get('config_version')!r}"
         )
     return payload
+
+
+# JSON types a config value may take for a settings field of each annotation.
+_FIELD_TYPES = {"int": (int,), "float": (int, float)}
+
+
+def _is_number(value, kinds: tuple[type, ...]) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _section(config: dict, name: str, settings: type | None = None) -> dict:
+    """A config section; number fields of ``settings`` must hold numbers."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"config {name} must be an object, got {section!r}")
+    for f in dataclasses.fields(settings) if settings else ():
+        kinds = _FIELD_TYPES.get(f.type)
+        if kinds and f.name in section and not _is_number(section[f.name], kinds):
+            raise UsageError(
+                f"config {name}.{f.name} must be of type {f.type}, "
+                f"got {section[f.name]!r}"
+            )
+    return dict(section)
+
+
+def _text(value, what: str):
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _names(value, what: str) -> list[str]:
+    """A comma-separated string or a list of strings, as a list of names."""
+    if isinstance(value, str):
+        return [v for v in value.split(",") if v]
+    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+        return list(value)
+    raise UsageError(f"{what} must be a name, a comma list or a list, got {value!r}")
+
+
+def _numbers(value, kinds: tuple[type, ...], what: str) -> tuple:
+    """A list of numbers of the given JSON types, as a tuple of the values read."""
+    if isinstance(value, (list, tuple)) and all(_is_number(v, kinds) for v in value):
+        return tuple(value)
+    raise UsageError(f"{what} must be a list of numbers, got {value!r}")
 
 
 def _file_sha256(path) -> str:
@@ -124,17 +171,14 @@ def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
 
 
 def _require_dataset(args, config: dict) -> str:
-    path = getattr(args, "dataset", None) or config.get("dataset")
+    path = getattr(args, "dataset", None) or _text(config.get("dataset"), "dataset")
     if not path:
         raise UsageError("a dataset is required (--dataset or config dataset)")
     return path
 
 
 def _resolve_archs(value) -> list[str]:
-    if isinstance(value, str):
-        names = [v for v in value.split(",") if v]
-    else:
-        names = list(value)
+    names = _names(value, "arch")
     if names == ["all"]:
         return list(ARCHITECTURES)
     for name in names:
@@ -157,17 +201,14 @@ def _resolve_method(value: str) -> str:
 
 
 def _resolve_methods(value) -> list[str]:
-    if isinstance(value, str):
-        names = [v for v in value.split(",") if v]
-    else:
-        names = list(value)
+    names = _names(value, "impute")
     if names == ["all"]:
         return list(METHODS)
     return [_resolve_method(name) for name in names]
 
 
 def _window_config(config: dict) -> WindowConfig:
-    section = config.get("window", {})
+    section = _section(config, "window", WindowConfig)
     try:
         return WindowConfig(**section)
     except (TypeError, DataError) as exc:
@@ -175,7 +216,7 @@ def _window_config(config: dict) -> WindowConfig:
 
 
 def _train_config(args, config: dict, seeds_override=None) -> TrainConfig:
-    section = dict(config.get("train", {}))
+    section = _section(config, "train", TrainConfig)
     if getattr(args, "runs", None) is not None:
         section["runs"] = args.runs
     if seeds_override is not None:
@@ -186,7 +227,7 @@ def _train_config(args, config: dict, seeds_override=None) -> TrainConfig:
         raise UsageError(
             "training seeds must be explicit (--seed or config train.seeds)"
         )
-    section["seeds"] = tuple(section["seeds"])
+    section["seeds"] = _numbers(section["seeds"], (int,), "train seeds")
     section.setdefault("runs", len(section["seeds"]))
     try:
         return TrainConfig(**section)
@@ -195,28 +236,28 @@ def _train_config(args, config: dict, seeds_override=None) -> TrainConfig:
 
 
 def _out_dir(args, config: dict) -> Path:
-    out = Path(args.out or config.get("out", "."))
+    out = Path(args.out or _text(config.get("out", "."), "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_synth(args) -> None:
     config = _load_config(args.config) if args.config else {}
-    section = dict(config.get("synth", {}))
+    section = _section(config, "synth", SynthConfig)
     if args.seed is not None:
         section["seed"] = args.seed[0]
     if "seed" not in section:
         raise UsageError("synth needs an explicit seed (--seed or config synth.seed)")
-    if "start_date" in section:
-        section["start_date"] = dt.date.fromisoformat(section["start_date"])
-    if "base_profile" in section:
-        section["base_profile"] = np.asarray(section["base_profile"], dtype=float)
     try:
+        if "start_date" in section:
+            section["start_date"] = dt.date.fromisoformat(section["start_date"])
+        if "base_profile" in section:
+            section["base_profile"] = np.asarray(section["base_profile"], dtype=float)
         cfg = SynthConfig(**section)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid synth settings: {exc}") from None
     ds = generate(cfg)
-    out = Path(args.out or config.get("out", "synth.csv"))
+    out = Path(args.out or _text(config.get("out", "synth.csv"), "out"))
     if out.parent != Path():
         out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(ds, out)
@@ -271,11 +312,11 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     config = _load_config(args.config) if args.config else {}
-    checkpoint_path = args.checkpoint or config.get("checkpoint")
+    checkpoint_path = args.checkpoint or _text(config.get("checkpoint"), "checkpoint")
     if not checkpoint_path:
         raise UsageError("a checkpoint is required (--checkpoint or config checkpoint)")
     dataset_path = _require_dataset(args, config)
-    views = tuple(args.views or config.get("views", ("overall",)))
+    views = tuple(args.views or _names(config.get("views", ["overall"]), "views"))
     for view in views:
         if view not in VIEWS:
             raise UsageError(f"unknown view {view!r}; choose from {', '.join(VIEWS)}")
@@ -316,14 +357,16 @@ def cmd_eval(args) -> None:
 
 def cmd_sweep(args) -> None:
     config = _load_config(args.config) if args.config else {}
-    section = dict(config.get("sweep", {}))
+    section = _section(config, "sweep")
     dataset_path = _require_dataset(args, config)
-    ratios = tuple(args.ratios or section.get("ratios", DEFAULT_RATIOS))
+    ratios = args.ratios or _numbers(
+        section.get("ratios", DEFAULT_RATIOS), (int, float), "sweep ratios"
+    )
     scope = args.scope or section.get("scope", "test")
     if scope not in ("test", "all"):
         raise UsageError(f"unknown sweep scope {scope!r}; choose test or all")
     methods = _resolve_methods(args.impute or section.get("impute", "all"))
-    seeds = args.seed or tuple(section.get("seeds", ()))
+    seeds = args.seed or _numbers(section.get("seeds", ()), (int,), "sweep seeds")
     if not seeds:
         raise UsageError(
             "injection seeds must be explicit (--seed or config sweep.seeds)"
@@ -340,7 +383,9 @@ def cmd_sweep(args) -> None:
 
     cfg = None
     if scope == "test":
-        checkpoint_path = args.checkpoint or section.get("checkpoint")
+        checkpoint_path = args.checkpoint or _text(
+            section.get("checkpoint"), "sweep checkpoint"
+        )
         if not checkpoint_path:
             raise UsageError(
                 "sweep scope 'test' needs a checkpoint "

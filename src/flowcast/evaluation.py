@@ -343,6 +343,8 @@ def _aggregate(
 
 def _check_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
     grid = tuple(float(r) for r in ratios)
+    if not all(0.0 <= r <= 0.5 for r in grid):
+        raise DataError(f"ratios must be finite and within [0, 0.5], got {grid}")
     if not grid or grid[0] != 0.0:
         raise DataError(f"ratio grid must start at 0, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -389,11 +391,12 @@ def robustness_sweep(
             raise DataError("scope 'test' reuses a trained model; pass a TrainedModel")
         trained = subject
         _, _, test_range = trained.ranges
+        # Test-scope injection never touches the training days, so one rule
+        # fitted on the clean table serves every injected one.
+        imputer = training._fit_test_fill(trained, cleaned, method)
 
         def score(injected: FlowDataset) -> tuple[float, float, int]:
-            # Test-scope injection never touches the training days, so the
-            # fill rules refitted inside evaluate_on match the clean ones.
-            report = training.evaluate_on(trained, injected, method=method)
+            report = training._score_test(trained, injected, imputer)
             return report.mae, report.rmse, report.cells
 
         for ratio in grid:

@@ -26,9 +26,10 @@ class ImputationModel:
     """Fitted per-(station, timestamp-of-day) fill rules.
 
     ``table`` holds the fill statistic for the mean and median methods. For
-    interpolation it holds the per-station fallback used when a cell has no
-    training observations; the dated series live in ``obs_dates``/``obs_values``
-    indexed [station][timestamp-of-day], with dates counted from ``origin``.
+    interpolation it holds the per-station fallback used when a slot has no
+    training observations; the training values and mask live in
+    ``train_flows``/``train_mask`` as [station, day, timestamp-of-day] cubes,
+    with days counted from ``origin``.
     """
 
     method: str
@@ -36,8 +37,8 @@ class ImputationModel:
     station_ids: tuple[str, ...]
     points_per_day: int
     origin: dt.date
-    obs_dates: list | None = None
-    obs_values: list | None = None
+    train_flows: np.ndarray | None = None
+    train_mask: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -62,70 +63,85 @@ class MissingPattern:
         return payload
 
 
-def _station_statistics(train: FlowDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-station mean and median over all observed training entries."""
-    means = np.empty(train.num_stations)
-    medians = np.empty(train.num_stations)
+def _station_fallback(train: FlowDataset, reduce) -> np.ndarray:
+    """Per-station statistic over all observed training entries."""
+    fallback = np.empty(train.num_stations)
     for s in range(train.num_stations):
         values = train.flows[s][train.mask[s]]
         if values.size == 0:
             raise DataError(
                 f"station {train.station_ids[s]} has no observed training values"
             )
-        means[s] = values.mean()
-        medians[s] = np.median(values)
-    return means, medians
+        fallback[s] = reduce(values)
+    return fallback
 
 
 def fit(method: str, train: FlowDataset) -> ImputationModel:
     """Fit fill rules on the training dataset.
 
-    Statistics gather the observed values per (station, timestamp-of-day)
-    and reduce that 1-D collection directly, so they agree bit-for-bit with
-    a naive per-cell reference.
+    A (station, timestamp-of-day) slot's statistic reduces that slot's
+    observed training values in day order. Slots with the same number k of
+    observed days are reduced together as one [slots, k] block, row by row,
+    which agrees bit-for-bit with reducing each slot on its own.
     """
     if method not in METHODS:
         raise DataError(f"unknown imputation method {method!r}, expected {METHODS}")
     p = train.num_stations
     ppd = train.points_per_day
-    days = train.num_days
-    cube = train.flows.reshape(p, days, ppd)
-    observed = train.mask.reshape(p, days, ppd)
-    station_mean, station_median = _station_statistics(train)
-    fallback = station_mean if method in (MEAN, INTERP) else station_median
-
-    table = np.empty((p, ppd))
-    obs_dates: list | None = [] if method == INTERP else None
-    obs_values: list | None = [] if method == INTERP else None
-    for s in range(p):
-        if method == INTERP:
-            dates_row = []
-            values_row = []
-        for tau in range(ppd):
-            present = np.nonzero(observed[s, :, tau])[0]
-            values = cube[s, present, tau]
-            if method == INTERP:
-                dates_row.append(present.astype(float))
-                values_row.append(values.copy())
-                table[s, tau] = fallback[s]
-            elif values.size == 0:
-                table[s, tau] = fallback[s]
-            elif method == MEAN:
-                table[s, tau] = np.mean(values)
-            else:
-                table[s, tau] = np.median(values)
-        if method == INTERP:
-            obs_dates.append(dates_row)
-            obs_values.append(values_row)
+    cube = train.flows.reshape(p, train.num_days, ppd)
+    observed = train.mask.reshape(p, train.num_days, ppd)
+    reduce = np.median if method == MEDIAN else np.mean
+    table = np.repeat(_station_fallback(train, reduce)[:, None], ppd, axis=1)
+    if method != INTERP:
+        counts = observed.sum(axis=1)
+        for k in np.unique(counts[counts > 0]):
+            stations, taus = np.nonzero(counts == k)
+            rows = cube[stations, :, taus][observed[stations, :, taus]]
+            table[stations, taus] = reduce(rows.reshape(stations.size, k), axis=1)
+    keep = method == INTERP
     return ImputationModel(
         method=method,
         table=table,
         station_ids=train.station_ids,
         points_per_day=ppd,
         origin=train.start_date,
-        obs_dates=obs_dates,
-        obs_values=obs_values,
+        train_flows=cube if keep else None,
+        train_mask=observed if keep else None,
     )
+
+
+def _interpolate(model: ImputationModel, ds: FlowDataset, holes) -> np.ndarray:
+    """np.interp over each hole's slot, evaluated for all holes at once.
+
+    Outside the slot's observed training days the first or last observed
+    value is used, an observed day takes its own value, and in between the
+    value is ``(f1 - f0) / (x1 - x0) * (x - x0) + f0``, np.interp's formula,
+    so results match it bit-for-bit. Slots never observed take the fallback.
+    """
+    values, observed = model.train_flows, model.train_mask
+    days = values.shape[1]
+    day = np.arange(days, dtype=np.int32)[:, None]
+    # Last observed day at or before each day (-1 if none) and first observed
+    # day at or after it (``days`` if none), per slot.
+    before = np.maximum.accumulate(np.where(observed, day, -1), axis=1)
+    after = np.minimum.accumulate(np.where(observed, day, days)[:, ::-1], axis=1)
+    after = after[:, ::-1]
+    stations, columns = holes
+    taus = columns % ds.points_per_day
+    fill = model.table[stations, taus]
+    seen = np.nonzero(before[stations, -1, taus] >= 0)[0]
+    s, tau = stations[seen], taus[seen]
+    x = columns[seen] // ds.points_per_day + (ds.start_date - model.origin).days
+    x = np.clip(x, after[s, 0, tau], before[s, -1, tau])
+    x0, x1 = before[s, x, tau], after[s, x, tau]
+    value = values[s, x0, tau]
+    inside = np.nonzero(x0 != x1)[0]
+    f0 = value[inside]
+    f1 = values[s[inside], x1[inside], tau[inside]]
+    x0, x1, x = x0[inside], x1[inside], x[inside]
+    value[inside] = (f1 - f0) / (x1 - x0) * (x - x0) + f0
+    fill[seen] = value
+    return fill
 
 
 def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
@@ -139,27 +155,13 @@ def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
         raise DataError("points-per-day mismatch between dataset and model")
     if ds.mask.all():
         return ds
-    ppd = ds.points_per_day
     if model.method in (MEAN, MEDIAN):
         fill = np.tile(model.table, (1, ds.num_days))
         filled = np.where(ds.mask, ds.flows, fill)
     else:
+        holes = np.nonzero(~ds.mask)
         filled = ds.flows.copy()
-        offset = (ds.start_date - model.origin).days
-        for s in range(ds.num_stations):
-            columns = np.nonzero(~ds.mask[s])[0]
-            if columns.size == 0:
-                continue
-            taus = columns % ppd
-            for tau in np.unique(taus):
-                hit = columns[taus == tau]
-                dates = model.obs_dates[s][tau]
-                if dates.size == 0:
-                    filled[s, hit] = model.table[s, tau]
-                else:
-                    filled[s, hit] = np.interp(
-                        hit // ppd + offset, dates, model.obs_values[s][tau]
-                    )
+        filled[holes] = _interpolate(model, ds, holes)
     return replace(ds, flows=filled, mask=np.ones_like(ds.mask))
 
 

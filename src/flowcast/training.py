@@ -228,17 +228,15 @@ class PreparedData:
 
 
 def _fill_and_standardize(
-    ds: FlowDataset,
-    method: str,
+    cleaned: FlowDataset,
+    imputer: imputation.ImputationModel,
     train_range: tuple[int, int],
     stats: StandardStats | None,
 ) -> tuple[FlowDataset, FlowDataset, StandardStats]:
-    """Clean and fill the table, then standardize it and the cleaned truth.
+    """Fill the cleaned table, then standardize it and the cleaned truth.
 
-    Fill rules, and the stats unless given, are fitted on the training days.
+    The stats, unless given, are fitted on the training days.
     """
-    cleaned = clean(ds)
-    imputer = imputation.fit(method, slice_days(cleaned, train_range))
     filled = imputation.impute(imputer, cleaned)
     if stats is None:
         filled_std, stats = standardize(filled, train_range)
@@ -264,7 +262,11 @@ def prepare_data(
     """
     ranges = split(ds, fractions)
     train_range, val_range, test_range = ranges
-    filled_std, truth_std, stats = _fill_and_standardize(ds, method, train_range, stats)
+    cleaned = clean(ds)
+    imputer = imputation.fit(method, slice_days(cleaned, train_range))
+    filled_std, truth_std, stats = _fill_and_standardize(
+        cleaned, imputer, train_range, stats
+    )
     return PreparedData(
         dataset=filled_std,
         stats=stats,
@@ -370,16 +372,34 @@ def evaluate_on(
     the raw dataset has observations. The dataset must have the model's
     station count and cadence.
     """
+    cleaned = clean(ds)
+    imputer = _fit_test_fill(trained, cleaned, method or trained.impute_method)
+    return _score_test(trained, cleaned, imputer, views)
+
+
+def _fit_test_fill(
+    trained: TrainedModel, cleaned: FlowDataset, method: str
+) -> imputation.ImputationModel:
+    """Check that the model fits the table; fit the rule on its training days."""
     fits = (trained.model.spec.p, trained.points_per_day)
-    if (ds.num_stations, ds.points_per_day) != fits:
+    if (cleaned.num_stations, cleaned.points_per_day) != fits:
         raise DataError(
             f"the model fits {fits[0]} stations at {fits[1]} points per day; "
-            f"the dataset has {ds.num_stations} at {ds.points_per_day}"
+            f"the dataset has {cleaned.num_stations} at {cleaned.points_per_day}"
         )
-    fill_method = method or trained.impute_method
+    return imputation.fit(method, slice_days(cleaned, trained.ranges[0]))
+
+
+def _score_test(
+    trained: TrainedModel,
+    cleaned: FlowDataset,
+    imputer: imputation.ImputationModel,
+    views: Sequence[str] = ("overall",),
+):
+    """Score the model on the test days of a cleaned table under a fitted rule."""
     train_range, _, test_range = trained.ranges
     filled_std, truth_std, _ = _fill_and_standardize(
-        ds, fill_method, train_range, trained.stats
+        cleaned, imputer, train_range, trained.stats
     )
     samples = extract_windows(
         filled_std, trained.window_cfg, test_range, target_from=truth_std
@@ -388,9 +408,9 @@ def evaluate_on(
         trained.model,
         samples,
         views,
-        start_date=ds.start_date,
-        station_ids=ds.station_ids,
-        metadata={"arch": trained.arch, "impute": fill_method},
+        start_date=cleaned.start_date,
+        station_ids=cleaned.station_ids,
+        metadata={"arch": trained.arch, "impute": imputer.method},
     )
 
 

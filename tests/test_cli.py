@@ -210,6 +210,69 @@ class TestArgumentErrors:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            ([1], ["train", "--arch", "LSTM1", "--seed", "0"]),
+            ({"train": {"seeds": 5}}, ["train", "--arch", "LSTM1"]),
+            ({"train": [1]}, ["train", "--arch", "LSTM1", "--seed", "0"]),
+            ({"arch": 5}, ["train", "--seed", "0"]),
+            ({"dataset": 5}, ["train", "--arch", "LSTM1", "--seed", "0"]),
+            ({"out": 5}, ["train", "--arch", "LSTM1", "--seed", "0"]),
+            ({"views": 5}, ["eval"]),
+            ({"sweep": {"ratios": 0.03}}, ["sweep", "--seed", "0"]),
+            ({"sweep": {"ratios": [0, "x"]}}, ["sweep", "--seed", "0"]),
+            ({"sweep": {"seeds": ["a"]}}, ["sweep"]),
+            ({"sweep": {"impute": 5}}, ["sweep", "--seed", "0"]),
+            ({"synth": {"seed": 1, "start_date": 5}}, ["synth"]),
+            ({"train": {"max_epochs": 1.5}}, ["train", "--arch", "LSTM1", "--seed", "0"]),
+            ({"synth": {"seed": "a"}}, ["synth"]),
+        ],
+        ids=[
+            "top-level-list",
+            "train-seeds",
+            "train-section",
+            "arch",
+            "dataset",
+            "out",
+            "views",
+            "sweep-ratios-number",
+            "sweep-ratios-string",
+            "sweep-seeds",
+            "sweep-impute",
+            "synth-start-date",
+            "train-epochs",
+            "synth-seed",
+        ],
+    )
+    def test_config_value_of_wrong_type(self, ws, tmp_path, config, command):
+        # Run as a user would, so an uncaught exception shows as a traceback.
+        if isinstance(config, dict):
+            config = {"config_version": 1, **config}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        data = ["--dataset", str(ws["data"])]
+        scored = data + ["--checkpoint", str(ws["checkpoint"])]
+        inputs = {"train": data, "eval": scored, "sweep": scored, "synth": []}
+        if "dataset" in config:
+            inputs["train"] = []
+        out = [] if "out" in config else ["--out", str(tmp_path / "out")]
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcast.cli", *command, "--config", str(cfg)]
+            + inputs[command[0]]
+            + out,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error:")
+        assert "Traceback" not in proc.stderr
+
     def test_resolve_archs_all(self):
         assert cli._resolve_archs("all") == list(ARCHITECTURES)
         assert len(cli._resolve_archs("all")) == 12

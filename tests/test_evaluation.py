@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from flowcast import imputation, training
 from flowcast.dataset import (
     FlowDataset,
     WindowConfig,
     Windows,
+    clean,
     day_batches,
     stack_batch,
 )
@@ -404,6 +406,65 @@ class TestRobustnessSweep:
             robustness_sweep(trained, ds, "mean", ratios=(0.1, 0.2))
         with pytest.raises(DataError, match="ascending"):
             robustness_sweep(trained, ds, "mean", ratios=(0.0, 0.2, 0.1))
+
+    @pytest.mark.parametrize("scope", ["test", "all"])
+    @pytest.mark.parametrize(
+        "ratios", [(0.0, 0.03, 0.6), (0.0, math.nan), (0.0, math.inf)]
+    )
+    def test_ratios_checked_before_any_work(
+        self, small_trained, monkeypatch, scope, ratios
+    ):
+        ds, trained, _ = small_trained
+        calls = []
+        for module, name in (
+            (imputation, "fit"),
+            (training, "evaluate_on"),
+            (training, "train_once"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        with pytest.raises(DataError, match="within \\[0, 0.5\\]"):
+            robustness_sweep(
+                trained, ds, "mean", ratios, scope, injection_seeds=(0,), cfg=cfg
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("method", imputation.METHODS)
+    def test_test_scope_fits_once_and_scores_like_evaluate_on(
+        self, small_trained, monkeypatch, method
+    ):
+        ds, trained, _ = small_trained
+        ratios, seeds = (0.0, 0.1, 0.2), (0, 1)
+        fits = []
+        original = imputation.fit
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imputation, "fit", counted)
+        sweep = robustness_sweep(
+            trained, ds, method, ratios=ratios, injection_seeds=seeds
+        )
+        assert len(fits) == 1
+        monkeypatch.setattr(imputation, "fit", original)
+        test_range = trained.ranges[2]
+        for pt in sweep.points:
+            reports = []
+            for seed in seeds:
+                injected, _ = imputation.inject_missing(
+                    clean(ds), pt.ratio, seed, scope="test", day_range=test_range
+                )
+                reports.append(training.evaluate_on(trained, injected, method=method))
+            assert pt.seed_mae == tuple(r.mae for r in reports)
+            assert pt.seed_rmse == tuple(r.rmse for r in reports)
+            assert pt.seed_cells == tuple(r.cells for r in reports)
 
     def test_zero_ratio_matches_plain_evaluate(self, small_trained):
         ds, trained, prepared = small_trained

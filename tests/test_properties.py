@@ -4,6 +4,7 @@ checkpoints with a flipped byte."""
 
 import datetime as dt
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from flowcast.dataset import (
     extract_windows,
     load_csv,
     save_csv,
+    slice_days,
     stack_batch,
 )
 from flowcast.errors import DataError
@@ -175,6 +177,79 @@ def test_impute_is_identity_on_complete_tables(table_seed, method, days):
     ds = table(np.random.default_rng(table_seed), 2, days, 24, 0.0)
     filled = impute(fit(method, ds), ds)
     assert np.array_equal(filled.flows, ds.flows)
+    assert filled.mask.all()
+
+
+@st.composite
+def gappy_tables(draw):
+    """Random holes plus whole (station, time-of-day) slots never observed;
+    every station keeps at least one observation."""
+    p = draw(st.integers(1, 4))
+    ppd = draw(st.sampled_from((12, 48, 288)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = table(rng, p, draw(st.integers(1, 30)), ppd, draw(st.floats(0.0, 0.9)))
+    mask = ds.mask.copy()
+    for s, tau in zip(rng.integers(0, p, 3), rng.integers(0, ppd, 3)):
+        mask[s, tau::ppd] = False
+    mask[:, 0] |= ~mask.any(axis=1)
+    return replace(ds, flows=np.where(mask, ds.flows, np.nan), mask=mask)
+
+
+def per_slot_statistics(method, ds):
+    """Fill table reduced one (station, time-of-day) slot at a time."""
+    p, ppd = ds.num_stations, ds.points_per_day
+    cube = ds.flows.reshape(p, -1, ppd)
+    seen = ds.mask.reshape(p, -1, ppd)
+    reduce = np.mean if method == "mean" else np.median
+    want = np.empty((p, ppd))
+    for s in range(p):
+        fallback = reduce(ds.flows[s][ds.mask[s]])
+        for tau in range(ppd):
+            values = cube[s, seen[s, :, tau], tau]
+            want[s, tau] = reduce(values) if values.size else fallback
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(gappy_tables(), st.sampled_from(("mean", "median")))
+def test_grouped_fill_statistics_match_per_slot_reduction(ds, method):
+    got = fit(method, ds).table
+    assert got.tobytes() == per_slot_statistics(method, ds).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(gappy_tables(), st.data())
+def test_interp_matches_per_hole_np_interp(ds, data):
+    # Fit on a day slice that may start after the table does, then fill a
+    # differently masked table that may start earlier or later, so holes fall
+    # on days the slice observed, between them, and before and after them.
+    p, ppd = ds.num_stations, ds.points_per_day
+    lo = data.draw(st.integers(0, ds.num_days - 1))
+    hi = data.draw(st.integers(lo + 1, ds.num_days))
+    train = slice_days(ds, (lo, hi))
+    assume(train.mask.any(axis=1).all())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(ds.mask.shape) >= data.draw(st.floats(0.05, 0.9))
+    other = replace(
+        ds,
+        flows=np.where(mask, rng.normal(size=mask.shape), np.nan),
+        mask=mask,
+        start_date=ds.start_date + dt.timedelta(days=data.draw(st.integers(-3, 3))),
+    )
+    filled = impute(fit("interp", train), other)
+
+    cube = train.flows.reshape(p, -1, ppd)
+    seen = train.mask.reshape(p, -1, ppd)
+    offset = (other.start_date - train.start_date).days
+    want = other.flows.copy()
+    for s, t in zip(*np.nonzero(~mask)):
+        days = np.nonzero(seen[s, :, t % ppd])[0]
+        if days.size == 0:
+            want[s, t] = np.mean(train.flows[s][train.mask[s]])
+        else:
+            x = t // ppd + offset
+            want[s, t] = np.interp(x, days.astype(float), cube[s, days, t % ppd])
+    assert filled.flows.tobytes() == want.tobytes()
     assert filled.mask.all()
 
 

@@ -221,30 +221,24 @@ def conv1d_same(signal, kernel, bias) -> Tensor:
     return Tensor(out, _parents=(signal, kernel, bias), _backward=bwd)
 
 
-def concat(parts, axis: int = 0) -> Tensor:
+def concat(parts) -> Tensor:
+    """Join tensors along the leading axis."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ValueError("concat: empty part list")
-    base = list(parts[0].data.shape)
     for t in parts[1:]:
-        other = list(t.data.shape)
-        if len(other) != len(base) or any(
-            i != axis and other[i] != base[i] for i in range(len(base))
-        ):
+        if t.data.shape[1:] != parts[0].data.shape[1:]:
             raise ValueError(
-                f"concat: incompatible shapes {parts[0].data.shape} vs {t.data.shape} on axis {axis}"
+                f"concat: incompatible shapes {parts[0].data.shape} vs {t.data.shape}"
             )
-    extents = [t.data.shape[axis] for t in parts]
-    offsets = np.cumsum([0] + extents)
+    offsets = np.cumsum([0] + [t.data.shape[0] for t in parts])
 
     def bwd(g):
         for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(t, g[lo:hi])
 
     return Tensor(
-        np.concatenate([t.data for t in parts], axis=axis),
+        np.concatenate([t.data for t in parts]),
         _parents=tuple(parts),
         _backward=bwd,
     )

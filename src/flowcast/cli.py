@@ -95,26 +95,14 @@ def _load_config(path: str) -> dict:
     return payload
 
 
-# JSON types a config value may take for a settings field of each annotation.
-_FIELD_TYPES = {"int": (int,), "float": (int, float)}
-
-
 def _is_number(value, kinds: tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _section(config: dict, name: str, settings: type | None = None) -> dict:
-    """A config section; number fields of ``settings`` must hold numbers."""
+def _section(config: dict, name: str) -> dict:
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise UsageError(f"config {name} must be an object, got {section!r}")
-    for f in dataclasses.fields(settings) if settings else ():
-        kinds = _FIELD_TYPES.get(f.type)
-        if kinds and f.name in section and not _is_number(section[f.name], kinds):
-            raise UsageError(
-                f"config {name}.{f.name} must be of type {f.type}, "
-                f"got {section[f.name]!r}"
-            )
     return dict(section)
 
 
@@ -208,7 +196,7 @@ def _resolve_methods(value) -> list[str]:
 
 
 def _window_config(config: dict) -> WindowConfig:
-    section = _section(config, "window", WindowConfig)
+    section = _section(config, "window")
     try:
         return WindowConfig(**section)
     except (TypeError, DataError) as exc:
@@ -216,7 +204,7 @@ def _window_config(config: dict) -> WindowConfig:
 
 
 def _train_config(args, config: dict, seeds_override=None) -> TrainConfig:
-    section = _section(config, "train", TrainConfig)
+    section = _section(config, "train")
     if getattr(args, "runs", None) is not None:
         section["runs"] = args.runs
     if seeds_override is not None:
@@ -243,7 +231,7 @@ def _out_dir(args, config: dict) -> Path:
 
 def cmd_synth(args) -> None:
     config = _load_config(args.config) if args.config else {}
-    section = _section(config, "synth", SynthConfig)
+    section = _section(config, "synth")
     if args.seed is not None:
         section["seed"] = args.seed[0]
     if "seed" not in section:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_field_types
 
 POINTS_PER_DAY = 288
 
@@ -98,6 +98,7 @@ class WindowConfig:
     n_w: int = 6
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n < 1 or self.h < 1 or self.n_d < 0 or self.n_w < 0:
             raise DataError(f"invalid window config {self}")
 

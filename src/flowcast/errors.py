@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the settings type check shared across the package."""
+
+import dataclasses
+import numbers
+
+# The numbers a settings field of each annotation takes; bools are neither.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}
 
 
 class DataError(ValueError):
@@ -11,3 +17,19 @@ class NumericError(ArithmeticError):
 
 class UsageError(Exception):
     """Invalid command-line invocation or configuration."""
+
+
+def check_field_types(settings) -> None:
+    """Raise TypeError for a field of a settings dataclass, annotated ``int``,
+    ``float`` or ``tuple[int, ...]``, that holds something else."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        kind, items = f.type, (value,)
+        if kind == "tuple[int, ...]":
+            kind, items = "int", value
+        for item in items if kind in _FIELD_TYPES else ():
+            if isinstance(item, bool) or not isinstance(item, _FIELD_TYPES[kind]):
+                raise TypeError(
+                    f"{type(settings).__name__}.{f.name} must be of type {f.type}, "
+                    f"got {value!r}"
+                )

@@ -208,6 +208,8 @@ def evaluate(
         )
     points_per_day = table.points_per_day
     p, h = samples.targets.num_stations, samples.cfg.h
+    if station_ids is not None and len(station_ids) != p:
+        raise DataError(f"{len(station_ids)} station ids for {p} stations")
     sizes = _view_sizes(p, h, points_per_day)
     abs_sums = {name: np.zeros(sizes[name]) for name in requested}
     sq_sums = {name: np.zeros(sizes[name]) for name in requested}

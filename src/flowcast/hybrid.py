@@ -162,12 +162,12 @@ def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tenso
     if kind == SERIES_CNN_LSTM:
         return lstm_chain(conv_chain(x))
     if kind == PARALLEL:
-        return concat([lstm_chain(x), conv_chain(x)], axis=0)
+        return concat([lstm_chain(x), conv_chain(x)])
     if kind == SERIES_PARALLEL_D:
         mid = lstm_chain(x)
-        return concat([mid, conv_chain(mid)], axis=0)
+        return concat([mid, conv_chain(mid)])
     mid = conv_chain(x)
-    return concat([mid, lstm_chain(mid)], axis=0)
+    return concat([mid, lstm_chain(mid)])
 
 
 def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
@@ -188,7 +188,7 @@ def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
     for blocks, x in zip(model.blocks, xs):
         out = apply_topology(spec.topology, blocks, x)
         flats.append(reshape(out, (out.data.shape[0] * out.data.shape[1], batch)))
-    pooled = concat(flats, axis=0)
+    pooled = concat(flats)
     predictions = dense(model.head.W, model.head.b, pooled)
     return reshape(predictions, (spec.p, spec.h, batch))
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import expit
 
 from .autodiff import (
     Tensor,
@@ -101,7 +100,7 @@ class DenseParams:
 
 
 # Row blocks of the packed [4p, p] weights: the three sigmoid gates first, so
-# one expit call covers rows [0, 3p) and one tanh call the candidate rows.
+# one in-place logistic covers rows [0, 3p) and one tanh call the candidate rows.
 _PACKED_ORDER = ("f", "i", "o", "c")
 
 
@@ -143,15 +142,22 @@ def _lstm_forward(W, U, b, seq) -> _Trace:
     c = np.empty((n + 1, p, width))
     tanh_c = np.empty((n, p, width))
     h[0], c[0] = 0.0, 0.0
-    for t in range(n):
-        a = gates[t]
-        np.add(projected[t], U @ h[t], out=a)
-        expit(a[:sig], out=a[:sig])
-        np.tanh(a[sig:], out=a[sig:])
-        f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
-        np.add(f * c[t], i * z, out=c[t + 1])
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=h[t + 1])
+    # The logistic is 1 / (1 + exp(-a)); below about -709 the exp overflows
+    # to inf, and 1 / inf is the correct 0.
+    with np.errstate(over="ignore"):
+        for t in range(n):
+            a = gates[t]
+            np.add(projected[t], U @ h[t], out=a)
+            s = a[:sig]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            np.tanh(a[sig:], out=a[sig:])
+            f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
+            np.add(f * c[t], i * z, out=c[t + 1])
+            np.tanh(c[t + 1], out=tanh_c[t])
+            np.multiply(o, tanh_c[t], out=h[t + 1])
     return _Trace(gates, h, c, tanh_c)
 
 

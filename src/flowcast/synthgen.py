@@ -13,10 +13,9 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dataset import POINTS_PER_DAY, FlowDataset
-from .errors import DataError
+from .errors import DataError, check_field_types
 
 
 def default_profile() -> np.ndarray:
@@ -30,6 +29,9 @@ def default_profile() -> np.ndarray:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings. The generator writes 288-point (5-minute) days,
+    the loaders' default cadence; ``base_profile`` is one such day."""
+
     p: int = 8
     days: int = 60
     base_profile: np.ndarray = field(default_factory=default_profile)
@@ -42,8 +44,11 @@ class SynthConfig:
     start_date: dt.date = dt.date(2019, 1, 7)
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.p < 1 or self.days < 1:
-            raise DataError(f"need at least one station and one day: {self}")
+            raise DataError(
+                f"need at least one station and one day, got p={self.p}, days={self.days}"
+            )
         profile = np.asarray(self.base_profile, dtype=float)
         if profile.shape != (POINTS_PER_DAY,) or np.any(profile <= 0):
             raise DataError("base profile must be 288 strictly positive values")
@@ -87,7 +92,9 @@ def generate(cfg: SynthConfig) -> FlowDataset:
         draws = rng.standard_normal((cfg.p, T))
         innovations = draws * (cfg.noise_std * np.sqrt(1.0 - cfg.noise_phi**2))
         innovations[:, 0] = draws[:, 0] * cfg.noise_std
-        wander = lfilter([1.0], [1.0, -cfg.noise_phi], innovations, axis=1)
+        wander = innovations  # the AR(1) chain w[t] = e[t] + phi * w[t - 1]
+        for j in range(1, T):
+            wander[:, j] += cfg.noise_phi * wander[:, j - 1]
         flows = signal * (1.0 + wander)
     else:
         flows = signal.copy()

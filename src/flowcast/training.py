@@ -34,7 +34,7 @@ from .dataset import (
     stack_batch,
     standardize,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_field_types
 from .evaluation import evaluate
 from .hybrid import (
     ARCHITECTURES,
@@ -63,16 +63,17 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if self.lr < 0:
-            raise ValueError(f"learning rate must be nonnegative, got {self.lr}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 factor must be nonnegative, got {self.l2}")
+        check_field_types(self)
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and nonnegative, got {self.lr}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 factor must be finite and nonnegative, got {self.l2}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0 <= value < 1:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.runs < 1:

@@ -114,10 +114,26 @@ class TestArgumentErrors:
     def test_synth_requires_seed(self, tmp_path):
         assert cli.main(["synth", "--out", str(tmp_path / "d.csv")]) == 1
 
-    def test_synth_rejects_bad_values(self, tmp_path):
+    def test_synth_rejects_bad_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"config_version": 1, "synth": {"p": 0, "seed": 1}}))
         assert cli.main(["synth", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+
+    def test_import_loads_no_scipy(self):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, flowcast, flowcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["synth", "--config", str(tmp_path / "nope.json")]) == 1

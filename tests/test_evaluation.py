@@ -312,6 +312,12 @@ class TestEvaluate:
         )
         assert report.views["station"].labels == ("a", "b")
 
+    @pytest.mark.parametrize("ids", [("only-one",), ("a", "b", "c")])
+    def test_station_ids_must_match_station_count(self, ids):
+        samples = make_samples(np.random.default_rng(9), [3])
+        with pytest.raises(DataError, match="station ids"):
+            evaluate(grid_predictor, samples, views=("station",), station_ids=ids)
+
 
 class TestReportSerialization:
     def build_report(self):

@@ -1,6 +1,7 @@
 """Layer tests: LSTM equations vs a scalar-loop oracle, conv stacks, dense."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from flowcast.layers import (
     init_conv_stack,
     init_dense,
     init_lstm,
+    _lstm_forward,
     lstm_layer,
 )
 
@@ -211,6 +213,37 @@ class TestLstmLayer:
         fresh = LstmParams(**{name: Tensor(t.data.copy()) for name, t in params.named()})
         assert not np.allclose(before, after)
         np.testing.assert_array_equal(after, lstm_layer(fresh, seq).data)
+
+    def test_gate_logistic_matches_expit(self):
+        from scipy.special import expit
+
+        # p = 1 with W = 1 and U, b = 0: gate rows [0, 3) hold logistic(x).
+        grid = np.concatenate(
+            [np.linspace(-800, 800, 200_001), [-1000.0, 1000.0, -np.inf, np.inf]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gates = _lstm_forward(
+                np.ones((4, 1)), np.zeros((4, 1)), np.zeros(4), grid.reshape(1, 1, -1)
+            ).gates[0, :3]
+        for row in gates:
+            np.testing.assert_allclose(row[:-4], expit(grid[:-4]), rtol=1e-15, atol=0)
+            assert list(row[-4:]) == [0.0, 1.0, 0.0, 1.0]
+
+    def test_saturating_gate_biases_give_finite_output(self):
+        rng = np.random.default_rng(17)
+        p = 4
+        params = init_lstm(rng, p)
+        for gate, sign in zip("fio", (-1.0, 1.0, 1.0)):
+            getattr(params, f"b_{gate}").data = sign * np.full(p, 800.0)
+        params.b_c.data = np.array([800.0, -800.0, 800.0, -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lstm_layer(params, Tensor(rng.normal(size=(p, 6, 3)))).data
+        assert np.all(np.isfinite(out))
+        # forget 0, input and output 1: each step's cell is the saturated candidate
+        expected = np.tanh(np.tanh(params.b_c.data))[:, None, None]
+        np.testing.assert_array_equal(out, np.broadcast_to(expected, out.shape))
 
 
 class TestConvStack:

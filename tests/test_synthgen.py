@@ -1,5 +1,7 @@
 """Generator tests: determinism, lag structure, periodicity, missingness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,20 @@ def test_nonnegative_and_day_aligned():
     observed = ds.flows[ds.mask]
     assert np.all(observed >= 0.0)
     assert ds.num_timestamps % 288 == 0
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.6, 0.95])
+def test_noise_matches_lfilter(phi):
+    from scipy.signal import lfilter
+
+    cfg = SynthConfig(p=3, days=4, noise_phi=phi, native_missing_ratio=0.0, seed=8)
+    signal = generate(replace(cfg, noise_std=0.0)).flows
+    draws = np.random.default_rng(cfg.seed).standard_normal(signal.shape)
+    innovations = draws * (cfg.noise_std * np.sqrt(1.0 - phi**2))
+    innovations[:, 0] = draws[:, 0] * cfg.noise_std
+    wander = lfilter([1.0], [1.0, -phi], innovations, axis=1)
+    expected = np.maximum(signal * (1.0 + wander), 0.0)
+    assert np.array_equal(generate(cfg).flows, expected)
 
 
 def test_invalid_configs_rejected():

@@ -64,11 +64,43 @@ class TestTrainConfig:
             {"max_epochs": 0},
             {"runs": 0},
             {"runs": 3, "seeds": (0, 1)},
+            {"lr": math.nan},
+            {"lr": math.inf},
+            {"l2": math.nan},
+            {"eps": math.nan},
+            {"eps": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "settings, kwargs",
+    [
+        (TrainConfig, {"max_epochs": 1.5}),
+        (TrainConfig, {"runs": True}),
+        (TrainConfig, {"lr": "0.1"}),
+        (TrainConfig, {"runs": 1, "seeds": (0.5,)}),
+        (TrainConfig, {"runs": 1, "seeds": (False,)}),
+        (WindowConfig, {"n": 1.5}),
+        (WindowConfig, {"h": None}),
+        (SynthConfig, {"p": 2.5}),
+        (SynthConfig, {"seed": "a"}),
+        (SynthConfig, {"noise_std": [0.1]}),
+    ],
+)
+def test_settings_reject_wrong_field_types(settings, kwargs):
+    with pytest.raises(TypeError):
+        settings(**kwargs)
+
+
+def test_settings_take_numpy_numbers():
+    cfg = TrainConfig(lr=np.float64(0.01), max_epochs=np.int64(2), seeds=np.arange(5))
+    assert cfg.seeds == tuple(range(5))
+    assert SynthConfig(p=np.int32(2), noise_std=1).p == 2
+    assert WindowConfig(n=np.int64(4)).n == 4
 
 
 class TestMseLoss:

@@ -5,9 +5,13 @@ cadence, with a boolean observation mask. Windows are anchors at every
 admissible in-day position; a batch gathers the three aligned input blocks
 (near-term, one day back, one week back) plus the forecast target on demand.
 
-CSV layout: first column an ISO-8601 timestamp, one column per station,
-missing cells empty. A sidecar named ``<file>.meta.json`` carries the ordered
-station list and the lane label.
+CSV layout: first column an ISO-8601 timestamp, one column per station. A
+cell is missing when it is empty, blank or NaN in any spelling (``nan``,
+``-nan``, `` NaN ``); an observed value that is not finite is rejected.
+``load_csv`` reads the body one day (``points_per_day`` rows) at a time, so
+it holds one day of the file's text, never the whole file. A sidecar named
+``<file>.meta.json`` carries the ordered station list, the lane label and
+the cadence.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import csv
 import datetime as dt
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +65,13 @@ class FlowDataset:
             raise DataError(
                 f"{flows.shape[1]} timestamps is not a whole number of "
                 f"{self.points_per_day}-point days"
+            )
+        bad = mask & ~np.isfinite(flows)
+        if bad.any():
+            s, t = np.argwhere(bad)[0]
+            raise DataError(
+                f"station {self.station_ids[s]}: observed flow {flows[s, t]} at "
+                f"{self.timestamp(t).isoformat()} is not finite"
             )
         flows.setflags(write=False)
         mask.setflags(write=False)
@@ -171,23 +183,8 @@ def save_csv(ds: FlowDataset, path) -> None:
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2))
 
 
-def load_csv(path) -> FlowDataset:
-    """Read a flow table; empty or NaN cells become masked-out entries."""
-    path = Path(path)
-    try:
-        with path.open(newline="") as handle:
-            rows = list(csv.reader(handle))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path} is empty")
-    header = rows[0]
-    if not header or header[0] != "timestamp":
-        raise DataError(f"{path} must start with a 'timestamp' column")
-    station_ids = tuple(header[1:])
-    if not station_ids:
-        raise DataError(f"{path} has no station columns")
-
+def _read_sidecar(path: Path, station_ids: tuple[str, ...]) -> tuple[int, str]:
+    """The cadence and lane from the table's sidecar, or the defaults without one."""
     points_per_day = POINTS_PER_DAY
     lane = "ML"
     sidecar = _sidecar_path(path)
@@ -210,47 +207,131 @@ def load_csv(path) -> FlowDataset:
             raise DataError(
                 f"station columns {station_ids} do not match sidecar {stations}"
             )
+    return points_per_day, lane
 
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path} has no data rows")
-    p = len(station_ids)
-    T = len(body)
-    flows = np.full((p, T), np.nan)
-    mask = np.zeros((p, T), dtype=bool)
-    first_stamp = None
-    step = dt.timedelta(minutes=_minutes_per_point(points_per_day))
-    for index, row in enumerate(body):
-        if len(row) != p + 1:
-            raise DataError(
-                f"{path} row {index + 2}: {len(row)} fields, expected {p + 1}"
-            )
-        try:
-            stamp = dt.datetime.fromisoformat(row[0])
-        except ValueError:
-            raise DataError(f"{path} row {index + 2}: bad timestamp {row[0]!r}") from None
-        if first_stamp is None:
-            if stamp.time() != dt.time():
-                raise DataError(f"{path} must start at midnight, got {stamp}")
-            first_stamp = stamp
-        elif stamp != first_stamp + index * step:
-            raise DataError(f"{path} row {index + 2}: timestamp {stamp} out of cadence")
-        for s, cell in enumerate(row[1:]):
-            text = cell.strip()
-            if text == "" or text.lower() == "nan":
+
+def _read(path: Path, rows, count: int) -> list[list[str]]:
+    """The next ``count`` records of a csv reader, fewer at the end of the file."""
+    try:
+        return list(islice(rows, count))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from None
+
+
+def _cell(path: Path, index: int, cell: str) -> float:
+    """One cell, stripped: blank is missing (NaN), anything else a ``float``."""
+    text = cell.strip()
+    try:
+        return float(text) if text else np.nan
+    except ValueError:
+        raise DataError(f"{path} row {index + 2}: bad flow value {cell!r}") from None
+
+
+def _read_day(
+    path: Path,
+    rows: list,
+    base: int,
+    p: int,
+    start: dt.datetime,
+    step: dt.timedelta,
+    clock: list[str],
+) -> np.ndarray:
+    """Flows [len(rows), p] of up to one day of body rows, from row ``base``.
+
+    ``clock`` holds the canonical time-of-day part of each timestamp. Each row
+    is checked for its field count, then its timestamp, then its cells, and
+    the first row that fails raises. The checks run on the whole block; only
+    a timestamp that is not canonical, or a block whose cells do not all
+    convert, is looked at again row by row.
+    """
+    limit = next((k for k, row in enumerate(rows) if len(row) != p + 1), len(rows))
+    error = None
+    if limit < len(rows):
+        error = f"{len(rows[limit])} fields, expected {p + 1}"
+    midnight = start + base * step
+    day = midnight.isoformat()[:10]
+    expected = [day + time for time in clock[:limit]]
+    stamps = [row[0] for row in rows[:limit]]
+    if stamps != expected:
+        for k, text in enumerate(stamps):
+            if text == expected[k]:
                 continue
             try:
-                flows[s, index] = float(text)
+                stamp = dt.datetime.fromisoformat(text)
             except ValueError:
-                raise DataError(
-                    f"{path} row {index + 2}: bad flow value {cell!r}"
-                ) from None
-            mask[s, index] = True
+                limit, error = k, f"bad timestamp {text!r}"
+                break
+            if stamp != midnight + k * step:
+                limit, error = k, f"timestamp {stamp} out of cadence"
+                break
+    # float() rejects "", and an empty cell is missing: NaN, as "nan" reads
+    cells = [cell or "nan" for row in rows[:limit] for cell in row[1:]]
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        values = np.array(
+            [_cell(path, base + k, c) for k, row in enumerate(rows[:limit]) for c in row[1:]]
+        )
+    if error:
+        raise DataError(f"{path} row {base + limit + 2}: {error}")
+    return values.reshape(limit, p)
+
+
+def load_csv(path) -> FlowDataset:
+    """Read a flow table, one day (``points_per_day`` rows) at a time.
+
+    A cell is missing when it is empty, blank or NaN in any spelling; an
+    observed value must be finite. Each malformed row raises a DataError
+    naming it, the first such row in the file first.
+    """
+    path = Path(path)
+    try:
+        handle = path.open(newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from None
+    with handle:
+        rows = csv.reader(handle)
+        header = _read(path, rows, 1)
+        if not header:
+            raise DataError(f"{path} is empty")
+        header = header[0]
+        if not header or header[0] != "timestamp":
+            raise DataError(f"{path} must start with a 'timestamp' column")
+        station_ids = tuple(header[1:])
+        if not station_ids:
+            raise DataError(f"{path} has no station columns")
+        points_per_day, lane = _read_sidecar(path, station_ids)
+
+        block = _read(path, rows, 1)
+        if not block:
+            raise DataError(f"{path} has no data rows")
+        p = len(station_ids)
+        step = dt.timedelta(minutes=_minutes_per_point(points_per_day))
+        first = block[0]
+        if len(first) != p + 1:
+            raise DataError(f"{path} row 2: {len(first)} fields, expected {p + 1}")
+        try:
+            start = dt.datetime.fromisoformat(first[0])
+        except ValueError:
+            raise DataError(f"{path} row 2: bad timestamp {first[0]!r}") from None
+        if start.time() != dt.time():
+            raise DataError(f"{path} must start at midnight, got {start}")
+        clock = [(start + k * step).isoformat()[10:] for k in range(points_per_day)]
+        block += _read(path, rows, points_per_day - 1)
+        days = []
+        while block:
+            base = len(days) * points_per_day
+            days.append(_read_day(path, block, base, p, start, step, clock))
+            block = _read(path, rows, points_per_day)
+    flows = np.empty((p, sum(len(day) for day in days)))
+    np.concatenate([day.T for day in days], axis=1, out=flows)
+    mask = ~np.isnan(flows)
+    flows[~mask] = np.nan  # one NaN bit pattern, whichever spelling was read
     return FlowDataset(
         flows=flows,
         mask=mask,
         station_ids=station_ids,
-        start_date=first_stamp.date(),
+        start_date=start.date(),
         points_per_day=points_per_day,
         lane=lane,
     )

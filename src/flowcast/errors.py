@@ -1,10 +1,11 @@
 """Exception types and the settings type check shared across the package."""
 
 import dataclasses
+import datetime as dt
 import numbers
 
-# The numbers a settings field of each annotation takes; bools are neither.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+# The values a settings field of each annotation takes; a bool is no number.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "dt.date": dt.date}
 
 
 class DataError(ValueError):
@@ -21,7 +22,7 @@ class UsageError(Exception):
 
 def check_field_types(settings) -> None:
     """Raise TypeError for a field of a settings dataclass, annotated ``int``,
-    ``float`` or ``tuple[int, ...]``, that holds something else."""
+    ``float``, ``dt.date`` or ``tuple[int, ...]``, that holds something else."""
     for f in dataclasses.fields(settings):
         value = getattr(settings, f.name)
         kind, items = f.type, (value,)

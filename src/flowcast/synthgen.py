@@ -57,9 +57,9 @@ class SynthConfig:
             raise DataError(f"weekend scale {self.weekend_scale} outside (0, 1]")
         if self.propagation_lag < 0:
             raise DataError(f"negative propagation lag {self.propagation_lag}")
-        if self.noise_std < 0 or not (0.0 <= self.noise_phi < 1.0):
+        if not (0.0 <= self.noise_std < np.inf) or not (0.0 <= self.noise_phi < 1.0):
             raise DataError(
-                f"noise std {self.noise_std} must be >= 0 and phi "
+                f"noise std {self.noise_std} must be finite and >= 0 and phi "
                 f"{self.noise_phi} in [0, 1)"
             )
         if not (0.0 <= self.native_missing_ratio < 1.0):

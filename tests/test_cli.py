@@ -359,6 +359,30 @@ class TestDataErrors:
         assert "data error:" in err and "does not divide" in err
         assert "Traceback" not in err
 
+    def test_non_finite_flow_rejected_at_load(self, ws, tmp_path):
+        data = tmp_path / "inf.csv"
+        lines = ws["data"].read_text().splitlines()
+        stamp, _, *rest = lines[100].split(",")
+        lines[100] = ",".join([stamp, "inf", *rest])
+        data.write_text("\n".join(lines) + "\n")
+        Path(str(data) + ".meta.json").write_bytes(
+            Path(str(ws["data"]) + ".meta.json").read_bytes()
+        )
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcast.cli", "train", "--dataset", str(data)]
+            + ["--arch", "LSTM1", "--seed", "0", "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data error:") and "not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_sidecar_cadence_not_an_integer(self, ws, tmp_path, capsys):
         data = tmp_path / "hourly.csv"
         data.write_bytes(ws["data"].read_bytes())

@@ -1,8 +1,11 @@
-"""Property tests: the window gather, window arithmetic, CSV round trips,
-missing-value injection and imputation, split invariance of evaluation, and
-checkpoints with a flipped byte."""
+"""Property tests: the window gather, window arithmetic, CSV round trips, the
+CSV loader against its row-by-row reference, missing-value injection and
+imputation, split invariance of evaluation, and checkpoints with a flipped
+byte."""
 
+import csv
 import datetime as dt
+import itertools
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +31,7 @@ from flowcast.evaluation import VIEWS, evaluate, persistence_predictor
 from flowcast.imputation import METHODS, fit, impute, inject_missing
 from flowcast.training import parameter_digest
 
+from csv_reference import load_csv_rows
 from test_checkpoint import fake_trained
 from test_dataset import brute_force_blocks
 
@@ -111,6 +115,10 @@ def test_concatenation_needs_shared_tables():
         mine + extract_windows(ds, WindowConfig(n=4, h=2, n_d=1, n_w=1), (7, 9))
 
 
+# station ids are any text a file can hold: commas, quotes, line breaks, none
+STATION_IDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
 @st.composite
 def csv_tables(draw):
     ppd = draw(st.sampled_from(CSV_CADENCES))
@@ -121,7 +129,7 @@ def csv_tables(draw):
     )
     mask = draw(hnp.arrays(bool, shape))
     start = draw(st.dates(dt.date(1990, 1, 1), dt.date(2040, 12, 31)))
-    ids = tuple(f"vds{i}" for i in range(p))
+    ids = tuple(draw(st.lists(STATION_IDS, min_size=p, max_size=p)))
     return FlowDataset(flows, mask, ids, start, points_per_day=ppd)
 
 
@@ -138,6 +146,140 @@ def test_csv_round_trip(ds):
     assert np.array_equal(back.mask, ds.mask)
     assert np.array_equal(back.flows[back.mask], ds.flows[ds.mask])
     assert np.isnan(back.flows[~back.mask]).all()
+
+
+CELLS = (
+    *("", " ", "\t", "nan", "NaN", "-nan", " NaN ", " 7.5 ", "1_000", "\x1c2\x1c"),
+    *("inf", "-inf", "1e999", "abc", "1.2.3", "0x10"),
+)
+STAMPS = ("space", "no-seconds", "date-only", "offset", "one-minute-late", "garbage")
+
+
+def _edit_stamp(text: str, how: str) -> str:
+    stamp = dt.datetime.fromisoformat(text)
+    return {
+        "space": stamp.isoformat(" "),
+        "no-seconds": stamp.isoformat(timespec="minutes"),
+        "date-only": text[:10],
+        "offset": text + "+00:00",
+        "one-minute-late": (stamp + dt.timedelta(minutes=1)).isoformat(),
+        "garbage": "half past nine",
+    }[how]
+
+
+@st.composite
+def edits(draw, rows: int, p: int):
+    """One edit of a saved table's records, whose body rows are 1..rows."""
+    row = draw(st.integers(1, rows))
+    kind = draw(st.sampled_from(["cell", "quote", "stamp", "ragged", "blank", "repeat", "cut"]))
+    if kind == "cell":
+        return kind, row, draw(st.integers(1, p)), draw(st.sampled_from(CELLS))
+    if kind == "quote":
+        return kind, row, draw(st.integers(0, p)), None
+    if kind == "stamp":
+        return kind, row, 0, draw(st.sampled_from(STAMPS))
+    return kind, row, 0, draw(st.booleans())
+
+
+def _render(records: list, quoted: set, ending: str) -> str:
+    def field(text: str, force: bool) -> str:
+        if force or any(ch in text for ch in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    return "".join(
+        ",".join(field(text, (i, j) in quoted) for j, text in enumerate(record)) + ending
+        for i, record in enumerate(records)
+    )
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except DataError as exc:
+        return str(exc)
+    return (
+        ds.flows.shape,
+        ds.flows.tobytes(),
+        ds.mask.tobytes(),
+        ds.station_ids,
+        ds.start_date,
+        ds.points_per_day,
+        ds.lane,
+    )
+
+
+def _edited(ds, edit_list, ending: str, path: Path) -> Path:
+    """Save ``ds`` to ``path`` with the edits made, each in its own row."""
+    save_csv(ds, path)
+    with path.open(newline="") as handle:
+        records = list(csv.reader(handle))
+    quoted = set()
+    # from the last row up, so inserting or cutting a row moves no later edit
+    for kind, row, column, arg in sorted(edit_list, key=lambda edit: -edit[1]):
+        record = records[row]
+        if kind == "cell" and column < len(record):
+            record[column] = arg
+        elif kind == "quote":
+            quoted.add((row, column))
+        elif kind == "stamp":
+            record[0] = _edit_stamp(record[0], arg)
+        elif kind == "ragged":
+            record[:] = record + ["9.0"] if arg else record[:-1]
+        elif kind == "blank":
+            records.insert(row, [])
+        elif kind == "repeat":
+            records.insert(row, list(record))
+        elif kind == "cut":
+            del records[row]
+    path.write_text(_render(records, quoted, ending), newline="")
+    return path
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_tables(), st.data())
+def test_load_csv_matches_row_by_row_reference(ds, data):
+    """Saved tables, edited: the block loader returns what the reference
+    returns, flows bit for bit, or raises the same message."""
+    edit_list = data.draw(
+        st.lists(
+            edits(ds.num_timestamps, ds.num_stations),
+            max_size=3,
+            unique_by=lambda edit: edit[1],
+        )
+    )
+    ending = data.draw(st.sampled_from(["\r\n", "\n"]))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = _edited(ds, edit_list, ending, Path(scratch) / "flows.csv")
+        assert _outcome(load_csv, path) == _outcome(load_csv_rows, path)
+
+
+FAULTS = (
+    ("cell", 1, "abc"),
+    ("cell", 2, "inf"),
+    ("stamp", 0, "garbage"),
+    ("stamp", 0, "one-minute-late"),
+    ("ragged", 0, True),
+    ("ragged", 0, False),
+    ("blank", 0, None),
+    ("cut", 0, None),
+)
+
+
+def test_load_csv_reports_the_first_of_two_faults(tmp_path):
+    """Every pair of faults in two rows, in the same day and in different days:
+    the reference's message, which names the earlier row."""
+    rng = np.random.default_rng(0)
+    ds = table(rng, 2, 2, 12, 0.2)
+    mismatches = []
+    pairs = itertools.product(FAULTS, repeat=2)
+    for pair, rows in itertools.product(pairs, [(3, 8), (3, 17)]):
+        edit_list = [(kind, row, column, arg) for (kind, column, arg), row in zip(pair, rows)]
+        path = _edited(ds, edit_list, "\r\n", tmp_path / "flows.csv")
+        got, want = _outcome(load_csv, path), _outcome(load_csv_rows, path)
+        if got != want:
+            mismatches.append((edit_list, got, want))
+    assert not mismatches
 
 
 @settings(max_examples=40, deadline=None)

@@ -101,8 +101,9 @@ def test_invalid_configs_rejected():
         SynthConfig(days=0)
     with pytest.raises(DataError, match="weekend scale"):
         SynthConfig(weekend_scale=0.0)
-    with pytest.raises(DataError, match="noise std"):
-        SynthConfig(noise_std=-0.1)
+    for noise_std in (-0.1, np.nan, np.inf):
+        with pytest.raises(DataError, match="noise std"):
+            SynthConfig(noise_std=noise_std)
     with pytest.raises(DataError, match="missing ratio"):
         SynthConfig(native_missing_ratio=1.0)
     with pytest.raises(DataError, match="base profile"):

@@ -89,6 +89,8 @@ class TestTrainConfig:
         (SynthConfig, {"p": 2.5}),
         (SynthConfig, {"seed": "a"}),
         (SynthConfig, {"noise_std": [0.1]}),
+        (SynthConfig, {"start_date": "2019-01-07"}),
+        (SynthConfig, {"start_date": 20190107}),
     ],
 )
 def test_settings_reject_wrong_field_types(settings, kwargs):

@@ -40,7 +40,9 @@ class Tensor:
 
     Leaf tensors wrap raw data; tensors produced by ops carry the parent
     references and backward closure needed for reverse-mode accumulation.
-    ``grad`` stays ``None`` until a backward pass touches the tensor.
+    A leaf from ``flat_leaves`` (every model parameter) has its ``grad`` view
+    from the start, and backward and ``zero_grad`` write into it in place;
+    any other tensor's ``grad`` stays ``None`` until backward touches it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_backward")
@@ -56,7 +58,8 @@ class Tensor:
         self._backward = _backward
 
     def zero_grad(self):
-        self.grad = None
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def item(self):
         return float(self.data)
@@ -80,9 +83,18 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
+def flat_leaves(arrays) -> tuple[np.ndarray, np.ndarray, list[Tensor]]:
+    """Copy the arrays, in order, into one flat float64 vector; return it, a
+    zero gradient vector of the same length and one trainable leaf per array
+    whose ``data`` and ``grad`` are views of the two."""
+    values = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    grads = np.zeros_like(values)
+    cuts = np.cumsum([np.size(a) for a in arrays])[:-1]
+    leaves = []
+    for a, data, grad in zip(arrays, np.split(values, cuts), np.split(grads, cuts)):
+        leaves.append(Tensor(data.reshape(np.shape(a)), requires_grad=True))
+        leaves[-1].grad = grad.reshape(np.shape(a))
+    return values, grads, leaves
 
 
 def backward(loss: Tensor) -> None:

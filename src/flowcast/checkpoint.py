@@ -2,8 +2,9 @@
 
 The manifest records the architecture, window and imputation settings, split
 ranges, standardization statistics, and a sha256 per parameter array. Loading
-checks every manifest field's shape and consistency, verifies every hash and
-refuses silently corrupted files, reporting exactly which entries diverged.
+checks every manifest field's shape and consistency, verifies every array's
+dtype and hash and refuses silently corrupted files, reporting exactly which
+entries diverged.
 """
 
 from __future__ import annotations
@@ -229,8 +230,11 @@ def load_checkpoint(path) -> TrainedModel:
         if key not in arrays:
             problems.append(f"{entry['name']}: missing from archive")
             continue
-        data = np.ascontiguousarray(arrays[key], dtype=float)
+        data = arrays[key]
         expected = list(by_name[entry["name"]].data.shape)
+        if data.dtype != np.float64:
+            problems.append(f"{entry['name']}: dtype {data.dtype}, expected float64")
+            continue
         if not list(data.shape) == entry["shape"] == expected:
             problems.append(
                 f"{entry['name']}: shape {list(data.shape)}, "
@@ -244,7 +248,7 @@ def load_checkpoint(path) -> TrainedModel:
                 f"manifest {entry['sha256'][:12]}..."
             )
             continue
-        by_name[entry["name"]].data = data
+        by_name[entry["name"]].data[...] = data
     if problems:
         raise DataError(
             "checkpoint integrity check failed:\n  " + "\n  ".join(problems)

@@ -38,6 +38,11 @@ def _minutes_per_point(points_per_day: int) -> int:
     return 1440 // points_per_day
 
 
+def _check_last_day(start: dt.date, days: int) -> None:
+    if days > (dt.date.max - start).days + 1:
+        raise DataError(f"{days} days from {start} run past {dt.date.max}")
+
+
 @dataclass(frozen=True)
 class FlowDataset:
     """Immutable flow table: [p stations x T timestamps], NaN where unobserved."""
@@ -66,6 +71,7 @@ class FlowDataset:
                 f"{flows.shape[1]} timestamps is not a whole number of "
                 f"{self.points_per_day}-point days"
             )
+        _check_last_day(self.start_date, flows.shape[1] // self.points_per_day)
         bad = mask & ~np.isfinite(flows)
         if bad.any():
             s, t = np.argwhere(bad)[0]
@@ -248,7 +254,12 @@ def _read_day(
     error = None
     if limit < len(rows):
         error = f"{len(rows[limit])} fields, expected {p + 1}"
-    midnight = start + base * step
+    try:
+        midnight = start + base * step
+    except OverflowError:
+        raise DataError(
+            f"{path} row {base + 2}: the table runs past {dt.date.max}"
+        ) from None
     day = midnight.isoformat()[:10]
     expected = [day + time for time in clock[:limit]]
     stamps = [row[0] for row in rows[:limit]]

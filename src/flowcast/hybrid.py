@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, concat, reshape
+from .autodiff import Tensor, concat, flat_leaves, reshape
 from .layers import (
     ConvLayerParams,
     ConvStackSpec,
@@ -20,9 +20,8 @@ from .layers import (
     LstmParams,
     conv_stack,
     dense,
-    init_conv_stack,
-    init_dense,
-    init_lstm,
+    glorot_uniform,
+    init_lstm_values,
     lstm_layer,
 )
 
@@ -125,22 +124,40 @@ class StreamBlocks:
 
 @dataclass
 class Model:
+    """Blocks and head whose parameters' data and grad are views of two flat
+    vectors, ``values`` and ``grads``, which the optimizer updates whole."""
+
     spec: ModelSpec
     blocks: list[StreamBlocks]
     head: DenseParams
+    values: np.ndarray
+    grads: np.ndarray
 
 
 def build(spec: ModelSpec, seed: int) -> Model:
-    """Initialize a model deterministically from the seed."""
+    """Initialize a model deterministically from the seed: draws run stream by
+    stream (LSTM, then conv layers), then the head, into one value vector."""
     rng = np.random.default_rng(seed)
-    blocks = []
+    depth = spec.topology.lstm_depth
+    kernels = KERNEL_CASCADES.get(spec.topology.cnn_depth, ())
+    arrays = []
     for _ in range(STREAMS):
-        lstms = [init_lstm(rng, spec.p) for _ in range(spec.topology.lstm_depth)]
-        conv_spec = spec.topology.conv_spec
-        convs = init_conv_stack(rng, conv_spec) if conv_spec else []
-        blocks.append(StreamBlocks(lstms=lstms, convs=convs))
-    head = init_dense(rng, spec.head_out_width, spec.head_in_width)
-    return Model(spec=spec, blocks=blocks, head=head)
+        for _ in range(depth):
+            arrays += init_lstm_values(rng, spec.p)
+        for k in kernels:
+            arrays += [glorot_uniform(rng, (1, 1, k), k, k), np.zeros(1)]
+    out, width = spec.head_out_width, spec.head_in_width
+    arrays += [glorot_uniform(rng, (out, width), width, out), np.zeros(out)]
+    values, grads, leaves = flat_leaves(arrays)
+    take = iter(leaves).__next__
+    blocks = [
+        StreamBlocks(
+            lstms=[LstmParams(take(), take(), take()) for _ in range(depth)],
+            convs=[ConvLayerParams(take(), take()) for _ in kernels],
+        )
+        for _ in range(STREAMS)
+    ]
+    return Model(spec, blocks, DenseParams(take(), take()), values, grads)
 
 
 def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tensor:
@@ -219,4 +236,4 @@ def parameters(model: Model) -> list[Tensor]:
 
 
 def parameter_count(model: Model) -> int:
-    return sum(tensor.data.size for tensor in parameters(model))
+    return model.values.size

@@ -18,42 +18,51 @@ from .autodiff import (
     _accumulate,
     add_bias,
     conv1d_same,
+    flat_leaves,
     matmul,
     relu,
 )
 
 GATES = ("f", "i", "c", "o")
 
+# Row blocks of the packed [4p, p] weights: the three sigmoid gates first, so
+# one in-place logistic covers rows [0, 3p) and one tanh call the candidate rows.
+_PACKED_ORDER = ("f", "i", "o", "c")
+
+
+def _rows(gate: str, size: int) -> slice:
+    """The packed rows of one gate."""
+    k = _PACKED_ORDER.index(gate)
+    return slice(k * size, (k + 1) * size)
+
 
 @dataclass
 class LstmParams:
-    """Gate parameters for one LSTM layer; hidden size equals input size."""
+    """One LSTM layer's packed weights W, U [4p, p] and bias b [4p].
 
-    W_f: Tensor
-    U_f: Tensor
-    b_f: Tensor
-    W_i: Tensor
-    U_i: Tensor
-    b_i: Tensor
-    W_c: Tensor
-    U_c: Tensor
-    b_c: Tensor
-    W_o: Tensor
-    U_o: Tensor
-    b_o: Tensor
+    Hidden size equals input size p. The per-gate tensors ``W_f`` ... ``b_o``
+    are views of their packed rows, data and grad alike, so an in-place write
+    to one of them is a write to the layer.
+    """
+
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
     def __post_init__(self) -> None:
-        size = self.size
-        for name, tensor in self.named():
-            expect = (size,) if name.startswith("b") else (size, size)
-            if tensor.data.shape != expect:
+        size = self.W.data.shape[-1]
+        for kind in ("W", "U", "b"):
+            packed = getattr(self, kind)
+            expect = (4 * size,) if kind == "b" else (4 * size, size)
+            if packed.data.shape != expect or packed.grad is None:
                 raise ValueError(
-                    f"{name} has shape {tensor.data.shape}, expected {expect}"
+                    f"{kind} must be a {expect} leaf with a gradient buffer, "
+                    f"got shape {packed.data.shape}"
                 )
-
-    @property
-    def size(self) -> int:
-        return self.W_f.data.shape[0]
+            for gate in GATES:
+                view = Tensor(packed.data[_rows(gate, size)], requires_grad=True)
+                view.grad = packed.grad[_rows(gate, size)]
+                setattr(self, f"{kind}_{gate}", view)
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
         for gate in GATES:
@@ -97,23 +106,6 @@ class DenseParams:
     def named(self) -> Iterator[tuple[str, Tensor]]:
         yield "W", self.W
         yield "b", self.b
-
-
-# Row blocks of the packed [4p, p] weights: the three sigmoid gates first, so
-# one in-place logistic covers rows [0, 3p) and one tanh call the candidate rows.
-_PACKED_ORDER = ("f", "i", "o", "c")
-
-
-def _packed(params: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the named gate tensors into W, U [4p, p] and b [4p].
-
-    Built on every call, never cached: callers perturb or rebind ``.data``
-    between forward passes (gradient checks, best-epoch restore).
-    """
-    return tuple(
-        np.concatenate([getattr(params, f"{kind}_{gate}").data for gate in _PACKED_ORDER])
-        for kind in ("W", "U", "b")
-    )
 
 
 @dataclass
@@ -209,22 +201,20 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
         raise ValueError("lstm_layer needs at least one time column")
     width = 1 if seq.data.ndim == 2 else shape[2]
     x = seq.data.reshape(p, n, width)
-    W, U, b = _packed(params)
-    trace = _lstm_forward(W, U, b, x)
+    W, U = params.W.data, params.U.data
+    trace = _lstm_forward(W, U, params.b.data, x)
 
     def bwd(g):
         dh_out = g.reshape(p, n, width).transpose(1, 0, 2)
         dW, dU, db, dseq = _lstm_backward(W, U, x, trace, dh_out)
-        for k, gate in enumerate(_PACKED_ORDER):
-            rows = slice(k * p, (k + 1) * p)
-            _accumulate(getattr(params, f"W_{gate}"), dW[rows])
-            _accumulate(getattr(params, f"U_{gate}"), dU[rows])
-            _accumulate(getattr(params, f"b_{gate}"), db[rows])
+        _accumulate(params.W, dW)
+        _accumulate(params.U, dU)
+        _accumulate(params.b, db)
         _accumulate(seq, dseq.reshape(shape))
 
     return Tensor(
         np.ascontiguousarray(trace.h[1:].transpose(1, 0, 2)).reshape(shape),
-        _parents=(seq, *(tensor for _, tensor in params.named())),
+        _parents=(seq, params.W, params.U, params.b),
         _backward=bwd,
     )
 
@@ -258,38 +248,26 @@ def dense(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
 
 def glorot_uniform(
     rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
-) -> Tensor:
+) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def init_lstm_values(rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """Packed W, U and b of a new layer.
+
+    Glorot weights are drawn gate by gate (f, i, c, o; W before U); biases are
+    zero except the forget gate's, which start at 1.
+    """
+    W, U = np.empty((2, 4 * size, size))
+    b = np.zeros(4 * size)
+    for gate in GATES:
+        W[_rows(gate, size)] = glorot_uniform(rng, (size, size), size, size)
+        U[_rows(gate, size)] = glorot_uniform(rng, (size, size), size, size)
+    b[_rows("f", size)] = 1.0
+    return [W, U, b]
 
 
 def init_lstm(rng: np.random.Generator, size: int) -> LstmParams:
-    """Glorot weights; zero biases except the forget gate, which starts at 1."""
-    fields = {}
-    for gate in GATES:
-        fields[f"W_{gate}"] = glorot_uniform(rng, (size, size), size, size)
-        fields[f"U_{gate}"] = glorot_uniform(rng, (size, size), size, size)
-        start = np.ones(size) if gate == "f" else np.zeros(size)
-        fields[f"b_{gate}"] = Tensor(start, requires_grad=True)
-    return LstmParams(**fields)
-
-
-def init_conv_stack(
-    rng: np.random.Generator, spec: ConvStackSpec
-) -> list[ConvLayerParams]:
-    layers = []
-    for k in spec.kernel_sizes:
-        layers.append(
-            ConvLayerParams(
-                kernel=glorot_uniform(rng, (1, 1, k), k, k),
-                bias=Tensor(np.zeros(1), requires_grad=True),
-            )
-        )
-    return layers
-
-
-def init_dense(rng: np.random.Generator, out_size: int, in_size: int) -> DenseParams:
-    return DenseParams(
-        W=glorot_uniform(rng, (out_size, in_size), in_size, out_size),
-        b=Tensor(np.zeros(out_size), requires_grad=True),
-    )
+    """A new layer over a buffer of its own."""
+    return LstmParams(*flat_leaves(init_lstm_values(rng, size))[2])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import POINTS_PER_DAY, FlowDataset
+from .dataset import POINTS_PER_DAY, FlowDataset, _check_last_day
 from .errors import DataError, check_field_types
 
 
@@ -49,6 +49,7 @@ class SynthConfig:
             raise DataError(
                 f"need at least one station and one day, got p={self.p}, days={self.days}"
             )
+        _check_last_day(self.start_date, self.days)
         profile = np.asarray(self.base_profile, dtype=float)
         if profile.shape != (POINTS_PER_DAY,) or np.any(profile <= 0):
             raise DataError("base profile must be 288 strictly positive values")

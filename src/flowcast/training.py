@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul, sub, tensor_mean, zero_grads
+from .autodiff import Tensor, backward, mul, sub, tensor_mean
 from .dataset import (
     POINTS_PER_DAY,
     FlowDataset,
@@ -43,7 +43,6 @@ from .hybrid import (
     build,
     forward_batch,
     named_parameters,
-    parameters,
 )
 from . import imputation
 
@@ -143,44 +142,32 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 class AdamState:
     """First and second moment estimates plus the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
-def adam_init(params: Sequence[Tensor]) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(t.data) for t in params],
-        v=[np.zeros_like(t.data) for t in params],
-    )
+def adam_init(values: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(values), v=np.zeros_like(values))
 
 
 def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
-    state: AdamState,
-    cfg: TrainConfig,
+    values: np.ndarray, grads: np.ndarray, state: AdamState, cfg: TrainConfig
 ) -> None:
     """One in-place Adam update; L2 regularization folds into the gradient."""
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise ValueError("parameter, gradient, and moment counts differ")
+    shapes = (values.shape, grads.shape, state.m.shape, state.v.shape)
+    if len(set(shapes)) != 1:
+        raise ValueError(f"parameter, gradient and moment counts differ: shapes {shapes}")
     state.step += 1
     t = state.step
     c1 = 1.0 - cfg.beta1**t
     c2 = 1.0 - cfg.beta2**t
-    for i, (param, grad) in enumerate(zip(params, grads)):
-        g = np.asarray(grad, dtype=float)
-        if g.shape != param.data.shape:
-            raise ValueError(
-                f"gradient {i} has shape {g.shape}, parameter {param.data.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {i} at step {t}")
-        g = g + cfg.l2 * param.data
-        m, v = state.m[i], state.v[i]
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        param.data -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    if not np.isfinite(grads).all():
+        raise NumericError(f"non-finite gradient at step {t}")
+    g = grads + cfg.l2 * values
+    state.m[...] = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    state.v[...] = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    values -= cfg.lr * (state.m / c1) / (np.sqrt(state.v / c2) + cfg.eps)
 
 
 def parameter_digest(model: Model) -> str:
@@ -305,24 +292,23 @@ def train(
             "to select the best epoch by"
         )
     started = time.perf_counter()
-    params = parameters(model)
-    state = adam_init(params)
+    state = adam_init(model.values)
     batches = day_batches(train_samples)
     log = TrainLog()
     best_mae = math.inf
-    best_snapshot = None
+    best_values = None
     for epoch in range(1, cfg.max_epochs + 1):
         total = 0.0
         count = 0
         for batch in batches:
             s, s_d, s_w, target, _mask, _ts = stack_batch(batch)
-            zero_grads(params)
+            model.grads.fill(0.0)
             loss = mse_loss(forward_batch(model, s, s_d, s_w), target)
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericError(f"training diverged: loss {value} at epoch {epoch}")
             backward(loss)
-            adam_step(params, [t.grad for t in params], state, cfg)
+            adam_step(model.values, model.grads, state, cfg)
             size = target.shape[-1]
             total += value * size
             count += size
@@ -336,10 +322,9 @@ def train(
         log.entries.append(entry)
         if entry.val_mae < best_mae:
             best_mae = entry.val_mae
-            best_snapshot = [t.data.copy() for t in params]
-    if best_snapshot is not None:
-        for tensor, saved in zip(params, best_snapshot):
-            tensor.data = saved
+            best_values = model.values.copy()
+    if best_values is not None:
+        model.values[...] = best_values
     log.wall_time = time.perf_counter() - started
     log.checkpoint_id = parameter_digest(model)
     return model, log

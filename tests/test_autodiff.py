@@ -9,6 +9,7 @@ from flowcast.autodiff import (
     backward,
     concat,
     conv1d_same,
+    flat_leaves,
     matmul,
     mul,
     no_grad,
@@ -136,6 +137,26 @@ class TestBackward:
         first = w.grad.copy()
         backward(tensor_sum(matmul(w, x)))
         assert np.array_equal(w.grad, 2.0 * first)
+
+    def test_zero_grad_zeroes_in_place_and_keeps_buffer(self):
+        _, grads, (w,) = flat_leaves([np.eye(2)])
+        buffer = w.grad
+        backward(tensor_sum(matmul(w, Tensor(np.ones((2, 1))))))
+        assert w.grad is buffer and np.array_equal(grads, np.ones(4))
+        w.zero_grad()
+        assert w.grad is buffer and not grads.any()
+        x = t([1.0])
+        x.zero_grad()
+        assert x.grad is None
+
+    def test_flat_leaves_are_views_in_order(self):
+        values, grads, (a, b) = flat_leaves([np.ones((2, 3)), np.arange(2.0)])
+        assert np.array_equal(values, [1, 1, 1, 1, 1, 1, 0, 1])
+        assert a.data.shape == a.grad.shape == (2, 3) and b.data.shape == (2,)
+        assert a.requires_grad and b.requires_grad
+        values[6] = 5.0
+        b.grad += 2.0
+        assert b.data[0] == 5.0 and np.array_equal(grads[6:], [2.0, 2.0])
 
     def test_each_node_visited_once_through_fanout(self):
         # y = x*x - x exercises a node used twice as a parent.

@@ -3,6 +3,7 @@
 import datetime as dt
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,17 @@ from flowcast.checkpoint import (
 )
 from flowcast.dataset import StandardStats, WindowConfig
 from flowcast.errors import DataError
-from flowcast.hybrid import build, forward_batch, named_parameters, parameters
+from flowcast.hybrid import (
+    ARCHITECTURES,
+    ModelSpec,
+    build,
+    forward_batch,
+    named_parameters,
+    parameters,
+)
 from flowcast.training import TrainedModel, model_spec_for, parameter_digest
+
+from test_hybrid import assert_on_buffer
 
 
 def fake_trained(seed=0, arch="LSTM1-SP-CNN1", p=4):
@@ -47,6 +57,48 @@ def rewrite(src, dst, mutate):
         np.savez(handle, **payload)
 
 
+# parameter_digest and the sha256 of the manifest's [name, shape] list for
+# every architecture at p=5, n=7, h=2, seed 0, with the number of arrays.
+# Architectures with the same layout share values. A change here means
+# existing checkpoints would no longer load.
+FORMAT_PINS = [
+    ("LSTM1", "ee878ab12c428e0bb42cdf61f7a00652fa9db3239577e91de894288816006d5d",
+     "3b1eb329651044b1ae9d4cdeb51e307ea5d17c0ba32f852f4cc98bd9e83a2ffd", 38),
+    ("LSTM2", "6e1ab6bafb905f1951f966bc003a85fc6b246f54e92dba2ca5c17914b5e27d84",
+     "63a4ef2196cecee1b0537b56733549584ba63298d95111f54722a206545d5759", 74),
+    ("LSTM1-S-CNN1", "aa6c1598c8c91743f083c18b864bb409690476edf143eeb219a736246edb3262",
+     "9e97a0f3574e645cd2d41a5f6d27aa002ec0fff0a0731bb5a016b4e8741ff454", 44),
+    ("LSTM2-S-CNN3", "db614a189b2d5edeb7c4a6c3d2cd820b3462672a49a9791fa733fb29e47b1a6b",
+     "da275d1e3fa33811a1fe523bb22833e43389e393c2d4e88bc14b46d27d782764", 92),
+    ("CNN1-S-LSTM1", "aa6c1598c8c91743f083c18b864bb409690476edf143eeb219a736246edb3262",
+     "9e97a0f3574e645cd2d41a5f6d27aa002ec0fff0a0731bb5a016b4e8741ff454", 44),
+    ("CNN3-S-LSTM2", "db614a189b2d5edeb7c4a6c3d2cd820b3462672a49a9791fa733fb29e47b1a6b",
+     "da275d1e3fa33811a1fe523bb22833e43389e393c2d4e88bc14b46d27d782764", 92),
+    ("LSTM1-P-CNN1", "cebb76a04fbf47301c26094870f0adb3ec7ab3f41c22db6d56d0305f8d7745f0",
+     "f37b35d49a3949dc4c418cea70e752b3e3bbeac702df6f36544d7c4c6d90d160", 44),
+    ("LSTM2-P-CNN3", "624f36a87231e321ecee92d59661daad8eb10ff8879dba4b0ba7172957c12ee7",
+     "ff21061f38b79a5c15e24ba8ce23bcbd9004560055d2511d59dd0cd017fc896c", 92),
+    ("LSTM1-SP-CNN1", "cebb76a04fbf47301c26094870f0adb3ec7ab3f41c22db6d56d0305f8d7745f0",
+     "f37b35d49a3949dc4c418cea70e752b3e3bbeac702df6f36544d7c4c6d90d160", 44),
+    ("LSTM2-SP-CNN3", "624f36a87231e321ecee92d59661daad8eb10ff8879dba4b0ba7172957c12ee7",
+     "ff21061f38b79a5c15e24ba8ce23bcbd9004560055d2511d59dd0cd017fc896c", 92),
+    ("CNN1-SP-LSTM1", "cebb76a04fbf47301c26094870f0adb3ec7ab3f41c22db6d56d0305f8d7745f0",
+     "f37b35d49a3949dc4c418cea70e752b3e3bbeac702df6f36544d7c4c6d90d160", 44),
+    ("CNN3-SP-LSTM2", "624f36a87231e321ecee92d59661daad8eb10ff8879dba4b0ba7172957c12ee7",
+     "ff21061f38b79a5c15e24ba8ce23bcbd9004560055d2511d59dd0cd017fc896c", 92),
+]
+
+
+@pytest.mark.parametrize("arch,digest,layout,count", FORMAT_PINS, ids=[p[0] for p in FORMAT_PINS])
+def test_checkpoint_format_pinned(arch, digest, layout, count):
+    model = build(ModelSpec(topology=ARCHITECTURES[arch], p=5, n=7, h=2), seed=0)
+    assert parameter_digest(model) == digest
+    params = build_manifest(replace(fake_trained(arch=arch, p=5), model=model))["params"]
+    names_and_shapes = [[entry["name"], entry["shape"]] for entry in params]
+    assert len(names_and_shapes) == count
+    assert hashlib.sha256(json.dumps(names_and_shapes).encode()).hexdigest() == layout
+
+
 class TestRoundTrip:
     def test_parameters_survive_exactly(self, tmp_path):
         trained = fake_trained(seed=3)
@@ -58,6 +110,14 @@ class TestRoundTrip:
         originals = dict(named_parameters(trained.model))
         for name, tensor in named_parameters(loaded.model):
             np.testing.assert_array_equal(tensor.data, originals[name].data)
+
+    def test_loaded_parameters_are_views_of_one_buffer(self, tmp_path):
+        trained = fake_trained(seed=3)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, trained)
+        loaded = load_checkpoint(path)
+        assert_on_buffer(loaded.model)
+        np.testing.assert_array_equal(loaded.model.values, trained.model.values)
 
     def test_metadata_survives(self, tmp_path):
         trained = fake_trained()
@@ -151,6 +211,33 @@ class TestIntegrity:
         rewrite(src, dst, corrupt)
         with pytest.raises(DataError, match="stream1.lstm0.W_f.*sha256"):
             load_checkpoint(dst)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda a: a.astype(np.int64),
+            lambda a: a.astype(np.complex128),
+            lambda a: a.astype(str),
+        ],
+        ids=["int", "complex", "numeric_text"],
+    )
+    def test_parameter_dtype_must_be_float64(self, tmp_path, convert):
+        # head.b starts at zero, so every conversion keeps its values and,
+        # read back as floats, its sha256
+        trained = fake_trained()
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, trained)
+
+        def retype(payload):
+            payload["param/head.b"] = convert(payload["param/head.b"])
+            return payload
+
+        bad = tmp_path / "retyped.npz"
+        rewrite(path, bad, retype)
+        with pytest.raises(DataError, match="integrity check failed") as info:
+            load_checkpoint(bad)
+        assert "head.b: dtype" in str(info.value)
+        assert "expected float64" in str(info.value)
 
     def test_missing_parameter_array(self, tmp_path):
         trained = fake_trained()

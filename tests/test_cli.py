@@ -22,7 +22,7 @@ from flowcast.hybrid import ARCHITECTURES
 from flowcast.version import VERSION
 
 from test_checkpoint import rewrite
-from test_dataset import write_seven_per_day_csv
+from test_dataset import write_seven_per_day_csv, write_two_per_day_csv
 
 
 def read_rows(path):
@@ -120,6 +120,15 @@ class TestArgumentErrors:
         assert cli.main(["synth", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1, err
+
+    def test_synth_past_the_last_date_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        section = {"p": 2, "days": 2, "seed": 0, "start_date": "9999-12-31"}
+        cfg.write_text(json.dumps({"config_version": 1, "synth": section}))
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert "run past 9999-12-31" in err
 
     def test_import_loads_no_scipy(self):
         env = dict(os.environ)
@@ -309,6 +318,14 @@ class TestDataErrors:
         )
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_table_past_the_last_date(self, tmp_path, capsys):
+        data = write_two_per_day_csv(tmp_path / "late.csv", ["9999-12-31", "10000-01-01"])
+        rc = cli.main(["train", "--dataset", str(data), "--arch", "LSTM1", "--seed", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert "row 4" in err
 
     def test_cnn_wider_than_station_axis(self, ws, tmp_path):
         # p=3 stations against a 4-wide kernel; run as a user would, so an
@@ -505,6 +522,31 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "data error:" in err and "manifest" in err
         assert "Traceback" not in err
+
+    def test_text_parameter_array_rejected(self, ws, tmp_path):
+        # run as a user would, so an uncaught exception would show as a
+        # traceback and exit status 1
+        def to_text(payload):
+            payload["param/head.b"] = np.array(["abc"] * payload["param/head.b"].size)
+            return payload
+
+        damaged = tmp_path / "text.npz"
+        rewrite(ws["checkpoint"], damaged, to_text)
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = ["eval", "--checkpoint", str(damaged), "--dataset", str(ws["data"])]
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcast.cli", *command, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: checkpoint integrity check failed")
+        assert "head.b: dtype <U3, expected float64" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_grid_must_start_at_zero(self, ws, tmp_path):
         rc = cli.main(

@@ -81,6 +81,15 @@ def write_seven_per_day_csv(path, days=2):
     return path
 
 
+def write_two_per_day_csv(path, days):
+    """One station at 12-hour steps over the given ISO day strings."""
+    rows = ["timestamp,a"] + [f"{day}T{hour}:00:00,1.0" for day in days for hour in ("00", "12")]
+    path.write_text("\n".join(rows) + "\n")
+    sidecar = {"stations": ["a"], "lane": "ML", "points_per_day": 2}
+    Path(str(path) + ".meta.json").write_text(json.dumps(sidecar))
+    return path
+
+
 class TestFlowDataset:
     def test_validation(self):
         with pytest.raises(DataError, match="equal 2-D shapes"):
@@ -113,6 +122,23 @@ class TestFlowDataset:
         assert ds.timestamp(288) == dt.datetime(2019, 1, 8, 0, 0)
         assert ds.timestamp(12) == dt.datetime(2019, 1, 7, 1, 0)
         assert ds.num_days == 9
+
+
+class TestLastDate:
+    def test_table_may_end_on_the_last_date(self, tmp_path):
+        ds = load_csv(write_two_per_day_csv(tmp_path / "t.csv", ["9999-12-30", "9999-12-31"]))
+        assert ds.num_days == 2
+        assert ds.timestamp(3) == dt.datetime(9999, 12, 31, 12)
+
+    def test_day_past_the_last_date_rejected(self, tmp_path):
+        path = write_two_per_day_csv(tmp_path / "t.csv", ["9999-12-31", "10000-01-01"])
+        with pytest.raises(DataError, match="row 4: the table runs past 9999-12-31"):
+            load_csv(path)
+
+    def test_dataset_past_the_last_date_rejected(self):
+        FlowDataset(np.zeros((1, 1)), np.ones((1, 1), bool), ("a",), dt.date(9999, 12, 31), 1)
+        with pytest.raises(DataError, match="2 days from 9999-12-31 run past 9999-12-31"):
+            FlowDataset(np.zeros((1, 2)), np.ones((1, 2), bool), ("a",), dt.date(9999, 12, 31), 1)
 
 
 class TestCsvRoundTrip:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tensor, tensor_sum
+from flowcast.autodiff import Tensor, backward, tensor_sum
 from flowcast.hybrid import (
     ARCHITECTURES,
     Model,
@@ -59,6 +59,27 @@ GOLDEN_COUNTS = {
     "LSTM2-SP-CNN3": 6 * 220 + 3 * 12 + 2110,     # 3466
     "CNN1-SP-LSTM1": 3 * 220 + 3 * 5 + 2110,      # 2785
 }
+
+
+def assert_on_buffer(model):
+    """Every parameter's data and grad are views of the model's two flat
+    vectors, and together the parameters cover them exactly."""
+    tensors = parameters(model)
+    assert sum(t.data.size for t in tensors) == model.values.size == model.grads.size
+    for t in tensors:
+        assert np.shares_memory(t.data, model.values)
+        assert np.shares_memory(t.grad, model.grads)
+
+
+@pytest.mark.parametrize("name", sorted(ARCHITECTURES))
+def test_parameters_are_views_of_one_buffer(name):
+    model = build(spec_for(name), seed=0)
+    assert_on_buffer(model)
+    backward(tensor_sum(forward(model, FakeSample(np.random.default_rng(2), 5, 7))))
+    written = sum(np.abs(t.grad).sum() for t in parameters(model))
+    assert written > 0 and written == pytest.approx(np.abs(model.grads).sum(), rel=1e-12)
+    model.values[...] = 0.5
+    assert all(np.all(t.data == 0.5) for t in parameters(model))
 
 
 @pytest.mark.parametrize("name,count", sorted(GOLDEN_COUNTS.items()))

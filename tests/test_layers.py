@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tensor, mul, tensor_sum
+from flowcast.autodiff import Tensor, flat_leaves, mul, tensor_sum
+from flowcast.hybrid import ARCHITECTURES, ModelSpec, build
 from flowcast.layers import (
     ConvLayerParams,
     ConvStackSpec,
@@ -15,8 +16,6 @@ from flowcast.layers import (
     conv_stack,
     dense,
     glorot_uniform,
-    init_conv_stack,
-    init_dense,
     init_lstm,
     _lstm_forward,
     lstm_layer,
@@ -26,13 +25,18 @@ from gradcheck import check_gradients
 
 
 def zero_lstm_params(p):
-    z = lambda shape: Tensor(np.zeros(shape), requires_grad=True)
-    kw = {}
-    for g in ("f", "i", "c", "o"):
-        kw[f"W_{g}"] = z((p, p))
-        kw[f"U_{g}"] = z((p, p))
-        kw[f"b_{g}"] = z(p)
-    return LstmParams(**kw)
+    return LstmParams(*flat_leaves([np.zeros((4 * p, p)), np.zeros((4 * p, p)), np.zeros(4 * p)])[2])
+
+
+def conv_params(rng, spec):
+    """Glorot kernels and zero biases, drawn as ``build`` draws them."""
+    return [
+        ConvLayerParams(
+            Tensor(glorot_uniform(rng, (1, 1, k), k, k), requires_grad=True),
+            Tensor(np.zeros(1), requires_grad=True),
+        )
+        for k in spec.kernel_sizes
+    ]
 
 
 def scalar_sigmoid(v):
@@ -203,14 +207,16 @@ class TestLstmLayer:
         check_gradients(lambda: tensor_sum(mul(lstm_layer(params, seq), weights)), leaves)
 
     def test_rebound_parameter_changes_next_forward(self):
-        # training restores the best epoch by assigning new arrays to .data
+        # training restores the best epoch by copying into the parameter
+        # buffer, so an in-place write through a per-gate view must reach
+        # the packed weights the next forward reads
         rng = np.random.default_rng(16)
         params = init_lstm(rng, 4)
         seq = Tensor(rng.normal(size=(4, 5, 3)))
         before = lstm_layer(params, seq).data
-        params.U_o.data = params.U_o.data + 0.5
+        params.U_o.data += 0.5
         after = lstm_layer(params, seq).data
-        fresh = LstmParams(**{name: Tensor(t.data.copy()) for name, t in params.named()})
+        fresh = LstmParams(*flat_leaves([params.W.data, params.U.data, params.b.data])[2])
         assert not np.allclose(before, after)
         np.testing.assert_array_equal(after, lstm_layer(fresh, seq).data)
 
@@ -235,8 +241,8 @@ class TestLstmLayer:
         p = 4
         params = init_lstm(rng, p)
         for gate, sign in zip("fio", (-1.0, 1.0, 1.0)):
-            getattr(params, f"b_{gate}").data = sign * np.full(p, 800.0)
-        params.b_c.data = np.array([800.0, -800.0, 800.0, -800.0])
+            getattr(params, f"b_{gate}").data[...] = sign * np.full(p, 800.0)
+        params.b_c.data[...] = np.array([800.0, -800.0, 800.0, -800.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = lstm_layer(params, Tensor(rng.normal(size=(p, 6, 3)))).data
@@ -258,7 +264,7 @@ class TestConvStack:
     def test_output_nonnegative(self):
         rng = np.random.default_rng(8)
         spec = ConvStackSpec((4, 3, 2))
-        params = init_conv_stack(rng, spec)
+        params = conv_params(rng, spec)
         out = conv_stack(spec, params, Tensor(-np.abs(rng.normal(size=(9, 5)))))
         assert np.all(out.data >= 0.0)
 
@@ -266,21 +272,21 @@ class TestConvStack:
     def test_shape_preserved(self, p):
         rng = np.random.default_rng(9)
         spec = ConvStackSpec((4, 3, 2))
-        params = init_conv_stack(rng, spec)
+        params = conv_params(rng, spec)
         out = conv_stack(spec, params, Tensor(rng.normal(size=(p, 21))))
         assert out.data.shape == (p, 21)
 
     def test_shape_preserved_with_batch_axis(self):
         rng = np.random.default_rng(10)
         spec = ConvStackSpec((4, 3, 2))
-        params = init_conv_stack(rng, spec)
+        params = conv_params(rng, spec)
         out = conv_stack(spec, params, Tensor(rng.normal(size=(8, 21, 4))))
         assert out.data.shape == (8, 21, 4)
 
     def test_station_axis_shorter_than_kernel_rejected(self):
         rng = np.random.default_rng(11)
         spec = ConvStackSpec((4,))
-        params = init_conv_stack(rng, spec)
+        params = conv_params(rng, spec)
         with pytest.raises(ValueError, match="shorter than kernel"):
             conv_stack(spec, params, Tensor(np.zeros((3, 21))))
 
@@ -289,7 +295,7 @@ class TestConvStack:
         # linear side of the ReLU, where finite differences are valid
         rng = np.random.default_rng(12)
         spec = ConvStackSpec((3, 2))
-        params = init_conv_stack(rng, spec)
+        params = conv_params(rng, spec)
         for layer in params:
             layer.kernel.data[:] = np.abs(layer.kernel.data) + 0.1
             layer.bias.data[:] = 0.3
@@ -338,16 +344,17 @@ class TestInit:
     def test_glorot_limit(self):
         t = glorot_uniform(np.random.default_rng(1), (50, 50), 50, 50)
         limit = math.sqrt(6.0 / 100.0)
-        assert np.max(np.abs(t.data)) <= limit
+        assert np.max(np.abs(t)) <= limit
 
     def test_dense_init_shapes(self):
-        d = init_dense(np.random.default_rng(2), 6, 10)
-        assert d.W.data.shape == (6, 10) and d.b.data.shape == (6,)
+        # LSTM1 at p=2, n=5, h=3: the head maps 3 streams x 2 x 5 inputs to 2 x 3
+        d = build(ModelSpec(ARCHITECTURES["LSTM1"], p=2, n=5, h=3), seed=2).head
+        assert d.W.data.shape == (6, 30) and d.b.data.shape == (6,)
 
     def test_lstm_params_shape_validation(self):
-        bad = {f"{k}_{g}": Tensor(np.zeros((3, 3)), requires_grad=True)
-               for g in ("f", "i", "c", "o") for k in ("W", "U")}
-        bad |= {f"b_{g}": Tensor(np.zeros(4), requires_grad=True)
-                for g in ("f", "i", "c", "o")}
-        with pytest.raises(ValueError, match="b_f"):
-            LstmParams(**bad)
+        bad = flat_leaves([np.zeros((12, 3)), np.zeros((12, 3)), np.zeros(16)])[2]
+        with pytest.raises(ValueError, match="^b must be a \\(12,\\)"):
+            LstmParams(*bad)
+        unbuffered = [Tensor(np.zeros(shape), requires_grad=True) for shape in ((12, 3), (12, 3), (12,))]
+        with pytest.raises(ValueError, match="^W must be .* gradient buffer"):
+            LstmParams(*unbuffered)

@@ -27,6 +27,7 @@ from flowcast.training import (
 )
 
 from gradcheck import finite_difference
+from test_hybrid import assert_on_buffer
 
 
 @pytest.fixture(scope="module")
@@ -137,69 +138,85 @@ class TestMseLoss:
         np.testing.assert_allclose(pred.grad, numeric, atol=1e-7)
 
 
-def single_param(value: float) -> list[Tensor]:
-    return [Tensor(np.array([value]), requires_grad=True)]
+def single_param(value: float) -> np.ndarray:
+    return np.array([value])
 
 
 class TestAdamStep:
     def test_zero_gradient_zero_moments_unchanged(self):
         cfg = TrainConfig(l2=0.0)
-        params = single_param(2.5)
-        state = adam_init(params)
-        adam_step(params, [np.zeros(1)], state, cfg)
-        assert params[0].data[0] == 2.5
+        values = single_param(2.5)
+        state = adam_init(values)
+        adam_step(values, np.zeros(1), state, cfg)
+        assert values[0] == 2.5
 
     def test_single_step_hand_value(self):
         cfg = TrainConfig(lr=0.1, l2=0.0)
-        params = single_param(1.0)
-        state = adam_init(params)
-        adam_step(params, [np.array([0.5])], state, cfg)
+        values = single_param(1.0)
+        state = adam_init(values)
+        adam_step(values, np.array([0.5]), state, cfg)
         # m_hat = 0.5, v_hat = 0.25 after bias correction
         want = 1.0 - 0.1 * 0.5 / (math.sqrt(0.25) + cfg.eps)
-        assert params[0].data[0] == pytest.approx(want, abs=1e-15)
+        assert values[0] == pytest.approx(want, abs=1e-15)
         assert state.step == 1
 
     @pytest.mark.parametrize("g", [0.3, -0.7])
     def test_constant_gradient_limit(self, g):
         cfg = TrainConfig(lr=0.05, l2=0.0)
-        params = single_param(0.0)
-        state = adam_init(params)
+        values = single_param(0.0)
+        state = adam_init(values)
         expected_delta = -cfg.lr * g / (abs(g) + cfg.eps)
         for _ in range(60):
-            before = params[0].data[0]
-            adam_step(params, [np.array([g])], state, cfg)
-            delta = params[0].data[0] - before
+            before = values[0]
+            adam_step(values, np.array([g]), state, cfg)
+            delta = values[0] - before
             assert delta == pytest.approx(expected_delta, abs=1e-12)
 
     def test_l2_decays_parameter_norm(self):
         cfg = TrainConfig(lr=1e-3, l2=0.01)
-        params = single_param(5.0)
-        state = adam_init(params)
-        norms = [abs(params[0].data[0])]
+        values = single_param(5.0)
+        state = adam_init(values)
+        norms = [abs(values[0])]
         for _ in range(10):
-            adam_step(params, [np.zeros(1)], state, cfg)
-            norms.append(abs(params[0].data[0]))
+            adam_step(values, np.zeros(1), state, cfg)
+            norms.append(abs(values[0]))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_non_finite_gradient_aborts(self):
         cfg = TrainConfig()
-        params = single_param(1.0)
-        state = adam_init(params)
+        values = single_param(1.0)
+        state = adam_init(values)
         with pytest.raises(NumericError, match="non-finite"):
-            adam_step(params, [np.array([np.inf])], state, cfg)
+            adam_step(values, np.array([np.inf]), state, cfg)
 
     def test_count_mismatch_rejected(self):
         cfg = TrainConfig()
-        params = single_param(1.0)
+        values = single_param(1.0)
         with pytest.raises(ValueError, match="counts differ"):
-            adam_step(params, [np.zeros(1)], AdamState(m=[], v=[]), cfg)
+            adam_step(values, np.zeros(1), AdamState(m=np.zeros(0), v=np.zeros(0)), cfg)
 
     def test_shape_mismatch_rejected(self):
         cfg = TrainConfig()
-        params = single_param(1.0)
-        state = adam_init(params)
+        values = single_param(1.0)
+        state = adam_init(values)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, [np.zeros(2)], state, cfg)
+            adam_step(values, np.zeros(2), state, cfg)
+
+    def test_whole_vector_step_matches_entrywise_steps(self):
+        # every operation is elementwise, so one step over a packed vector
+        # equals separate steps over its parts, bit for bit
+        cfg = TrainConfig(lr=0.01, l2=1e-3)
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=7)
+        parts = [values[:3].copy(), values[3:].copy()]
+        state = adam_init(values)
+        part_states = [adam_init(part) for part in parts]
+        for _ in range(5):
+            grads = rng.normal(size=7)
+            adam_step(values, grads, state, cfg)
+            adam_step(parts[0], grads[:3], part_states[0], cfg)
+            adam_step(parts[1], grads[3:], part_states[1], cfg)
+        np.testing.assert_array_equal(values, np.concatenate(parts))
 
 
 class TestParameterDigest:
@@ -324,6 +341,15 @@ class TestTrain:
         report = evaluate(model, prepared.val_samples, ("overall",))
         assert report.mae == pytest.approx(best, abs=1e-12)
         assert log.best_entry.epoch == min(log.entries, key=lambda e: e.val_mae).epoch
+
+    def test_restored_parameters_stay_views_of_the_buffer(self, synth, prepared):
+        model = tiny_model(synth)
+        values, grads = model.values, model.grads
+        cfg = TrainConfig(lr=0.05, max_epochs=3, runs=1, seeds=(0,))
+        model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
+        assert model.values is values and model.grads is grads
+        assert_on_buffer(model)
+        assert log.checkpoint_id == parameter_digest(model)
 
     def test_empty_streams_rejected(self, synth, prepared):
         model = tiny_model(synth)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import StandardStats, WindowConfig
 from .errors import DataError
-from .hybrid import STREAMS, ModelSpec, Topology, build, named_parameters
+from .hybrid import STREAMS, ModelSpec, Topology, blank, named_parameters
 from .training import TrainedModel, model_spec_for, parameter_digest
 from .version import VERSION
 
@@ -216,12 +216,17 @@ def _parse_manifest(manifest: dict) -> tuple[ModelSpec, dict]:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Rebuild a TrainedModel, verifying every manifest field and parameter hash."""
+    """Rebuild a TrainedModel, verifying every manifest field and parameter hash.
+
+    The model starts at zero and every parameter is filled from its verified
+    array; one the manifest does not name is an error, not a zero.
+    """
     manifest, arrays = _read_archive(path)
     spec, fields = _parse_manifest(manifest)
-    model = build(spec, seed=0)
+    model = blank(spec)
     by_name = dict(named_parameters(model))
-    problems = []
+    listed = {entry["name"] for entry in manifest["params"]}
+    problems = [f"{name}: not in the manifest" for name in by_name if name not in listed]
     for entry in manifest["params"]:
         key = _PARAM_PREFIX + entry["name"]
         if entry["name"] not in by_name:

@@ -406,21 +406,15 @@ def slice_days(ds: FlowDataset, day_range: tuple[int, int]) -> FlowDataset:
     )
 
 
-def split(
-    ds: FlowDataset, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """Chronological day ranges (train, val, test); leftover days go to train."""
+def split(ds: FlowDataset) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """Chronological 80/10/10 day ranges (train, val, test): validation and
+    test get a tenth of the days each, rounded down, and train the rest."""
     days = ds.num_days
     if days < 10:
         raise DataError(f"need at least 10 days to split, have {days}")
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"fractions must be three numbers summing to 1: {fractions}")
-    n_val = int(fractions[1] * days)
-    n_test = int(fractions[2] * days)
-    n_train = days - n_val - n_test
-    if min(n_train, n_val, n_test) < 1:
-        raise DataError(f"split {fractions} of {days} days leaves an empty part")
-    return (0, n_train), (n_train, n_train + n_val), (n_train + n_val, days)
+    held_out = int(0.1 * days)
+    n_train = days - 2 * held_out
+    return (0, n_train), (n_train, n_train + held_out), (n_train + held_out, days)
 
 
 def window_positions(cfg: WindowConfig, points_per_day: int = POINTS_PER_DAY) -> range:

@@ -147,28 +147,25 @@ def as_predictor(subject) -> Callable:
     raise DataError(f"cannot use a {type(subject).__name__} as a predictor")
 
 
-def _view_sizes(p: int, h: int, points_per_day: int) -> dict[str, int]:
+def _view_rules(
+    p: int, h: int, ppd: int, start_date, station_ids
+) -> dict[str, tuple[tuple, Callable]]:
+    """Each view's bucket labels and the rule that buckets a cell by its
+    station, horizon step and absolute time index, given as arrays that
+    broadcast to the [p, h, batch] target block."""
     return {
-        "overall": 1,
-        "horizon": h,
-        "timestamp": points_per_day,
-        "weekday": WEEK_DAYS,
-        "station": p,
+        "overall": (("all",), lambda st, hz, t: 0),
+        "horizon": (tuple(range(1, h + 1)), lambda st, hz, t: hz),
+        "timestamp": (tuple(range(ppd)), lambda st, hz, t: t % ppd),
+        "weekday": (
+            WEEKDAY_NAMES,
+            lambda st, hz, t: (t // ppd + start_date.weekday()) % WEEK_DAYS,
+        ),
+        "station": (
+            tuple(range(p)) if station_ids is None else tuple(station_ids),
+            lambda st, hz, t: st,
+        ),
     }
-
-
-def _labels(view: str, p: int, h: int, points_per_day: int, station_ids) -> tuple:
-    if view == "overall":
-        return ("all",)
-    if view == "horizon":
-        return tuple(range(1, h + 1))
-    if view == "timestamp":
-        return tuple(range(points_per_day))
-    if view == "weekday":
-        return WEEKDAY_NAMES
-    if station_ids is not None:
-        return tuple(station_ids)
-    return tuple(range(p))
 
 
 def evaluate(
@@ -210,10 +207,12 @@ def evaluate(
     p, h = samples.targets.num_stations, samples.cfg.h
     if station_ids is not None and len(station_ids) != p:
         raise DataError(f"{len(station_ids)} station ids for {p} stations")
-    sizes = _view_sizes(p, h, points_per_day)
+    rules = _view_rules(p, h, points_per_day, start_date, station_ids)
+    sizes = {name: len(rules[name][0]) for name in requested}
     abs_sums = {name: np.zeros(sizes[name]) for name in requested}
     sq_sums = {name: np.zeros(sizes[name]) for name in requested}
     counts = {name: np.zeros(sizes[name], dtype=int) for name in requested}
+    st, hz = np.arange(p)[:, None, None], np.arange(h)[:, None]
     predict = as_predictor(subject)
 
     for batch in day_batches(samples):
@@ -224,25 +223,12 @@ def evaluate(
             raise DataError(
                 f"predictor returned shape {pred.shape}, expected {target.shape}"
             )
-        if not target_mask.any():
-            continue
         diff = (pred - target)[target_mask]
         abs_err = np.abs(diff)
         sq_err = diff * diff
-        st_idx, hz_idx, _ = np.indices(target.shape)
-        times = ts[None, None, :] + hz_idx
+        t = ts + hz
         for name in requested:
-            if name == "overall":
-                idx = np.zeros(diff.size, dtype=int)
-            elif name == "horizon":
-                idx = hz_idx[target_mask]
-            elif name == "timestamp":
-                idx = (times % points_per_day)[target_mask]
-            elif name == "weekday":
-                days = times // points_per_day
-                idx = ((days + start_date.weekday()) % WEEK_DAYS)[target_mask]
-            else:
-                idx = st_idx[target_mask]
+            idx = np.broadcast_to(rules[name][1](st, hz, t), target.shape)[target_mask]
             abs_sums[name] += np.bincount(idx, weights=abs_err, minlength=sizes[name])
             sq_sums[name] += np.bincount(idx, weights=sq_err, minlength=sizes[name])
             counts[name] += np.bincount(idx, minlength=sizes[name])
@@ -253,7 +239,7 @@ def evaluate(
         safe = np.maximum(c, 1)
         out[name] = ViewMetrics(
             view=name,
-            labels=_labels(name, p, h, points_per_day, station_ids),
+            labels=rules[name][0],
             mae=np.where(c > 0, abs_sums[name] / safe, np.nan),
             rmse=np.where(c > 0, np.sqrt(sq_sums[name] / safe), np.nan),
             counts=c,
@@ -323,23 +309,18 @@ class SweepResult:
         return self.point(at).mae_mean / self.point(0.0).mae_mean
 
 
-def _aggregate(
-    ratio: float,
-    maes: Sequence[float],
-    rmses: Sequence[float],
-    cells: Sequence[int],
-) -> SweepPoint:
-    mae_arr = np.asarray(maes, dtype=float)
-    rmse_arr = np.asarray(rmses, dtype=float)
+def _aggregate(ratio: float, reports: Sequence[EvalReport]) -> SweepPoint:
+    maes = np.array([r.mae for r in reports])
+    rmses = np.array([r.rmse for r in reports])
     return SweepPoint(
         ratio=ratio,
-        mae_mean=float(mae_arr.mean()),
-        mae_sd=float(mae_arr.std(ddof=0)),
-        rmse_mean=float(rmse_arr.mean()),
-        rmse_sd=float(rmse_arr.std(ddof=0)),
-        seed_mae=tuple(float(v) for v in mae_arr),
-        seed_rmse=tuple(float(v) for v in rmse_arr),
-        seed_cells=tuple(int(c) for c in cells),
+        mae_mean=float(maes.mean()),
+        mae_sd=float(maes.std(ddof=0)),
+        rmse_mean=float(rmses.mean()),
+        rmse_sd=float(rmses.std(ddof=0)),
+        seed_mae=tuple(r.mae for r in reports),
+        seed_rmse=tuple(r.rmse for r in reports),
+        seed_cells=tuple(r.cells for r in reports),
     )
 
 
@@ -363,7 +344,6 @@ def robustness_sweep(
     injection_seeds: Sequence[int] = DEFAULT_INJECTION_SEEDS,
     cfg=None,
     window_cfg: WindowConfig | None = None,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> SweepResult:
     """Prediction error as a function of the injected missing ratio.
 
@@ -371,7 +351,8 @@ def robustness_sweep(
     model (``subject`` must be a TrainedModel); scope="all" corrupts the whole
     table and retrains from scratch per ratio and seed, pairing each injection
     seed with the same build seed. Metrics are aggregated over the injection
-    seeds; targets are scored at cells still observed after injection.
+    seeds, which must be distinct; targets are scored at cells still observed
+    after injection.
     """
     from . import training
 
@@ -379,6 +360,8 @@ def robustness_sweep(
     seeds = tuple(injection_seeds)
     if not seeds:
         raise DataError("need at least one injection seed")
+    if len(set(seeds)) != len(seeds):
+        raise DataError(f"injection seeds {seeds} repeat; each must be its own draw")
     if scope not in ("test", "all"):
         raise DataError(f"unknown sweep scope {scope!r}")
     if method not in imputation.METHODS:
@@ -386,39 +369,26 @@ def robustness_sweep(
             f"unknown imputation method {method!r}, expected {imputation.METHODS}"
         )
     cleaned = clean(dataset)
-    points = []
 
     if scope == "test":
         if not isinstance(subject, training.TrainedModel):
             raise DataError("scope 'test' reuses a trained model; pass a TrainedModel")
-        trained = subject
-        _, _, test_range = trained.ranges
+        arch = subject.arch
+        test_range = subject.ranges[2]
         # Test-scope injection never touches the training days, so one rule
-        # fitted on the clean table serves every injected one.
-        imputer = training._fit_test_fill(trained, cleaned, method)
+        # fitted on the clean table serves every injected one; at ratio 0 every
+        # seed leaves the table clean, so it is scored once.
+        imputer = training._fit_test_fill(subject, cleaned, method)
+        at_zero = training._score_test(subject, cleaned, imputer)
 
-        def score(injected: FlowDataset) -> tuple[float, float, int]:
-            report = training._score_test(trained, injected, imputer)
-            return report.mae, report.rmse, report.cells
-
-        for ratio in grid:
+        def score(ratio: float, seed: int) -> EvalReport:
             if ratio == 0.0:
-                one_mae, one_rmse, one_cells = score(cleaned)
-                maes = [one_mae] * len(seeds)
-                rmses = [one_rmse] * len(seeds)
-                cell_counts = [one_cells] * len(seeds)
-            else:
-                maes, rmses, cell_counts = [], [], []
-                for seed in seeds:
-                    injected, _ = imputation.inject_missing(
-                        cleaned, ratio, seed, scope="test", day_range=test_range
-                    )
-                    m, r, c = score(injected)
-                    maes.append(m)
-                    rmses.append(r)
-                    cell_counts.append(c)
-            points.append(_aggregate(ratio, maes, rmses, cell_counts))
-        arch = trained.arch
+                return at_zero
+            injected, _ = imputation.inject_missing(
+                cleaned, ratio, seed, scope="test", day_range=test_range
+            )
+            return training._score_test(subject, injected, imputer)
+
     else:
         arch = subject.arch if isinstance(subject, training.TrainedModel) else subject
         if not isinstance(arch, str):
@@ -426,22 +396,20 @@ def robustness_sweep(
         if cfg is None:
             raise DataError("scope 'all' retrains models and needs a TrainConfig")
         wcfg = window_cfg or WindowConfig()
-        for ratio in grid:
-            maes, rmses, cell_counts = [], [], []
-            for seed in seeds:
-                injected, _ = imputation.inject_missing(cleaned, ratio, seed)
-                trained_r, _, prepared = training.train_once(
-                    arch, injected, method, cfg, wcfg, seed=seed, fractions=fractions
-                )
-                report = evaluate(trained_r.model, prepared.test_samples)
-                maes.append(report.mae)
-                rmses.append(report.rmse)
-                cell_counts.append(report.cells)
-            points.append(_aggregate(ratio, maes, rmses, cell_counts))
 
+        def score(ratio: float, seed: int) -> EvalReport:
+            injected, _ = imputation.inject_missing(cleaned, ratio, seed)
+            trained, _, prepared = training.train_once(
+                arch, injected, method, cfg, wcfg, seed=seed
+            )
+            return evaluate(trained.model, prepared.test_samples)
+
+    points = tuple(
+        _aggregate(ratio, [score(ratio, seed) for seed in seeds]) for ratio in grid
+    )
     return SweepResult(
         method=method,
         scope=scope,
-        points=tuple(points),
+        points=points,
         metadata={"arch": arch, "seeds": list(seeds)},
     )

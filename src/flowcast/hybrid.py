@@ -134,21 +134,15 @@ class Model:
     grads: np.ndarray
 
 
-def build(spec: ModelSpec, seed: int) -> Model:
-    """Initialize a model deterministically from the seed: draws run stream by
-    stream (LSTM, then conv layers), then the head, into one value vector."""
-    rng = np.random.default_rng(seed)
-    depth = spec.topology.lstm_depth
+def blank(spec: ModelSpec) -> Model:
+    """A model whose parameters are all zero, laid out stream by stream (LSTM,
+    then conv layers), then the head, in one value vector."""
+    p, depth = spec.p, spec.topology.lstm_depth
     kernels = KERNEL_CASCADES.get(spec.topology.cnn_depth, ())
-    arrays = []
-    for _ in range(STREAMS):
-        for _ in range(depth):
-            arrays += init_lstm_values(rng, spec.p)
-        for k in kernels:
-            arrays += [glorot_uniform(rng, (1, 1, k), k, k), np.zeros(1)]
-    out, width = spec.head_out_width, spec.head_in_width
-    arrays += [glorot_uniform(rng, (out, width), width, out), np.zeros(out)]
-    values, grads, leaves = flat_leaves(arrays)
+    stream = [(4 * p, p), (4 * p, p), (4 * p,)] * depth
+    stream += [shape for k in kernels for shape in ((1, 1, k), (1,))]
+    head = [(spec.head_out_width, spec.head_in_width), (spec.head_out_width,)]
+    values, grads, leaves = flat_leaves([np.zeros(s) for s in stream * STREAMS + head])
     take = iter(leaves).__next__
     blocks = [
         StreamBlocks(
@@ -158,6 +152,23 @@ def build(spec: ModelSpec, seed: int) -> Model:
         for _ in range(STREAMS)
     ]
     return Model(spec, blocks, DenseParams(take(), take()), values, grads)
+
+
+def build(spec: ModelSpec, seed: int) -> Model:
+    """Initialize a model deterministically from the seed: draws run in the
+    value vector's order; biases start at zero except the LSTM forget gate's."""
+    rng = np.random.default_rng(seed)
+    model = blank(spec)
+    for blocks in model.blocks:
+        for lstm in blocks.lstms:
+            for leaf, value in zip((lstm.W, lstm.U, lstm.b), init_lstm_values(rng, spec.p)):
+                leaf.data[...] = value
+        for conv in blocks.convs:
+            k = conv.kernel.data.size
+            conv.kernel.data[...] = glorot_uniform(rng, (1, 1, k), k, k)
+    out, width = model.head.W.data.shape
+    model.head.W.data[...] = glorot_uniform(rng, (out, width), width, out)
+    return model
 
 
 def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tensor:

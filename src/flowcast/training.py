@@ -82,6 +82,8 @@ class TrainConfig:
                 f"need at least {self.runs} seeds for {self.runs} runs, "
                 f"got {len(self.seeds)}"
             )
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds {self.seeds} repeat; each run needs its own seed")
 
 
 @dataclass(frozen=True)
@@ -215,46 +217,26 @@ class PreparedData:
     test_samples: Windows
 
 
-def _fill_and_standardize(
-    cleaned: FlowDataset,
-    imputer: imputation.ImputationModel,
-    train_range: tuple[int, int],
-    stats: StandardStats | None,
-) -> tuple[FlowDataset, FlowDataset, StandardStats]:
-    """Fill the cleaned table, then standardize it and the cleaned truth.
-
-    The stats, unless given, are fitted on the training days.
-    """
-    filled = imputation.impute(imputer, cleaned)
-    if stats is None:
-        filled_std, stats = standardize(filled, train_range)
-    else:
-        filled_std = apply_standardization(filled, stats)
-    return filled_std, apply_standardization(cleaned, stats), stats
-
-
 def prepare_data(
     ds: FlowDataset,
     method: str = imputation.MEAN,
     wcfg: WindowConfig = WindowConfig(),
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    stats: StandardStats | None = None,
 ) -> PreparedData:
     """Run the full preprocessing pipeline on a raw dataset.
 
-    Cleans, splits chronologically, fits imputation on the training days,
-    fills the whole table, standardizes with training statistics (or applies
-    given ones), and extracts windows over the standardized tables. Training
-    targets come from the filled table; validation and test targets keep the
-    original values and masks so scoring never trusts an imputed reading.
+    Cleans, splits chronologically 80/10/10, fits imputation on the training
+    days, fills the whole table, standardizes it and the cleaned truth with
+    statistics of the filled training days, and extracts windows over the
+    standardized tables. Training targets come from the filled table;
+    validation and test targets keep the original values and masks so
+    scoring never trusts an imputed reading.
     """
-    ranges = split(ds, fractions)
+    ranges = split(ds)
     train_range, val_range, test_range = ranges
     cleaned = clean(ds)
     imputer = imputation.fit(method, slice_days(cleaned, train_range))
-    filled_std, truth_std, stats = _fill_and_standardize(
-        cleaned, imputer, train_range, stats
-    )
+    filled_std, stats = standardize(imputation.impute(imputer, cleaned), train_range)
+    truth_std = apply_standardization(cleaned, stats)
     return PreparedData(
         dataset=filled_std,
         stats=stats,
@@ -382,13 +364,13 @@ def _score_test(
     imputer: imputation.ImputationModel,
     views: Sequence[str] = ("overall",),
 ):
-    """Score the model on the test days of a cleaned table under a fitted rule."""
-    train_range, _, test_range = trained.ranges
-    filled_std, truth_std, _ = _fill_and_standardize(
-        cleaned, imputer, train_range, trained.stats
-    )
+    """Score the model on the test days of a cleaned table under a fitted rule,
+    standardized with the model's stats."""
     samples = extract_windows(
-        filled_std, trained.window_cfg, test_range, target_from=truth_std
+        apply_standardization(imputation.impute(imputer, cleaned), trained.stats),
+        trained.window_cfg,
+        trained.ranges[2],
+        target_from=apply_standardization(cleaned, trained.stats),
     )
     return evaluate(
         trained.model,
@@ -421,11 +403,10 @@ def train_once(
     cfg: TrainConfig,
     wcfg: WindowConfig = WindowConfig(),
     seed: int = 0,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> tuple[TrainedModel, TrainLog, PreparedData]:
     """Prepare the dataset and train a single model from one seed."""
     spec = model_spec_for(arch, ds.num_stations, wcfg)
-    prepared = prepare_data(ds, method, wcfg, fractions)
+    prepared = prepare_data(ds, method, wcfg)
     model = build(spec, seed)
     model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
     return _bundle(model, arch, method, prepared), log, prepared
@@ -471,11 +452,10 @@ def run_experiment(
     method: str,
     cfg: TrainConfig = TrainConfig(),
     wcfg: WindowConfig = WindowConfig(),
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> ExperimentResult:
     """Train cfg.runs independent models and aggregate their metrics."""
     spec = model_spec_for(arch, ds.num_stations, wcfg)
-    prepared = prepare_data(ds, method, wcfg, fractions)
+    prepared = prepare_data(ds, method, wcfg)
     runs = []
     for seed in cfg.seeds[: cfg.runs]:
         model = build(spec, seed)

@@ -15,6 +15,7 @@ from flowcast.checkpoint import (
     save_checkpoint,
 )
 from flowcast.dataset import StandardStats, WindowConfig
+from flowcast import hybrid, layers
 from flowcast.errors import DataError
 from flowcast.hybrid import (
     ARCHITECTURES,
@@ -252,6 +253,37 @@ class TestIntegrity:
         rewrite(src, dst, drop)
         with pytest.raises(DataError, match="head.W: missing"):
             load_checkpoint(dst)
+
+    def test_parameter_missing_from_manifest_rejected(self, tmp_path):
+        # head.b of a fresh build is zero, and so is a blank model's: leaving
+        # it unfilled would load a model that matches the digest.
+        src = tmp_path / "model.npz"
+        dst = tmp_path / "unlisted.npz"
+        save_checkpoint(src, fake_trained())
+
+        def unlist(payload):
+            manifest = json.loads(str(payload["manifest"]))
+            manifest["params"] = [e for e in manifest["params"] if e["name"] != "head.b"]
+            payload["manifest"] = np.asarray(json.dumps(manifest))
+            del payload["param/head.b"]
+            return payload
+
+        rewrite(src, dst, unlist)
+        with pytest.raises(DataError, match="head.b: not in the manifest"):
+            load_checkpoint(dst)
+
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        trained = fake_trained(seed=3, arch="LSTM2-SP-CNN3")
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, trained)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew an initialisation")
+
+        monkeypatch.setattr(hybrid, "glorot_uniform", refuse)
+        monkeypatch.setattr(layers, "glorot_uniform", refuse)
+        loaded = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.model.values, trained.model.values)
 
     def test_wrong_shape_reported(self, tmp_path):
         trained = fake_trained()

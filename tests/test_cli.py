@@ -298,6 +298,37 @@ class TestArgumentErrors:
         assert proc.stderr.startswith("usage error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, code, message",
+        [
+            (["train", "--arch", "LSTM1", "--seed", "0,0"], 1, "seeds (0, 0) repeat"),
+            (["train", "--arch", "LSTM1,LSTM1", "--seed", "0"], 1, "LSTM1 more than once"),
+            (["sweep", "--impute", "mean,mean", "--seed", "1"], 1, "mean more than once"),
+            (["sweep", "--scope", "all", "--arch", "LSTM1", "--seed", "1,1"], 1, "repeat"),
+            (["sweep", "--impute", "mean", "--seed", "1,1"], 2, "seeds (1, 1) repeat"),
+        ],
+        ids=["train-seeds", "train-archs", "sweep-methods", "sweep-all-seeds", "sweep-seeds"],
+    )
+    def test_repeated_seed_or_name_rejected(self, ws, tmp_path, command, code, message):
+        # Run as a user would, so an uncaught exception shows as a traceback.
+        inputs = ["--dataset", str(ws["data"]), "--out", str(tmp_path / "out")]
+        if command[0] == "sweep":
+            inputs += ["--checkpoint", str(ws["checkpoint"])]
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcast.cli", *command, *inputs],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out/*.csv"))
+
     def test_resolve_archs_all(self):
         assert cli._resolve_archs("all") == list(ARCHITECTURES)
         assert len(cli._resolve_archs("all")) == 12

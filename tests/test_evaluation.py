@@ -441,6 +441,21 @@ class TestRobustnessSweep:
             )
         assert calls == []
 
+    @pytest.mark.parametrize("scope", ["test", "all"])
+    def test_repeated_injection_seeds_rejected_before_any_work(
+        self, small_trained, monkeypatch, scope
+    ):
+        ds, trained, _ = small_trained
+        calls = []
+        for module, name in ((imputation, "fit"), (training, "train_once")):
+            monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
+        cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        with pytest.raises(DataError, match="repeat"):
+            robustness_sweep(
+                trained, ds, "mean", (0.0, 0.1), scope, injection_seeds=(1, 2, 1), cfg=cfg
+            )
+        assert calls == []
+
     @pytest.mark.parametrize("method", imputation.METHODS)
     def test_test_scope_fits_once_and_scores_like_evaluate_on(
         self, small_trained, monkeypatch, method
@@ -525,18 +540,29 @@ class TestRobustnessSweep:
     def test_all_scope_retrains(self, small_trained):
         ds, trained, _ = small_trained
         tcfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        seeds = (0, 1)
         sweep = robustness_sweep(
             trained,
             ds,
-            "mean",
+            "interp",
             ratios=(0.0, 0.15),
             scope="all",
-            injection_seeds=(0,),
+            injection_seeds=seeds,
             cfg=tcfg,
         )
         assert sweep.scope == "all"
         assert len(sweep.points) == 2
-        for pt in sweep.points:
-            assert math.isfinite(pt.mae_mean)
-            assert pt.mae_mean <= pt.rmse_mean
         assert sweep.metadata["arch"] == "LSTM1"
+        # Each point retrains on the table injected with seed s, from build seed s.
+        for pt in sweep.points:
+            reports = []
+            for seed in seeds:
+                injected, _ = imputation.inject_missing(clean(ds), pt.ratio, seed)
+                again, _, prepared = training.train_once(
+                    "LSTM1", injected, "interp", tcfg, WindowConfig(), seed=seed
+                )
+                reports.append(evaluate(again.model, prepared.test_samples))
+            assert pt.seed_mae == tuple(r.mae for r in reports)
+            assert pt.seed_rmse == tuple(r.rmse for r in reports)
+            assert pt.seed_cells == tuple(r.cells for r in reports)
+            assert pt.seed_mae[0] != pt.seed_mae[1]

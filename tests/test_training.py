@@ -65,6 +65,8 @@ class TestTrainConfig:
             {"max_epochs": 0},
             {"runs": 0},
             {"runs": 3, "seeds": (0, 1)},
+            {"runs": 2, "seeds": (0, 0)},
+            {"runs": 1, "seeds": (4, 5, 4)},
             {"lr": math.nan},
             {"lr": math.inf},
             {"l2": math.nan},
@@ -289,11 +291,6 @@ class TestPrepareData:
         std_train = prepared.dataset.flows[:, lo:hi]
         assert np.abs(std_train.mean(axis=1)).max() < 0.2
         assert np.abs(std_train.std(axis=1) - 1.0).max() < 0.2
-
-    def test_reuses_given_stats(self, synth, prepared):
-        again = prepare_data(synth, "mean", stats=prepared.stats)
-        assert again.stats is prepared.stats
-        np.testing.assert_array_equal(again.dataset.flows, prepared.dataset.flows)
 
 
 def tiny_model(synth, seed=0):

@@ -16,7 +16,8 @@ from .evaluation import EvalReport, evaluate, mae, rmse, robustness_sweep
 from .hybrid import ARCHITECTURES, ModelSpec, Topology, build
 from .imputation import METHODS, ImputationModel, impute, inject_missing
 from .synthgen import SynthConfig, generate
-from .training import TrainConfig, TrainedModel, evaluate_on, run_experiment, train_once
+from .training import RunTask, TrainConfig, TrainedModel, evaluate_on, run_tasks
+from .training import train_once
 from .version import VERSION
 
 __version__ = VERSION
@@ -30,6 +31,7 @@ __all__ = [
     "METHODS",
     "ModelSpec",
     "NumericError",
+    "RunTask",
     "StandardStats",
     "SynthConfig",
     "Tensor",
@@ -49,7 +51,7 @@ __all__ = [
     "mae",
     "rmse",
     "robustness_sweep",
-    "run_experiment",
+    "run_tasks",
     "save_csv",
     "train_once",
 ]

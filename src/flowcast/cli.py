@@ -25,26 +25,19 @@ from .evaluation import (
     DEFAULT_RATIOS,
     EvalReport,
     VIEWS,
+    mean_sd,
     robustness_sweep,
 )
 from .hybrid import ARCHITECTURES
 from .imputation import MEAN, METHODS
 from .synthgen import SynthConfig, generate
-from .training import TrainConfig, evaluate_on, run_experiment
+from .training import RunTask, TrainConfig, evaluate_on, run_tasks
 from .version import VERSION
 
 CONFIG_VERSION = 1
 
-SUMMARY_KEYS = (
-    "val_mae_mean",
-    "val_mae_sd",
-    "val_rmse_mean",
-    "val_rmse_sd",
-    "test_mae_mean",
-    "test_mae_sd",
-    "test_rmse_mean",
-    "test_rmse_sd",
-)
+METRICS = ("val_mae", "val_rmse", "test_mae", "test_rmse")
+SUMMARY_KEYS = tuple(f"{name}_{stat}" for name in METRICS for stat in ("mean", "sd"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,7 +219,7 @@ def _train_config(args, config: dict, seeds_override=None) -> TrainConfig:
     section.setdefault("runs", len(section["seeds"]))
     try:
         return TrainConfig(**section)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid train settings: {exc}") from None
 
 
@@ -249,7 +242,7 @@ def cmd_synth(args) -> None:
         if "base_profile" in section:
             section["base_profile"] = np.asarray(section["base_profile"], dtype=float)
         cfg = SynthConfig(**section)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid synth settings: {exc}") from None
     ds = generate(cfg)
     out = Path(args.out or _text(config.get("out", "synth.csv"), "out"))
@@ -284,17 +277,19 @@ def cmd_train(args) -> None:
         }
     )
 
-    rows = []
-    for arch in archs:
-        result = run_experiment(arch, ds, method, cfg, wcfg)
-        for run in result.runs:
-            name = f"{arch}_{method}_seed{run.seed}"
-            save_checkpoint(out / "checkpoints" / f"{name}.npz", run.trained)
-            log_path = out / "logs" / f"{name}.jsonl"
-            log_path.parent.mkdir(parents=True, exist_ok=True)
-            log_path.write_text(run.log.to_json_lines())
-        summary = result.summary()
-        rows.append([arch, method] + [summary[key] for key in SUMMARY_KEYS])
+    tasks = [RunTask(a, method, 0.0, s) for a in archs for s in cfg.seeds[: cfg.runs]]
+    scores = {arch: [] for arch in archs}
+    for run in run_tasks(ds, tasks, cfg, wcfg):
+        name = f"{run.task.arch}_{method}_seed{run.seed}"
+        save_checkpoint(out / "checkpoints" / f"{name}.npz", run.trained)
+        log_path = out / "logs" / f"{name}.jsonl"
+        log_path.parent.mkdir(parents=True, exist_ok=True)
+        log_path.write_text(run.log.to_json_lines())
+        scores[run.task.arch].append([getattr(run, metric) for metric in METRICS])
+    rows = [
+        [arch, method, *(x for column in zip(*runs) for x in mean_sd(column))]
+        for arch, runs in scores.items()
+    ]
 
     _write_csv(out / "metrics.csv", digest, ["arch", "impute", *SUMMARY_KEYS], rows)
     for row in rows:
@@ -357,6 +352,10 @@ def cmd_sweep(args) -> None:
     ratios = args.ratios or _numbers(
         section.get("ratios", DEFAULT_RATIOS), (int, float), "sweep ratios"
     )
+    try:
+        ratios = tuple(float(r) for r in ratios)  # hashed alike however written
+    except OverflowError:
+        raise DataError(f"ratios must be finite and within [0, 0.5], got {ratios}") from None
     scope = args.scope or section.get("scope", "test")
     if scope not in ("test", "all"):
         raise UsageError(f"unknown sweep scope {scope!r}; choose test or all")

@@ -22,7 +22,11 @@ class UsageError(Exception):
 
 def check_field_types(settings) -> None:
     """Raise TypeError for a field of a settings dataclass, annotated ``int``,
-    ``float``, ``dt.date`` or ``tuple[int, ...]``, that holds something else."""
+    ``float``, ``dt.date`` or ``tuple[int, ...]``, that holds something else.
+
+    A ``float`` field's value is stored as a float, so equal settings print,
+    compare and hash alike; an int too large for a float raises OverflowError.
+    """
     for f in dataclasses.fields(settings):
         value = getattr(settings, f.name)
         kind, items = f.type, (value,)
@@ -34,3 +38,5 @@ def check_field_types(settings) -> None:
                     f"{type(settings).__name__}.{f.name} must be of type {f.type}, "
                     f"got {value!r}"
                 )
+        if kind == "float":
+            object.__setattr__(settings, f.name, float(value))

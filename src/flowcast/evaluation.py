@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -180,10 +181,9 @@ def evaluate(
     """Score a predictor over windows, bucketed into the given views.
 
     The overall view is always included. Residuals enter a bucket only where
-    the target mask is set; the weekday view needs the dataset start date to
-    anchor day-of-week (reported Monday-first). The cadence comes from the
-    windows' table; a given ``points_per_day`` or ``start_date`` must agree
-    with that table.
+    the target mask is set. The cadence and the start date that anchors the
+    weekday view (reported Monday-first) come from the windows' table; a
+    given ``points_per_day`` or ``start_date`` must agree with that table.
     """
     requested = tuple(dict.fromkeys(("overall",) + tuple(views)))
     for name in requested:
@@ -191,8 +191,6 @@ def evaluate(
             raise DataError(f"unknown view {name!r}, expected one of {VIEWS}")
     if not samples:
         raise DataError("no samples to evaluate")
-    if "weekday" in requested and start_date is None:
-        raise DataError("the weekday view needs the dataset start date")
     table = samples.inputs
     if points_per_day not in (None, table.points_per_day):
         raise DataError(
@@ -203,7 +201,7 @@ def evaluate(
         raise DataError(
             f"start date {start_date} disagrees with the windows' {table.start_date}"
         )
-    points_per_day = table.points_per_day
+    points_per_day, start_date = table.points_per_day, table.start_date
     p, h = samples.targets.num_stations, samples.cfg.h
     if station_ids is not None and len(station_ids) != p:
         raise DataError(f"{len(station_ids)} station ids for {p} stations")
@@ -309,19 +307,16 @@ class SweepResult:
         return self.point(at).mae_mean / self.point(0.0).mae_mean
 
 
+def mean_sd(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and population standard deviation of one metric over seeds."""
+    array = np.array(values, dtype=float)
+    return float(array.mean()), float(array.std(ddof=0))
+
+
 def _aggregate(ratio: float, reports: Sequence[EvalReport]) -> SweepPoint:
-    maes = np.array([r.mae for r in reports])
-    rmses = np.array([r.rmse for r in reports])
-    return SweepPoint(
-        ratio=ratio,
-        mae_mean=float(maes.mean()),
-        mae_sd=float(maes.std(ddof=0)),
-        rmse_mean=float(rmses.mean()),
-        rmse_sd=float(rmses.std(ddof=0)),
-        seed_mae=tuple(r.mae for r in reports),
-        seed_rmse=tuple(r.rmse for r in reports),
-        seed_cells=tuple(r.cells for r in reports),
-    )
+    maes, rmses = tuple(r.mae for r in reports), tuple(r.rmse for r in reports)
+    cells = tuple(r.cells for r in reports)
+    return SweepPoint(ratio, *mean_sd(maes), *mean_sd(rmses), maes, rmses, cells)
 
 
 def _check_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
@@ -368,13 +363,12 @@ def robustness_sweep(
         raise DataError(
             f"unknown imputation method {method!r}, expected {imputation.METHODS}"
         )
-    cleaned = clean(dataset)
-
     if scope == "test":
         if not isinstance(subject, training.TrainedModel):
             raise DataError("scope 'test' reuses a trained model; pass a TrainedModel")
         arch = subject.arch
         test_range = subject.ranges[2]
+        cleaned = clean(dataset)
         # Test-scope injection never touches the training days, so one rule
         # fitted on the clean table serves every injected one; at ratio 0 every
         # seed leaves the table clean, so it is scored once.
@@ -389,23 +383,19 @@ def robustness_sweep(
             )
             return training._score_test(subject, injected, imputer)
 
+        reports = (score(ratio, seed) for ratio in grid for seed in seeds)
     else:
         arch = subject.arch if isinstance(subject, training.TrainedModel) else subject
         if not isinstance(arch, str):
             raise DataError("scope 'all' needs an architecture name or TrainedModel")
         if cfg is None:
             raise DataError("scope 'all' retrains models and needs a TrainConfig")
-        wcfg = window_cfg or WindowConfig()
-
-        def score(ratio: float, seed: int) -> EvalReport:
-            injected, _ = imputation.inject_missing(cleaned, ratio, seed)
-            trained, _, prepared = training.train_once(
-                arch, injected, method, cfg, wcfg, seed=seed
-            )
-            return evaluate(trained.model, prepared.test_samples)
+        tasks = [training.RunTask(arch, method, r, s) for r in grid for s in seeds]
+        runs = training.run_tasks(dataset, tasks, cfg, window_cfg or WindowConfig())
+        reports = (run.test for run in runs)
 
     points = tuple(
-        _aggregate(ratio, [score(ratio, seed) for seed in seeds]) for ratio in grid
+        _aggregate(ratio, list(islice(reports, len(seeds)))) for ratio in grid
     )
     return SweepResult(
         method=method,

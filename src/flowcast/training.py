@@ -1,9 +1,9 @@
-"""Adam optimization over day-sized batches with multi-seed experiments.
+"""Adam optimization over day-sized batches, and the runner of training runs.
 
 One optimizer step per day of training samples, epochs in chronological
 order, validation scored every epoch, and the parameters from the best
-validation epoch restored at the end. Experiments repeat the whole loop
-across seeds and report mean and standard deviation per metric.
+validation epoch restored at the end. The runner trains and scores a list
+of (architecture, fill rule, injected ratio, seed) tasks in order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .dataset import (
     standardize,
 )
 from .errors import DataError, NumericError, check_field_types
-from .evaluation import evaluate
+from .evaluation import EvalReport, evaluate
 from .hybrid import (
     ARCHITECTURES,
     Model,
@@ -337,8 +337,8 @@ def evaluate_on(
     Rebuilds the inference pipeline around the stored statistics: fill rules
     are fitted on the dataset's training days, inputs imputed, everything
     standardized with the checkpointed stats, and targets scored only where
-    the raw dataset has observations. The dataset must have the model's
-    station count and cadence.
+    the raw dataset has observations. The dataset must be the model's own
+    table: its station count, cadence, start date and day count.
     """
     cleaned = clean(ds)
     imputer = _fit_test_fill(trained, cleaned, method or trained.impute_method)
@@ -348,12 +348,18 @@ def evaluate_on(
 def _fit_test_fill(
     trained: TrainedModel, cleaned: FlowDataset, method: str
 ) -> imputation.ImputationModel:
-    """Check that the model fits the table; fit the rule on its training days."""
+    """Check that the table is the model's own; fit the rule on its training days."""
     fits = (trained.model.spec.p, trained.points_per_day)
     if (cleaned.num_stations, cleaned.points_per_day) != fits:
         raise DataError(
             f"the model fits {fits[0]} stations at {fits[1]} points per day; "
             f"the dataset has {cleaned.num_stations} at {cleaned.points_per_day}"
+        )
+    days = trained.ranges[2][1]
+    if (cleaned.start_date, cleaned.num_days) != (trained.start_date, days):
+        raise DataError(
+            f"the model was trained on {days} days from {trained.start_date}; "
+            f"the dataset has {cleaned.num_days} days from {cleaned.start_date}"
         )
     return imputation.fit(method, slice_days(cleaned, trained.ranges[0]))
 
@@ -376,24 +382,79 @@ def _score_test(
         trained.model,
         samples,
         views,
-        start_date=cleaned.start_date,
         station_ids=cleaned.station_ids,
         metadata={"arch": trained.arch, "impute": imputer.method},
     )
 
 
-def _bundle(model: Model, arch: str, method: str, prep: PreparedData) -> TrainedModel:
-    """A trained model plus the preprocessing that produced its data."""
-    return TrainedModel(
-        model=model,
-        arch=arch,
-        impute_method=method,
-        stats=prep.stats,
-        window_cfg=prep.window_cfg,
-        ranges=prep.ranges,
-        start_date=prep.dataset.start_date,
-        points_per_day=prep.dataset.points_per_day,
-    )
+@dataclass(frozen=True)
+class RunTask:
+    """Train ``arch`` from build seed ``seed`` under fill rule ``method`` on the
+    table with ``ratio`` of its cleaned cells injected by the same seed."""
+
+    arch: str
+    method: str
+    ratio: float
+    seed: int
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """One run's task, training log, trained model and test-window report."""
+
+    task: RunTask
+    log: TrainLog
+    trained: TrainedModel
+    test: EvalReport
+
+    seed = property(lambda self: self.task.seed)
+    # The restored weights score exactly what their epoch logged on validation.
+    val_mae = property(lambda self: self.log.best_entry.val_mae)
+    val_rmse = property(lambda self: self.log.best_entry.val_rmse)
+    test_mae = property(lambda self: self.test.mae)
+    test_rmse = property(lambda self: self.test.rmse)
+
+
+def run_tasks(
+    ds: FlowDataset, tasks: Sequence[RunTask], cfg: TrainConfig, wcfg: WindowConfig
+) -> Iterator[RunResult]:
+    """Train and score each task on ``ds``, yielding its result in task order.
+
+    Every architecture is checked against the table before the first run.
+    Consecutive tasks that share a fill rule, ratio and (above ratio 0)
+    seed share one prepared table, and at most one is held at a time.
+    """
+    for result, prepared in _runs(ds, tasks, cfg, wcfg):
+        del prepared  # leave _runs the only reference, so it can free the table
+        yield result
+
+
+def _runs(
+    ds: FlowDataset, tasks: Sequence[RunTask], cfg: TrainConfig, wcfg: WindowConfig
+) -> Iterator[tuple[RunResult, PreparedData]]:
+    """``run_tasks``, with each result's prepared table for ``train_once``."""
+    specs = {t.arch: model_spec_for(t.arch, ds.num_stations, wcfg) for t in tasks}
+    shared = prepared = None
+    for task in tasks:
+        table = (task.method, task.ratio, task.seed if task.ratio else None)
+        if table != shared:
+            shared, prepared = table, None
+            injected, _ = imputation.inject_missing(clean(ds), task.ratio, task.seed)
+            prepared = prepare_data(injected, task.method, wcfg)
+        model = build(specs[task.arch], task.seed)
+        model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
+        trained = TrainedModel(
+            model=model,
+            arch=task.arch,
+            impute_method=task.method,
+            stats=prepared.stats,
+            window_cfg=wcfg,
+            ranges=prepared.ranges,
+            start_date=ds.start_date,
+            points_per_day=ds.points_per_day,
+        )
+        test = evaluate(model, prepared.test_samples)
+        yield RunResult(task, log, trained, test), prepared
 
 
 def train_once(
@@ -405,73 +466,5 @@ def train_once(
     seed: int = 0,
 ) -> tuple[TrainedModel, TrainLog, PreparedData]:
     """Prepare the dataset and train a single model from one seed."""
-    spec = model_spec_for(arch, ds.num_stations, wcfg)
-    prepared = prepare_data(ds, method, wcfg)
-    model = build(spec, seed)
-    model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
-    return _bundle(model, arch, method, prepared), log, prepared
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Metrics and artifacts from one seeded training run."""
-
-    seed: int
-    val_mae: float
-    val_rmse: float
-    test_mae: float
-    test_rmse: float
-    log: TrainLog
-    trained: TrainedModel
-
-
-METRIC_NAMES = ("val_mae", "val_rmse", "test_mae", "test_rmse")
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Aggregated multi-seed outcome for one architecture and fill method."""
-
-    arch: str
-    impute_method: str
-    runs: tuple[RunResult, ...]
-
-    def summary(self) -> dict[str, float]:
-        """Mean and population SD of each metric over the runs."""
-        out = {}
-        for name in METRIC_NAMES:
-            values = np.array([getattr(run, name) for run in self.runs])
-            out[f"{name}_mean"] = float(values.mean())
-            out[f"{name}_sd"] = float(values.std(ddof=0))
-        return out
-
-
-def run_experiment(
-    arch: str,
-    ds: FlowDataset,
-    method: str,
-    cfg: TrainConfig = TrainConfig(),
-    wcfg: WindowConfig = WindowConfig(),
-) -> ExperimentResult:
-    """Train cfg.runs independent models and aggregate their metrics."""
-    spec = model_spec_for(arch, ds.num_stations, wcfg)
-    prepared = prepare_data(ds, method, wcfg)
-    runs = []
-    for seed in cfg.seeds[: cfg.runs]:
-        model = build(spec, seed)
-        model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
-        # The restored weights score exactly what their epoch logged on validation.
-        best = log.best_entry
-        test = evaluate(model, prepared.test_samples)
-        runs.append(
-            RunResult(
-                seed=seed,
-                val_mae=best.val_mae,
-                val_rmse=best.val_rmse,
-                test_mae=test.mae,
-                test_rmse=test.rmse,
-                log=log,
-                trained=_bundle(model, arch, method, prepared),
-            )
-        )
-    return ExperimentResult(arch=arch, impute_method=method, runs=tuple(runs))
+    ((run, prepared),) = _runs(ds, [RunTask(arch, method, 0.0, seed)], cfg, wcfg)
+    return run.trained, run.log, prepared

@@ -4,6 +4,7 @@ Commands run in-process through cli.main so exit codes and emitted files can
 be checked directly against small synthetic workspaces.
 """
 
+import datetime as dt
 import hashlib
 import json
 import os
@@ -15,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcast import cli
+import flowcast
+from flowcast import cli, training
 from flowcast.dataset import load_csv, save_csv
 from flowcast.errors import NumericError
 from flowcast.hybrid import ARCHITECTURES
+from flowcast.synthgen import SynthConfig, generate
 from flowcast.version import VERSION
 
 from test_checkpoint import rewrite
@@ -129,6 +132,10 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1, err
         assert "run past 9999-12-31" in err
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in flowcast.__all__ if not hasattr(flowcast, name)]
+        assert missing == []
 
     def test_import_loads_no_scipy(self):
         env = dict(os.environ)
@@ -328,6 +335,28 @@ class TestArgumentErrors:
         assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out/*.csv"))
+
+    @pytest.mark.parametrize(
+        "config, command, code",
+        [
+            ({"train": {"lr": 10**400}}, ["train", "--arch", "LSTM1", "--seed", "0"], 1),
+            ({"synth": {"seed": 0, "noise_std": 10**400}}, ["synth"], 1),
+            ({"sweep": {"ratios": [0, 10**400]}}, ["sweep", "--seed", "0"], 2),
+        ],
+        ids=["train-lr", "synth-noise", "sweep-ratio"],
+    )
+    def test_integer_too_large_for_a_float(self, ws, tmp_path, capsys, config, command, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config_version": 1, **config}))
+        inputs = {
+            "train": ["--dataset", str(ws["data"])],
+            "synth": [],
+            "sweep": ["--dataset", str(ws["data"]), "--checkpoint", str(ws["checkpoint"])],
+        }[command[0]]
+        out = ["--out", str(tmp_path / "out")]
+        assert cli.main(command + ["--config", str(cfg)] + inputs + out) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
 
     def test_resolve_archs_all(self):
         assert cli._resolve_archs("all") == list(ARCHITECTURES)
@@ -579,6 +608,31 @@ class TestDataErrors:
         assert "head.b: dtype <U3, expected float64" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"days": 20}, "has 20 days from 2019-01-07"),
+            ({"start_date": dt.date(2020, 3, 4)}, "has 14 days from 2020-03-04"),
+        ],
+        ids=["longer", "shifted"],
+    )
+    def test_checkpoint_bound_to_its_table(
+        self, ws, tmp_path, capsys, command, table, message
+    ):
+        data = tmp_path / "other.csv"
+        save_csv(generate(SynthConfig(**{"p": 3, "days": 14, "seed": 3, **table})), data)
+        args = [command, "--checkpoint", str(ws["checkpoint"]), "--dataset", str(data)]
+        if command == "eval":
+            args += ["--views", "overall,weekday"]
+        else:
+            args += ["--impute", "mean", "--ratios", "0,0.1", "--seed", "0"]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert "trained on 14 days from 2019-01-07" in err and message in err
+        assert "Traceback" not in err
+
     def test_sweep_grid_must_start_at_zero(self, ws, tmp_path):
         rc = cli.main(
             [
@@ -703,6 +757,58 @@ class TestTrain:
         seed0 = provenance_lines(ws["out"] / "metrics.csv")[1]
         seed1 = provenance_lines(tmp_path / "metrics.csv")[1]
         assert seed0 != seed1
+
+    def test_declared_types_keep_their_hash(self, ws):
+        # the digest of a config whose values have their declared types
+        digest = "70661472f2a82263fa81ab3c82c207074b174ab686674244a79b4453037335cf"
+        assert provenance_lines(ws["out"] / "metrics.csv")[1] == f"# config sha256 {digest}"
+
+    def test_integral_float_setting_hashes_like_the_float(self, ws, tmp_path):
+        outs = []
+        for l2 in ("0", "0.0"):
+            cfg = tmp_path / f"cfg-{l2}.json"
+            train = f'{{"max_epochs": 1, "l2": {l2}}}'
+            cfg.write_text(f'{{"config_version": 1, "train": {train}}}')
+            out = tmp_path / l2
+            args = ["train", "--config", str(cfg), "--dataset", str(ws["data"])]
+            assert cli.main(args + ["--arch", "LSTM1", "--seed", "0", "--out", str(out)]) == 0
+            outs.append(out)
+        assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+
+    def test_writes_each_run_as_it_finishes(self, ws, tmp_path, monkeypatch):
+        original = training.train
+        calls = []
+
+        def second_run_diverges(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericError("training diverged: loss nan at epoch 1")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", second_run_diverges)
+        args = ["train", "--config", str(ws["cfg"]), "--dataset", str(ws["data"])]
+        args += ["--arch", "LSTM1", "--seed", "0,1", "--out", str(tmp_path)]
+        assert cli.main(args) == 3
+        assert (tmp_path / "checkpoints" / "LSTM1_mean_seed0.npz").exists()
+        assert (tmp_path / "logs" / "LSTM1_mean_seed0.jsonl").exists()
+        assert not (tmp_path / "checkpoints" / "LSTM1_mean_seed1.npz").exists()
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_architectures_share_one_prepared_table(self, ws, tmp_path, monkeypatch):
+        original = training.prepare_data
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "prepare_data", counted)
+        args = ["train", "--config", str(ws["cfg"]), "--dataset", str(ws["data"])]
+        args += ["--arch", "LSTM1,LSTM2", "--seed", "0,1", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "checkpoints").iterdir())) == 4
+        assert [row[0] for row in read_rows(tmp_path / "metrics.csv")] == ["LSTM1", "LSTM2"]
 
     def test_log_lines_parse(self, ws):
         lines = (ws["out"] / "logs" / "LSTM1_mean_seed0.jsonl").read_text().splitlines()
@@ -852,6 +958,16 @@ class TestSweep:
         assert zero[2] == overall[3]
         assert zero[4] == overall[4]
         assert zero[3] == "0.0"
+
+    def test_integral_ratios_hash_like_floats(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config_version": 1, "sweep": {"ratios": [0, 0.1]}}))
+        common = ["sweep", "--checkpoint", str(ws["checkpoint"]), "--dataset", str(ws["data"])]
+        common += ["--impute", "mean", "--seed", "0,1"]
+        flag, config = tmp_path / "flag", tmp_path / "config"
+        assert cli.main(common + ["--ratios", "0,0.1", "--out", str(flag)]) == 0
+        assert cli.main(common + ["--config", str(cfg), "--out", str(config)]) == 0
+        assert (flag / "sweep.csv").read_bytes() == (config / "sweep.csv").read_bytes()
 
     def test_zero_ratio_identical_across_methods_on_complete_data(self, ws, tmp_path):
         rc = cli.main(

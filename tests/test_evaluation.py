@@ -226,10 +226,17 @@ class TestEvaluate:
         assert not stations.undefined[1]
         assert report.cells == stations.counts.sum() == 3 * H
 
-    def test_weekday_view_needs_start_date(self):
-        samples = make_samples(np.random.default_rng(5), [3])
-        with pytest.raises(DataError, match="start date"):
-            evaluate(grid_predictor, samples, views=("weekday",), points_per_day=PPD)
+    def test_weekday_view_takes_the_start_date_from_the_windows(self):
+        samples = make_samples(np.random.default_rng(5), [3, 15, 27])
+        implicit = evaluate(grid_predictor, samples, ("weekday",))
+        given = evaluate(
+            grid_predictor, samples, ("weekday",), start_date=samples.inputs.start_date
+        )
+        for name in ("overall", "weekday"):
+            assert np.array_equal(implicit.views[name].counts, given.views[name].counts)
+            assert np.array_equal(implicit.views[name].mae, given.views[name].mae, True)
+            assert np.array_equal(implicit.views[name].rmse, given.views[name].rmse, True)
+        assert np.count_nonzero(implicit.views["weekday"].counts) == 3
 
     def test_cadence_comes_from_the_windows(self):
         samples = make_samples(np.random.default_rng(9), [2, 5, 7])
@@ -425,7 +432,7 @@ class TestRobustnessSweep:
         for module, name in (
             (imputation, "fit"),
             (training, "evaluate_on"),
-            (training, "train_once"),
+            (training, "run_tasks"),
         ):
             original = getattr(module, name)
 
@@ -447,7 +454,7 @@ class TestRobustnessSweep:
     ):
         ds, trained, _ = small_trained
         calls = []
-        for module, name in ((imputation, "fit"), (training, "train_once")):
+        for module, name in ((imputation, "fit"), (training, "run_tasks")):
             monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
         cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
         with pytest.raises(DataError, match="repeat"):
@@ -566,3 +573,22 @@ class TestRobustnessSweep:
             assert pt.seed_rmse == tuple(r.rmse for r in reports)
             assert pt.seed_cells == tuple(r.cells for r in reports)
             assert pt.seed_mae[0] != pt.seed_mae[1]
+
+    def test_all_scope_at_ratio_zero_is_plain_training(self):
+        # The incomplete-training scenario at ratio 0 must be the complete one:
+        # each seed's point is train_once on the raw table, scored on its test
+        # windows, bit for bit.
+        ds = generate(SynthConfig(p=3, days=14, seed=5))
+        tcfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        seeds = (0, 1)
+        sweep = robustness_sweep(
+            "LSTM1", ds, "mean", (0.0,), "all", injection_seeds=seeds, cfg=tcfg
+        )
+        reports = []
+        for seed in seeds:
+            trained, _, prepared = train_once("LSTM1", ds, "mean", tcfg, seed=seed)
+            reports.append(evaluate(trained.model, prepared.test_samples))
+        (zero,) = sweep.points
+        assert zero.seed_mae == tuple(r.mae for r in reports)
+        assert zero.seed_rmse == tuple(r.rmse for r in reports)
+        assert zero.seed_cells == tuple(r.cells for r in reports)

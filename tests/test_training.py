@@ -1,19 +1,22 @@
-"""Tests for the optimizer, training loop, and experiment aggregation."""
+"""Tests for the optimizer, the training loop, and the runner of training runs."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from flowcast import training
 from flowcast.autodiff import Tensor, backward
 from flowcast.dataset import WindowConfig
 from flowcast.errors import DataError, NumericError
-from flowcast.evaluation import evaluate
+from flowcast.evaluation import evaluate, mean_sd
 from flowcast.hybrid import ARCHITECTURES, ModelSpec, build, parameters
 from flowcast.synthgen import SynthConfig, generate
 from flowcast.training import (
     AdamState,
+    RunTask,
     TrainConfig,
     adam_init,
     adam_step,
@@ -21,13 +24,16 @@ from flowcast.training import (
     mse_loss,
     parameter_digest,
     prepare_data,
-    run_experiment,
+    run_tasks,
     train,
     train_once,
 )
 
 from gradcheck import finite_difference
 from test_hybrid import assert_on_buffer
+
+
+WINDOWS = WindowConfig()
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +112,17 @@ def test_settings_take_numpy_numbers():
     assert cfg.seeds == tuple(range(5))
     assert SynthConfig(p=np.int32(2), noise_std=1).p == 2
     assert WindowConfig(n=np.int64(4)).n == 4
+
+
+def test_integral_values_of_float_fields_are_stored_as_floats():
+    cfg = TrainConfig(lr=1, l2=np.int64(0))
+    assert type(cfg.lr) is float and type(cfg.l2) is float
+    assert cfg == TrainConfig(lr=1.0, l2=0.0)
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(TrainConfig(lr=1.0, l2=0.0))
+    assert repr(SynthConfig(noise_std=1)) == repr(SynthConfig(noise_std=1.0))
+    assert type(TrainConfig(max_epochs=2).max_epochs) is int
+    with pytest.raises(OverflowError):
+        TrainConfig(lr=10**400)
 
 
 class TestMseLoss:
@@ -398,35 +415,88 @@ class TestExperiments:
 
     def test_single_run_sd_zero(self, synth):
         cfg = TrainConfig(max_epochs=1, runs=1, seeds=(9,))
-        result = run_experiment("LSTM1", synth, "mean", cfg)
-        summary = result.summary()
-        assert summary["val_mae_sd"] == 0.0
-        assert summary["test_rmse_sd"] == 0.0
-        assert len(result.runs) == 1
-        assert result.runs[0].seed == 9
+        runs = list(run_tasks(synth, [RunTask("LSTM1", "mean", 0.0, 9)], cfg, WINDOWS))
+        assert len(runs) == 1
+        assert runs[0].seed == 9
+        for name in ("val_mae", "test_rmse"):
+            value = getattr(runs[0], name)
+            assert mean_sd([value]) == (value, 0.0)
 
     def test_mean_matches_recomputation(self, synth):
         cfg = TrainConfig(max_epochs=2, runs=2, seeds=(0, 1))
-        result = run_experiment("LSTM1", synth, "mean", cfg)
-        summary = result.summary()
+        tasks = [RunTask("LSTM1", "mean", 0.0, seed) for seed in cfg.seeds]
+        runs = list(run_tasks(synth, tasks, cfg, WINDOWS))
+        assert [run.task for run in runs] == tasks
         for name in ("val_mae", "val_rmse", "test_mae", "test_rmse"):
-            values = [getattr(run, name) for run in result.runs]
-            assert summary[f"{name}_mean"] == pytest.approx(
-                sum(values) / len(values), abs=1e-12
-            )
-            spread = np.std(values)
-            assert summary[f"{name}_sd"] == pytest.approx(spread, abs=1e-12)
+            values = [getattr(run, name) for run in runs]
+            mean, sd = mean_sd(values)
+            assert mean == pytest.approx(sum(values) / len(values), abs=1e-12)
+            assert sd == pytest.approx(np.std(values), abs=1e-12)
 
     def test_validation_scores_are_the_restored_epochs(self, synth, prepared):
         cfg = TrainConfig(lr=0.05, max_epochs=6, runs=1, seeds=(1,))
-        (run,) = run_experiment("LSTM1", synth, "mean", cfg).runs
+        (run,) = run_tasks(synth, [RunTask("LSTM1", "mean", 0.0, 1)], cfg, WINDOWS)
         assert run.log.best_entry.epoch < cfg.max_epochs
         report = evaluate(run.trained.model, prepared.val_samples)
         assert (run.val_mae, run.val_rmse) == (report.mae, report.rmse)
+        test = evaluate(run.trained.model, prepared.test_samples)
+        assert (run.test_mae, run.test_rmse) == (test.mae, test.rmse)
 
     def test_runs_differ_across_seeds(self, synth):
         cfg = TrainConfig(max_epochs=1, runs=2, seeds=(0, 1))
-        result = run_experiment("LSTM1", synth, "mean", cfg)
-        a, b = result.runs
+        tasks = [RunTask("LSTM1", "mean", 0.0, seed) for seed in cfg.seeds]
+        a, b = run_tasks(synth, tasks, cfg, WINDOWS)
         assert a.val_mae != b.val_mae
         assert parameter_digest(a.trained.model) != parameter_digest(b.trained.model)
+
+
+class TestRunner:
+    def test_shares_one_prepared_table_across_architectures_and_seeds(
+        self, synth, monkeypatch
+    ):
+        prepares = []
+        original = training.prepare_data
+
+        def counted(ds, method, wcfg):
+            prepares.append(method)
+            return original(ds, method, wcfg)
+
+        monkeypatch.setattr(training, "prepare_data", counted)
+        cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        tasks = [
+            RunTask("LSTM1", "mean", 0.0, 0),
+            RunTask("LSTM2", "mean", 0.0, 1),
+            RunTask("LSTM1", "interp", 0.0, 0),
+            RunTask("LSTM1", "interp", 0.1, 0),
+            RunTask("LSTM1", "interp", 0.1, 1),
+        ]
+        runs = list(run_tasks(synth, tasks, cfg, WINDOWS))
+        assert [run.task for run in runs] == tasks
+        assert prepares == ["mean", "interp", "interp", "interp"]
+
+    def test_holds_one_prepared_table_at_a_time(self, synth, monkeypatch):
+        made = []
+        original = training.prepare_data
+        counts = []
+
+        def tracked(*args):
+            counts.append(sum(ref() is not None for ref in made))
+            prepared = original(*args)
+            made.append(weakref.ref(prepared))
+            return prepared
+
+        monkeypatch.setattr(training, "prepare_data", tracked)
+        cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        tasks = [RunTask("LSTM1", m, 0.0, 0) for m in ("mean", "median", "interp")]
+        for _ in run_tasks(synth, tasks, cfg, WINDOWS):
+            pass
+        assert counts == [0, 0, 0]
+
+    def test_every_architecture_checked_before_the_first_run(self, synth, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "prepare_data", lambda *a: calls.append(a))
+        cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        tasks = [RunTask("LSTM1", "mean", 0.0, 0), RunTask("LSTM1-S-CNN1", "mean", 0.0, 0)]
+        with pytest.raises(DataError, match="only 3 stations"):
+            next(run_tasks(synth, tasks, cfg, WINDOWS))
+        assert calls == []

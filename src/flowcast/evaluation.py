@@ -4,6 +4,13 @@ Scoring is mask-aware throughout: a target cell participates only where its
 mask is set, so injected or natively missing readings are never treated as
 ground truth. Buckets that end up with zero scored cells report NaN and are
 flagged as undefined rather than silently contributing zeros.
+
+Views are scored by reduction. Per day batch, the residual is zeroed where
+the target mask is off, then its absolute value, its square and the mask are
+summed over the station axis once, into an [h, batch] plane. The overall,
+horizon, timestamp and weekday views bucket only that plane; the station
+view sums each station's block. Sums therefore accumulate in numpy's
+reduction order, not cell by cell; counts are exact.
 """
 
 from __future__ import annotations
@@ -150,21 +157,23 @@ def as_predictor(subject) -> Callable:
 
 def _view_rules(
     p: int, h: int, ppd: int, start_date, station_ids
-) -> dict[str, tuple[tuple, Callable]]:
-    """Each view's bucket labels and the rule that buckets a cell by its
-    station, horizon step and absolute time index, given as arrays that
-    broadcast to the [p, h, batch] target block."""
+) -> dict[str, tuple[tuple, Callable | None]]:
+    """Each view's bucket labels and the rule that buckets a cell of the
+    station-summed [h, batch] plane by its horizon step and absolute time
+    index, given as arrays that broadcast to that plane. The station view is
+    the only one that reads the station axis, so it has no plane rule: each
+    station's cells form its bucket."""
     return {
-        "overall": (("all",), lambda st, hz, t: 0),
-        "horizon": (tuple(range(1, h + 1)), lambda st, hz, t: hz),
-        "timestamp": (tuple(range(ppd)), lambda st, hz, t: t % ppd),
+        "overall": (("all",), lambda hz, t: 0),
+        "horizon": (tuple(range(1, h + 1)), lambda hz, t: hz),
+        "timestamp": (tuple(range(ppd)), lambda hz, t: t % ppd),
         "weekday": (
             WEEKDAY_NAMES,
-            lambda st, hz, t: (t // ppd + start_date.weekday()) % WEEK_DAYS,
+            lambda hz, t: (t // ppd + start_date.weekday()) % WEEK_DAYS,
         ),
         "station": (
             tuple(range(p)) if station_ids is None else tuple(station_ids),
-            lambda st, hz, t: st,
+            None,
         ),
     }
 
@@ -206,11 +215,9 @@ def evaluate(
     if station_ids is not None and len(station_ids) != p:
         raise DataError(f"{len(station_ids)} station ids for {p} stations")
     rules = _view_rules(p, h, points_per_day, start_date, station_ids)
-    sizes = {name: len(rules[name][0]) for name in requested}
-    abs_sums = {name: np.zeros(sizes[name]) for name in requested}
-    sq_sums = {name: np.zeros(sizes[name]) for name in requested}
-    counts = {name: np.zeros(sizes[name], dtype=int) for name in requested}
-    st, hz = np.arange(p)[:, None, None], np.arange(h)[:, None]
+    # Rows: summed absolute error, summed squared error, cells scored.
+    sums = {name: np.zeros((3, len(rules[name][0]))) for name in requested}
+    hz = np.arange(h)[:, None]
     predict = as_predictor(subject)
 
     for batch in day_batches(samples):
@@ -221,25 +228,34 @@ def evaluate(
             raise DataError(
                 f"predictor returned shape {pred.shape}, expected {target.shape}"
             )
-        diff = (pred - target)[target_mask]
-        abs_err = np.abs(diff)
-        sq_err = diff * diff
+        # Masked-off cells stay 0 and are never subtracted, so whatever the
+        # predictor or the table holds there can neither leak in nor overflow.
+        resid = np.subtract(pred, target, out=np.zeros_like(pred), where=target_mask)
+        blocks = (np.abs(resid), resid * resid, target_mask)
+        plane = [block.sum(axis=0) for block in blocks]
         t = ts + hz
         for name in requested:
-            idx = np.broadcast_to(rules[name][1](st, hz, t), target.shape)[target_mask]
-            abs_sums[name] += np.bincount(idx, weights=abs_err, minlength=sizes[name])
-            sq_sums[name] += np.bincount(idx, weights=sq_err, minlength=sizes[name])
-            counts[name] += np.bincount(idx, minlength=sizes[name])
+            labels, rule = rules[name]
+            if rule is None:
+                sums[name] += [block.sum(axis=(1, 2)) for block in blocks]
+            else:
+                idx = np.broadcast_to(rule(hz, t), t.shape).ravel()
+                sums[name] += [
+                    np.bincount(idx, weights=w.ravel(), minlength=len(labels))
+                    for w in plane
+                ]
 
     out = {}
     for name in requested:
-        c = counts[name]
+        abs_sum, sq_sum, cells = sums[name]
+        # Cell counts are sums of small integers, exact in float64.
+        c = cells.astype(int)
         safe = np.maximum(c, 1)
         out[name] = ViewMetrics(
             view=name,
             labels=rules[name][0],
-            mae=np.where(c > 0, abs_sums[name] / safe, np.nan),
-            rmse=np.where(c > 0, np.sqrt(sq_sums[name] / safe), np.nan),
+            mae=np.where(c > 0, abs_sum / safe, np.nan),
+            rmse=np.where(c > 0, np.sqrt(sq_sum / safe), np.nan),
             counts=c,
         )
     return EvalReport(views=out, metadata=dict(metadata or {}))
@@ -320,7 +336,10 @@ def _aggregate(ratio: float, reports: Sequence[EvalReport]) -> SweepPoint:
 
 
 def _check_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
-    grid = tuple(float(r) for r in ratios)
+    try:
+        grid = tuple(float(r) for r in ratios)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"ratios must be numbers within [0, 0.5]: {exc}") from None
     if not all(0.0 <= r <= 0.5 for r in grid):
         raise DataError(f"ratios must be finite and within [0, 0.5], got {grid}")
     if not grid or grid[0] != 0.0:

@@ -19,6 +19,7 @@ from flowcast.dataset import (
 from flowcast.errors import DataError
 from flowcast.evaluation import (
     DEFAULT_RATIOS,
+    VIEWS,
     EvalReport,
     as_predictor,
     evaluate,
@@ -195,6 +196,22 @@ class TestEvaluate:
                     want_rmse = math.sqrt(sums[name][idx, 1] / counts[name][idx])
                     assert view.mae[idx] == pytest.approx(want_mae, abs=1e-12)
                     assert view.rmse[idx] == pytest.approx(want_rmse, abs=1e-12)
+
+    def test_buckets_only_the_station_summed_plane(self, monkeypatch):
+        # No view may bucket the [p, h, batch] block cell by cell: the
+        # station view reduces over its axes and the others bucket [h, batch].
+        samples = make_samples(np.random.default_rng(11), range(1, PPD), p=16)
+        sizes = []
+        original = np.bincount
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        evaluate(persistence_predictor(H), samples, VIEWS)
+        assert len(day_batches(samples)) == 1
+        assert sizes and max(sizes) <= H * len(samples)
 
     def test_overall_recombines_station_view(self):
         rng = np.random.default_rng(2)
@@ -422,7 +439,15 @@ class TestRobustnessSweep:
 
     @pytest.mark.parametrize("scope", ["test", "all"])
     @pytest.mark.parametrize(
-        "ratios", [(0.0, 0.03, 0.6), (0.0, math.nan), (0.0, math.inf)]
+        "ratios",
+        [
+            (0.0, 0.03, 0.6),
+            (0.0, math.nan),
+            (0.0, math.inf),
+            (0, 10**400),
+            (0, "a"),
+            (0, None),
+        ],
     )
     def test_ratios_checked_before_any_work(
         self, small_trained, monkeypatch, scope, ratios

@@ -20,6 +20,7 @@ from flowcast.checkpoint import build_manifest, load_checkpoint, save_checkpoint
 from flowcast.dataset import (
     FlowDataset,
     WindowConfig,
+    Windows,
     extract_windows,
     load_csv,
     save_csv,
@@ -443,3 +444,92 @@ def test_flipped_checkpoint_byte_is_rejected_or_harmless(saved_checkpoint, data)
         return
     assert parameter_digest(loaded.model) == digest
     assert build_manifest(loaded) == manifest
+
+
+@st.composite
+def scored_windows(draw):
+    """Windows whose targets hide NaN and +-1e200 at masked-off cells, the
+    per-cell predictions with the same junk at masked-off cells, and the same
+    predictions with zeros there instead."""
+    p, h = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    ppd = draw(st.sampled_from((12, 24, 48)))
+    days = draw(st.integers(9, 10))
+    start = MONDAY + dt.timedelta(days=draw(st.integers(0, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((p, days * ppd)) >= draw(st.floats(0.0, 0.9))
+    dead = draw(st.one_of(st.none(), st.integers(0, p - 1)))
+    if dead is not None:
+        mask[dead] = False
+    junk = rng.choice([np.nan, 1e200, -1e200], size=mask.shape)
+    flows = np.where(mask, rng.normal(size=mask.shape), junk)
+    ids = tuple(f"s{i}" for i in range(p))
+    truth = FlowDataset(flows, mask, ids, start, points_per_day=ppd)
+    cfg = WindowConfig(n=1, h=h, n_d=0, n_w=0)
+    lo, hi = 7 * ppd, days * ppd - h
+    anchors = set(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=40)))
+    if h > 1:
+        # a horizon that runs past midnight into the next day's buckets
+        anchors.add(draw(st.integers(8, days - 1)) * ppd - 1)
+    windows = Windows(truth, truth, cfg, np.array(sorted(anchors)))
+    cells = rng.normal(size=(p, h, days * ppd))
+    hidden = np.stack([np.roll(~mask, -j, axis=1) for j in range(h)], axis=1)
+    junk_pred = np.where(hidden, rng.choice([np.nan, 1e200, -1e200], cells.shape), cells)
+    zero_pred = np.where(hidden, 0.0, cells)
+    return windows, junk_pred, zero_pred
+
+
+def per_cell_oracle(windows, pred):
+    """Sums of |error| and error^2 and cell counts per bucket, one cell at a time."""
+    table, h = windows.targets, windows.cfg.h
+    p, ppd = table.num_stations, table.points_per_day
+    sizes = {"overall": 1, "horizon": h, "timestamp": ppd, "weekday": 7, "station": p}
+    sums = {name: np.zeros((size, 2)) for name, size in sizes.items()}
+    counts = {name: np.zeros(size, dtype=int) for name, size in sizes.items()}
+    for t in windows.anchors:
+        for i in range(p):
+            for j in range(h):
+                when = int(t) + j
+                if not table.mask[i, when]:
+                    continue
+                diff = pred[i, j, t] - table.flows[i, when]
+                buckets = {
+                    "overall": 0,
+                    "horizon": j,
+                    "timestamp": when % ppd,
+                    "weekday": (table.start_date.weekday() + when // ppd) % 7,
+                    "station": i,
+                }
+                for name, bucket in buckets.items():
+                    sums[name][bucket] += (abs(diff), diff * diff)
+                    counts[name][bucket] += 1
+    return sums, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_windows())
+def test_evaluate_matches_per_cell_oracle(case):
+    # The suite turns RuntimeWarning into an error, so the junk at masked-off
+    # cells must also pass through without an overflow or invalid-value warning.
+    windows, junk_pred, zero_pred = case
+
+    def score(pred):
+        predict = lambda s, s_d, s_w, ts: pred[:, :, ts]
+        return evaluate(predict, windows, VIEWS).views
+
+    got, clean_got = score(junk_pred), score(zero_pred)
+    sums, counts = per_cell_oracle(windows, zero_pred)
+    for view in VIEWS:
+        vm = got[view]
+        assert np.issubdtype(vm.counts.dtype, np.integer)
+        assert np.array_equal(vm.counts, counts[view])
+        assert np.array_equal(np.isnan(vm.mae), counts[view] == 0)
+        assert np.array_equal(np.isnan(vm.rmse), counts[view] == 0)
+        scored = counts[view] > 0
+        want_mae = sums[view][scored, 0] / counts[view][scored]
+        want_rmse = np.sqrt(sums[view][scored, 1] / counts[view][scored])
+        np.testing.assert_allclose(vm.mae[scored], want_mae, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(vm.rmse[scored], want_rmse, rtol=1e-12, atol=0)
+        for field in ("counts", "mae", "rmse"):
+            assert np.array_equal(
+                getattr(vm, field), getattr(clean_got[view], field), equal_nan=True
+            )

@@ -21,13 +21,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import WindowConfig, load_csv, save_csv
 from .errors import DataError, NumericError, UsageError
-from .evaluation import (
-    DEFAULT_RATIOS,
-    EvalReport,
-    VIEWS,
-    mean_sd,
-    robustness_sweep,
-)
+from .evaluation import DEFAULT_RATIOS, VIEWS, mean_sd, robustness_sweep
 from .hybrid import ARCHITECTURES
 from .imputation import MEAN, METHODS
 from .synthgen import SynthConfig, generate
@@ -47,26 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+def _list(kind: type, what: str):
+    """Argparse type for a comma-separated list of values of one kind."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(v for v in text.split(",") if v)
+    return parse
 
 
 def _load_config(path: str) -> dict:
@@ -105,13 +91,37 @@ def _text(value, what: str):
     return value
 
 
-def _names(value, what: str) -> list[str]:
-    """A comma-separated string or a list of strings, as a list of names."""
+def _choose(value, valid, what: str) -> list[str]:
+    """The names a comma string or a list of strings gives, in order.
+
+    ``all`` stands for every valid name; an unknown or repeated name, or
+    none at all, is a usage error.
+    """
     if isinstance(value, str):
-        return [v for v in value.split(",") if v]
-    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
-        return list(value)
-    raise UsageError(f"{what} must be a name, a comma list or a list, got {value!r}")
+        names = [v for v in value.split(",") if v]
+    elif isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+        names = list(value)
+    else:
+        raise UsageError(f"{what} must be a name, a comma list or a list, got {value!r}")
+    if names == ["all"]:
+        return list(valid)
+    for name in names:
+        if name not in valid:
+            raise UsageError(f"unknown {what} {name!r}; choose from {', '.join(valid)}")
+    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if repeated:
+        raise UsageError(f"the {what} list names {', '.join(repeated)} more than once")
+    if not names:
+        raise UsageError(f"no {what} given")
+    return names
+
+
+def _one(value, valid, what: str) -> str:
+    """The single name ``value`` chooses."""
+    names = _choose(value, valid, what)
+    if len(names) != 1:
+        raise UsageError(f"give one {what}, got {', '.join(names)}")
+    return names[0]
 
 
 def _numbers(value, kinds: tuple[type, ...], what: str) -> tuple:
@@ -152,47 +162,10 @@ def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
 
 
 def _require_dataset(args, config: dict) -> str:
-    path = getattr(args, "dataset", None) or _text(config.get("dataset"), "dataset")
+    path = args.dataset or _text(config.get("dataset"), "dataset")
     if not path:
         raise UsageError("a dataset is required (--dataset or config dataset)")
     return path
-
-
-def _distinct(names: list[str], what: str) -> list[str]:
-    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
-    if repeated:
-        raise UsageError(f"{what} lists {', '.join(repeated)} more than once")
-    return names
-
-
-def _resolve_archs(value) -> list[str]:
-    names = _names(value, "arch")
-    if names == ["all"]:
-        return list(ARCHITECTURES)
-    for name in names:
-        if name not in ARCHITECTURES:
-            raise UsageError(
-                f"unknown architecture {name!r}; valid names: "
-                f"{', '.join(ARCHITECTURES)}"
-            )
-    if not names:
-        raise UsageError("no architecture given")
-    return _distinct(names, "arch")
-
-
-def _resolve_method(value: str) -> str:
-    if value not in METHODS:
-        raise UsageError(
-            f"unknown imputation method {value!r}; choose from {', '.join(METHODS)}"
-        )
-    return value
-
-
-def _resolve_methods(value) -> list[str]:
-    names = _names(value, "impute")
-    if names == ["all"]:
-        return list(METHODS)
-    return _distinct([_resolve_method(name) for name in names], "impute")
 
 
 def _window_config(config: dict) -> WindowConfig:
@@ -203,14 +176,10 @@ def _window_config(config: dict) -> WindowConfig:
         raise UsageError(f"invalid window settings: {exc}") from None
 
 
-def _train_config(args, config: dict, seeds_override=None) -> TrainConfig:
+def _train_config(config: dict, **flags) -> TrainConfig:
+    """The config's train section with the flags that are set laid over it."""
     section = _section(config, "train")
-    if getattr(args, "runs", None) is not None:
-        section["runs"] = args.runs
-    if seeds_override is not None:
-        section["seeds"] = seeds_override
-    elif args.seed is not None:
-        section["seeds"] = args.seed
+    section.update((key, value) for key, value in flags.items() if value is not None)
     if "seeds" not in section:
         raise UsageError(
             "training seeds must be explicit (--seed or config train.seeds)"
@@ -229,11 +198,10 @@ def _out_dir(args, config: dict) -> Path:
     return out
 
 
-def cmd_synth(args) -> None:
-    config = _load_config(args.config) if args.config else {}
+def cmd_synth(args, config: dict) -> None:
     section = _section(config, "synth")
     if args.seed is not None:
-        section["seed"] = args.seed[0]
+        section["seed"] = args.seed
     if "seed" not in section:
         raise UsageError("synth needs an explicit seed (--seed or config synth.seed)")
     try:
@@ -254,15 +222,14 @@ def cmd_synth(args) -> None:
     )
 
 
-def cmd_train(args) -> None:
-    config = _load_config(args.config) if args.config else {}
+def cmd_train(args, config: dict) -> None:
     dataset_path = _require_dataset(args, config)
     arch_value = args.arch or config.get("arch")
     if not arch_value:
         raise UsageError("an architecture is required (--arch or config arch)")
-    archs = _resolve_archs(arch_value)
-    method = _resolve_method(args.impute or config.get("impute", MEAN))
-    cfg = _train_config(args, config)
+    archs = _choose(arch_value, ARCHITECTURES, "architecture")
+    method = _one(args.impute or config.get("impute", MEAN), METHODS, "imputation method")
+    cfg = _train_config(config, seeds=args.seed, runs=args.runs)
     wcfg = _window_config(config)
     out = _out_dir(args, config)
     ds = load_csv(dataset_path)
@@ -300,19 +267,15 @@ def cmd_train(args) -> None:
         )
 
 
-def cmd_eval(args) -> None:
-    config = _load_config(args.config) if args.config else {}
+def cmd_eval(args, config: dict) -> None:
     checkpoint_path = args.checkpoint or _text(config.get("checkpoint"), "checkpoint")
     if not checkpoint_path:
         raise UsageError("a checkpoint is required (--checkpoint or config checkpoint)")
     dataset_path = _require_dataset(args, config)
-    views = tuple(args.views or _names(config.get("views", ["overall"]), "views"))
-    for view in views:
-        if view not in VIEWS:
-            raise UsageError(f"unknown view {view!r}; choose from {', '.join(VIEWS)}")
+    views = _choose(args.views or config.get("views", "overall"), VIEWS, "view")
     method = args.impute
     if method is not None:
-        method = _resolve_method(method)
+        method = _one(method, METHODS, "imputation method")
     out = _out_dir(args, config)
     trained = load_checkpoint(checkpoint_path)
     ds = load_csv(dataset_path)
@@ -326,16 +289,9 @@ def cmd_eval(args) -> None:
         }
     )
     report = evaluate_on(trained, ds, views=views, method=method)
-    stamped = EvalReport(
-        views=report.views,
-        metadata={
-            **report.metadata,
-            "provenance": {"flowcast": VERSION, "config_sha256": digest},
-        },
-    )
-    (out / "eval_report.json").write_text(stamped.to_json() + "\n")
-    wanted = set(views)
-    rows = [row for row in stamped.csv_rows() if row[0] in wanted]
+    report.metadata["provenance"] = {"flowcast": VERSION, "config_sha256": digest}
+    (out / "eval_report.json").write_text(report.to_json() + "\n")
+    rows = [row for row in report.csv_rows() if row[0] in views]
     _write_csv(
         out / "eval_report.csv",
         digest,
@@ -345,21 +301,18 @@ def cmd_eval(args) -> None:
     print(f"overall MAE {report.mae:.6f} RMSE {report.rmse:.6f} ({report.cells} cells)")
 
 
-def cmd_sweep(args) -> None:
-    config = _load_config(args.config) if args.config else {}
+def cmd_sweep(args, config: dict) -> None:
     section = _section(config, "sweep")
     dataset_path = _require_dataset(args, config)
     ratios = args.ratios or _numbers(
         section.get("ratios", DEFAULT_RATIOS), (int, float), "sweep ratios"
     )
-    try:
-        ratios = tuple(float(r) for r in ratios)  # hashed alike however written
-    except OverflowError:
-        raise DataError(f"ratios must be finite and within [0, 0.5], got {ratios}") from None
     scope = args.scope or section.get("scope", "test")
     if scope not in ("test", "all"):
         raise UsageError(f"unknown sweep scope {scope!r}; choose test or all")
-    methods = _resolve_methods(args.impute or section.get("impute", "all"))
+    methods = _choose(
+        args.impute or section.get("impute", "all"), METHODS, "imputation method"
+    )
     seeds = args.seed or _numbers(section.get("seeds", ()), (int,), "sweep seeds")
     if not seeds:
         raise UsageError(
@@ -367,13 +320,7 @@ def cmd_sweep(args) -> None:
         )
     wcfg = _window_config(config)
     out = _out_dir(args, config)
-    resolved = {
-        "command": "sweep",
-        "scope": scope,
-        "methods": methods,
-        "ratios": ratios,
-        "seeds": seeds,
-    }
+    resolved = {"command": "sweep", "scope": scope, "methods": methods, "seeds": seeds}
 
     cfg = None
     if scope == "test":
@@ -391,18 +338,14 @@ def cmd_sweep(args) -> None:
         arch_value = args.arch or config.get("arch")
         if not arch_value:
             raise UsageError("sweep scope 'all' needs an architecture (--arch)")
-        archs = _resolve_archs(arch_value)
-        if len(archs) != 1:
-            raise UsageError("sweep retrains exactly one architecture")
-        subject = archs[0]
-        cfg = _train_config(args, config, seeds_override=seeds)
+        subject = _one(arch_value, ARCHITECTURES, "architecture")
+        cfg = _train_config(config, seeds=seeds, runs=len(seeds))
         resolved["arch"] = subject
         resolved["window"] = dataclasses.asdict(wcfg)
         resolved["train"] = dataclasses.asdict(cfg)
 
     ds = load_csv(dataset_path)
     resolved["dataset_sha256"] = _file_sha256(dataset_path)
-    digest = _config_digest(resolved)
     rows = []
     for method in methods:
         sweep = robustness_sweep(
@@ -422,9 +365,10 @@ def cmd_sweep(args) -> None:
         if 0.21 in sweep.ratios:
             print(f"{method}: degradation at 21% = {sweep.degradation():.4f}")
 
+    resolved["ratios"] = sweep.ratios  # the checked grid, hashed alike however written
     _write_csv(
         out / "sweep.csv",
-        digest,
+        _config_digest(resolved),
         ["ratio", "method", "mae_mean", "mae_sd", "rmse_mean", "rmse_sd"],
         rows,
     )
@@ -437,51 +381,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid LSTM/CNN traffic-flow forecasting experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    seeds = _list(int, "integers")
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--seed", type=_int_list, help="comma-separated seeds")
         p.add_argument("--out", help="output file or directory")
+        p.set_defaults(func=func)
+        return p
 
-    synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    common(synth)
-    synth.set_defaults(func=cmd_synth)
+    synth = command("synth", cmd_synth, "generate a synthetic dataset CSV")
+    synth.add_argument("--seed", type=int, help="generator seed")
 
-    train = sub.add_parser("train", help="train architectures; write metrics CSV")
-    common(train)
+    train = command("train", cmd_train, "train architectures; write metrics CSV")
     train.add_argument("--dataset", help="dataset CSV path")
     train.add_argument("--arch", help="architecture name, comma list, or 'all'")
     train.add_argument("--impute", help="imputation method: mean, median, interp")
+    train.add_argument("--seed", type=seeds, help="comma-separated training seeds")
     train.add_argument("--runs", type=int, help="number of training runs")
-    train.set_defaults(func=cmd_train)
 
-    eval_p = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    common(eval_p)
+    eval_p = command("eval", cmd_eval, "score a checkpoint on a dataset")
     eval_p.add_argument("--dataset", help="dataset CSV path")
     eval_p.add_argument("--checkpoint", help="checkpoint npz path")
     eval_p.add_argument("--impute", help="override the checkpoint's fill method")
-    eval_p.add_argument(
-        "--views", type=_str_list, help=f"comma list from {', '.join(VIEWS)}"
-    )
-    eval_p.set_defaults(func=cmd_eval)
+    eval_p.add_argument("--views", help=f"comma list from {', '.join(VIEWS)}, or 'all'")
 
-    sweep = sub.add_parser("sweep", help="missing-ratio robustness curves")
-    common(sweep)
+    sweep = command("sweep", cmd_sweep, "missing-ratio robustness curves")
     sweep.add_argument("--dataset", help="dataset CSV path")
     sweep.add_argument("--checkpoint", help="trained model (scope test)")
     sweep.add_argument("--arch", help="architecture to retrain (scope all)")
     sweep.add_argument("--impute", help="method, comma list, or 'all'")
-    sweep.add_argument("--ratios", type=_float_list, help="comma-separated ratios")
+    sweep.add_argument("--seed", type=seeds, help="comma-separated injection seeds")
+    sweep.add_argument(
+        "--ratios", type=_list(float, "numbers"), help="comma-separated ratios"
+    )
     sweep.add_argument("--scope", choices=("test", "all"))
-    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.func(args)
+        args = build_parser().parse_args(argv)
+        args.func(args, _load_config(args.config) if args.config else {})
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -397,9 +397,7 @@ def robustness_sweep(
         def score(ratio: float, seed: int) -> EvalReport:
             if ratio == 0.0:
                 return at_zero
-            injected, _ = imputation.inject_missing(
-                cleaned, ratio, seed, scope="test", day_range=test_range
-            )
+            injected, _ = imputation.inject_missing(cleaned, ratio, seed, test_range)
             return training._score_test(subject, injected, imputer)
 
         reports = (score(ratio, seed) for ratio in grid for seed in seeds)

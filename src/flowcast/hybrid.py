@@ -15,7 +15,6 @@ import numpy as np
 from .autodiff import Tensor, concat, flat_leaves, reshape
 from .layers import (
     ConvLayerParams,
-    ConvStackSpec,
     DenseParams,
     LstmParams,
     conv_stack,
@@ -42,7 +41,7 @@ KINDS = (
 )
 
 # kernel cascade per CNN depth; the single-layer variant uses the widest kernel
-KERNEL_CASCADES = {1: (4,), 3: (4, 3, 2)}
+KERNEL_CASCADES = {0: (), 1: (4,), 3: (4, 3, 2)}
 
 # near-term, daily and weekly input blocks, each with its own weights
 STREAMS = 3
@@ -67,10 +66,9 @@ class Topology:
             )
 
     @property
-    def conv_spec(self) -> ConvStackSpec | None:
-        if self.cnn_depth == 0:
-            return None
-        return ConvStackSpec(KERNEL_CASCADES[self.cnn_depth])
+    def kernels(self) -> tuple[int, ...]:
+        """Conv kernel widths in stack order; empty for the LSTM-only kind."""
+        return KERNEL_CASCADES[self.cnn_depth]
 
     @property
     def concat_width_factor(self) -> int:
@@ -138,7 +136,7 @@ def blank(spec: ModelSpec) -> Model:
     """A model whose parameters are all zero, laid out stream by stream (LSTM,
     then conv layers), then the head, in one value vector."""
     p, depth = spec.p, spec.topology.lstm_depth
-    kernels = KERNEL_CASCADES.get(spec.topology.cnn_depth, ())
+    kernels = spec.topology.kernels
     stream = [(4 * p, p), (4 * p, p), (4 * p,)] * depth
     stream += [shape for k in kernels for shape in ((1, 1, k), (1,))]
     head = [(spec.head_out_width, spec.head_in_width), (spec.head_out_width,)]
@@ -180,7 +178,7 @@ def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tenso
         return t
 
     def conv_chain(t: Tensor) -> Tensor:
-        return conv_stack(topology.conv_spec, blocks.convs, t)
+        return conv_stack(blocks.convs, t)
 
     kind = topology.kind
     if kind == LSTM_ONLY:

@@ -47,7 +47,6 @@ class MissingPattern:
 
     ratio: float
     seed: int
-    scope: str
     cells: np.ndarray
     day_range: tuple[int, int] | None = None
 
@@ -55,7 +54,6 @@ class MissingPattern:
         payload = {
             "ratio": self.ratio,
             "seed": self.seed,
-            "scope": self.scope,
             "cell_count": int(self.cells.shape[0]),
         }
         if self.day_range is not None:
@@ -169,7 +167,6 @@ def inject_missing(
     ds: FlowDataset,
     ratio: float,
     seed: int,
-    scope: str = "all",
     day_range: tuple[int, int] | None = None,
 ) -> tuple[FlowDataset, MissingPattern]:
     """Force a random fraction of currently observed cells to missing.
@@ -180,18 +177,12 @@ def inject_missing(
     """
     if not (0.0 <= ratio <= 0.5):
         raise DataError(f"injection ratio {ratio} outside [0, 0.5]")
-    if scope not in ("all", "test"):
-        raise DataError(f"unknown injection scope {scope!r}")
-    ppd = ds.points_per_day
-    if scope == "test":
-        if day_range is None:
-            raise DataError("scope 'test' needs a day range")
+    lo, hi = 0, ds.num_timestamps
+    if day_range is not None:
         start, stop = day_range
         if not (0 <= start < stop <= ds.num_days):
             raise DataError(f"day range {day_range} outside 0..{ds.num_days}")
-        lo, hi = start * ppd, stop * ppd
-    else:
-        lo, hi = 0, ds.num_timestamps
+        lo, hi = start * ds.points_per_day, stop * ds.points_per_day
 
     scoped_total = ds.num_stations * (hi - lo)
     count = round(ratio * scoped_total)
@@ -202,7 +193,7 @@ def inject_missing(
         )
     if count == 0:
         cells = np.empty((0, 2), dtype=int)
-        return ds, MissingPattern(ratio, seed, scope, cells, day_range)
+        return ds, MissingPattern(ratio, seed, cells, day_range)
 
     rng = np.random.default_rng(seed)
     # Prefix of a full shuffle: the same seed at a higher ratio removes a
@@ -218,5 +209,5 @@ def inject_missing(
     cells = np.column_stack([stations, timestamps])
     return (
         replace(ds, flows=flows, mask=mask),
-        MissingPattern(ratio, seed, scope, cells, day_range),
+        MissingPattern(ratio, seed, cells, day_range),
     )

@@ -71,19 +71,6 @@ class LstmParams:
                 yield name, getattr(self, name)
 
 
-@dataclass(frozen=True)
-class ConvStackSpec:
-    """Ordered 1D kernel sizes; ReLU follows every conv layer."""
-
-    kernel_sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.kernel_sizes:
-            raise ValueError("conv stack needs at least one kernel size")
-        if any(k < 1 for k in self.kernel_sizes):
-            raise ValueError(f"kernel sizes must be positive: {self.kernel_sizes}")
-
-
 @dataclass
 class ConvLayerParams:
     """One one-channel conv layer: kernel [1, 1, k] and bias [1]."""
@@ -219,24 +206,17 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
     )
 
 
-def conv_stack(spec: ConvStackSpec, params: list[ConvLayerParams], seq: Tensor) -> Tensor:
+def conv_stack(params: list[ConvLayerParams], seq: Tensor) -> Tensor:
     """Convolve each time column along the station axis, ReLU after each layer.
 
-    Kernels are shared across time columns (and the batch axis, if present).
+    Each layer is as wide as its kernel. Kernels are shared across time
+    columns (and the batch axis, if present).
     """
-    if len(params) != len(spec.kernel_sizes):
-        raise ValueError(
-            f"{len(params)} parameter sets for {len(spec.kernel_sizes)} kernel sizes"
-        )
     p = seq.data.shape[0]
-    widest = max(spec.kernel_sizes)
+    widest = max(layer.kernel.data.shape[-1] for layer in params)
     if p < widest:
         raise ValueError(f"station axis length {p} is shorter than kernel {widest}")
-    for layer, k in zip(params, spec.kernel_sizes):
-        if layer.kernel.data.shape != (1, 1, k):
-            raise ValueError(
-                f"kernel {layer.kernel.data.shape} does not match spec width {k}"
-            )
+    for layer in params:
         seq = relu(conv1d_same(seq, layer.kernel, layer.bias))
     return seq
 

@@ -195,11 +195,11 @@ def model_spec_for(arch: str, p: int, wcfg: WindowConfig) -> ModelSpec:
             f"weekly {wcfg.weekly_width}); the model needs equal-width streams"
         )
     topology = ARCHITECTURES[arch]
-    conv_spec = topology.conv_spec
-    if conv_spec is not None and p < max(conv_spec.kernel_sizes):
+    widest = max(topology.kernels, default=0)
+    if p < widest:
         raise DataError(
             f"{arch} convolves along the station axis with kernels up to "
-            f"{max(conv_spec.kernel_sizes)} wide; the dataset has only {p} stations"
+            f"{widest} wide; the dataset has only {p} stations"
         )
     return ModelSpec(topology=topology, p=p, n=wcfg.n, h=wcfg.h)
 

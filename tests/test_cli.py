@@ -8,6 +8,7 @@ import datetime as dt
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,6 +21,7 @@ import flowcast
 from flowcast import cli, training
 from flowcast.dataset import load_csv, save_csv
 from flowcast.errors import NumericError
+from flowcast.evaluation import VIEWS
 from flowcast.hybrid import ARCHITECTURES
 from flowcast.synthgen import SynthConfig, generate
 from flowcast.version import VERSION
@@ -113,6 +115,32 @@ class TestArgumentErrors:
             cli.main(["--help"])
         assert info.value.code == 0
         assert "synth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [["eval", "--seed", "1"], ["synth", "--seed", "1,2"]],
+        ids=["eval-seed", "synth-seed-list"],
+    )
+    def test_flag_the_command_would_not_read(self, ws, tmp_path, capsys, command):
+        # everything else the command needs is given: only the flag is wrong
+        inputs = ["--out", str(tmp_path / "out")]
+        if command[0] == "eval":
+            inputs += ["--checkpoint", str(ws["checkpoint"]), "--dataset", str(ws["data"])]
+        assert cli.main(command + inputs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep"])
+    def test_help_lists_the_flags_readme_gives(self, capsys, command):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        (row,) = [ln for ln in section.splitlines() if ln.startswith(f"| `{command}` |")]
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--help"])
+        assert info.value.code == 0
+        shown = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        assert shown == set(re.findall(r"--[a-z]+", row))
 
     def test_synth_requires_seed(self, tmp_path):
         assert cli.main(["synth", "--out", str(tmp_path / "d.csv")]) == 1
@@ -313,13 +341,21 @@ class TestArgumentErrors:
             (["sweep", "--impute", "mean,mean", "--seed", "1"], 1, "mean more than once"),
             (["sweep", "--scope", "all", "--arch", "LSTM1", "--seed", "1,1"], 1, "repeat"),
             (["sweep", "--impute", "mean", "--seed", "1,1"], 2, "seeds (1, 1) repeat"),
+            (["eval", "--views", "overall,station,overall"], 1, "overall more than once"),
         ],
-        ids=["train-seeds", "train-archs", "sweep-methods", "sweep-all-seeds", "sweep-seeds"],
+        ids=[
+            "train-seeds",
+            "train-archs",
+            "sweep-methods",
+            "sweep-all-seeds",
+            "sweep-seeds",
+            "eval-views",
+        ],
     )
     def test_repeated_seed_or_name_rejected(self, ws, tmp_path, command, code, message):
         # Run as a user would, so an uncaught exception shows as a traceback.
         inputs = ["--dataset", str(ws["data"]), "--out", str(tmp_path / "out")]
-        if command[0] == "sweep":
+        if command[0] in ("eval", "sweep"):
             inputs += ["--checkpoint", str(ws["checkpoint"])]
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -357,10 +393,13 @@ class TestArgumentErrors:
         assert cli.main(command + ["--config", str(cfg)] + inputs + out) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+        if code == 2:
+            # the line names the problem, not the ratio's 401 digits
+            assert err.startswith("data error:") and len(err) < 200, err
 
     def test_resolve_archs_all(self):
-        assert cli._resolve_archs("all") == list(ARCHITECTURES)
-        assert len(cli._resolve_archs("all")) == 12
+        assert cli._choose("all", ARCHITECTURES, "architecture") == list(ARCHITECTURES)
+        assert len(cli._choose("all", ARCHITECTURES, "architecture")) == 12
 
 
 class TestDataErrors:
@@ -654,7 +693,7 @@ class TestDataErrors:
 
 class TestNumericErrors:
     def test_numeric_failures_exit_three(self, monkeypatch, capsys):
-        def boom(args):
+        def boom(args, config):
             raise NumericError("training diverged")
 
         monkeypatch.setattr(cli, "cmd_train", boom)
@@ -867,6 +906,13 @@ class TestEval:
         assert stamps[0] == stamps[1]
         assert stamps[0] != stamps[2]
 
+    def test_views_all_is_every_view(self, ws, tmp_path):
+        every = self.run_eval(ws, tmp_path / "all", views="all")
+        listed = self.run_eval(ws, tmp_path / "listed", views=",".join(VIEWS))
+        for name in ("eval_report.csv", "eval_report.json"):
+            assert (every / name).read_bytes() == (listed / name).read_bytes()
+        assert {row[0] for row in read_rows(every / "eval_report.csv")} == set(VIEWS)
+
     def test_json_report_carries_provenance(self, ws, tmp_path):
         out = self.run_eval(ws, tmp_path)
         payload = json.loads((out / "eval_report.json").read_text())
@@ -968,6 +1014,18 @@ class TestSweep:
         assert cli.main(common + ["--ratios", "0,0.1", "--out", str(flag)]) == 0
         assert cli.main(common + ["--config", str(cfg), "--out", str(config)]) == 0
         assert (flag / "sweep.csv").read_bytes() == (config / "sweep.csv").read_bytes()
+
+    def test_all_scope_runs_once_per_seed_whatever_train_runs_says(self, ws, tmp_path):
+        outs = []
+        for name, train in (("runs", {"max_epochs": 1, "runs": 3}), ("plain", {"max_epochs": 1})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"config_version": 1, "train": train}))
+            args = ["sweep", "--config", str(cfg), "--dataset", str(ws["data"])]
+            args += ["--scope", "all", "--arch", "LSTM1", "--impute", "mean"]
+            args += ["--ratios", "0,0.1", "--seed", "0,1", "--out", str(tmp_path / name)]
+            assert cli.main(args) == 0
+            outs.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_zero_ratio_identical_across_methods_on_complete_data(self, ws, tmp_path):
         rc = cli.main(

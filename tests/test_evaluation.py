@@ -512,7 +512,7 @@ class TestRobustnessSweep:
             reports = []
             for seed in seeds:
                 injected, _ = imputation.inject_missing(
-                    clean(ds), pt.ratio, seed, scope="test", day_range=test_range
+                    clean(ds), pt.ratio, seed, day_range=test_range
                 )
                 reports.append(training.evaluate_on(trained, injected, method=method))
             assert pt.seed_mae == tuple(r.mae for r in reports)

@@ -134,9 +134,7 @@ def test_series_matches_manual_composition():
     blocks = model.blocks[0]
     x = Tensor(rng.normal(size=(5, 7)))
     via_topology = apply_topology(model.spec.topology, blocks, x)
-    manual = conv_stack(
-        model.spec.topology.conv_spec, blocks.convs, lstm_layer(blocks.lstms[0], x)
-    )
+    manual = conv_stack(blocks.convs, lstm_layer(blocks.lstms[0], x))
     assert np.array_equal(via_topology.data, manual.data)
 
 

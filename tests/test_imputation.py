@@ -199,7 +199,7 @@ class TestInjectMissing:
 
     def test_test_scope_only_touches_range(self):
         ds = random_dataset(p=2, days=6, missing=0.0)
-        out, pattern = inject_missing(ds, 0.2, seed=4, scope="test", day_range=(4, 6))
+        out, pattern = inject_missing(ds, 0.2, seed=4, day_range=(4, 6))
         untouched = out.mask[:, : 4 * 288]
         assert untouched.all()
         expected = round(0.2 * 2 * 2 * 288)
@@ -228,17 +228,11 @@ class TestInjectMissing:
         with pytest.raises(DataError, match="only 100 observed"):
             inject_missing(ds, 0.5, seed=0)
 
-    def test_missing_day_range_for_test_scope(self):
-        ds = random_dataset()
-        with pytest.raises(DataError, match="needs a day range"):
-            inject_missing(ds, 0.1, seed=0, scope="test")
-
     def test_pattern_json(self):
         ds = random_dataset(missing=0.0)
-        _, pattern = inject_missing(ds, 0.1, seed=11, scope="test", day_range=(4, 6))
+        _, pattern = inject_missing(ds, 0.1, seed=11, day_range=(4, 6))
         payload = pattern.to_json()
         assert payload["ratio"] == 0.1
         assert payload["seed"] == 11
-        assert payload["scope"] == "test"
         assert payload["day_range"] == [4, 6]
         assert payload["cell_count"] == pattern.cells.shape[0]

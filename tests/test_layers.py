@@ -10,7 +10,6 @@ from flowcast.autodiff import Tensor, flat_leaves, mul, tensor_sum
 from flowcast.hybrid import ARCHITECTURES, ModelSpec, build
 from flowcast.layers import (
     ConvLayerParams,
-    ConvStackSpec,
     DenseParams,
     LstmParams,
     conv_stack,
@@ -28,14 +27,15 @@ def zero_lstm_params(p):
     return LstmParams(*flat_leaves([np.zeros((4 * p, p)), np.zeros((4 * p, p)), np.zeros(4 * p)])[2])
 
 
-def conv_params(rng, spec):
-    """Glorot kernels and zero biases, drawn as ``build`` draws them."""
+def conv_params(rng, kernels):
+    """Glorot kernels of the given widths and zero biases, drawn as ``build``
+    draws them."""
     return [
         ConvLayerParams(
             Tensor(glorot_uniform(rng, (1, 1, k), k, k), requires_grad=True),
             Tensor(np.zeros(1), requires_grad=True),
         )
-        for k in spec.kernel_sizes
+        for k in kernels
     ]
 
 
@@ -254,54 +254,48 @@ class TestLstmLayer:
 
 class TestConvStack:
     def test_identity_kernel_is_relu(self):
-        spec = ConvStackSpec((1,))
         params = [ConvLayerParams(Tensor(np.ones((1, 1, 1)), requires_grad=True),
                                   Tensor(np.zeros(1), requires_grad=True))]
         x = np.array([[1.0, -2.0], [-3.0, 4.0]])
-        out = conv_stack(spec, params, Tensor(x))
+        out = conv_stack(params, Tensor(x))
         assert np.array_equal(out.data, np.maximum(x, 0.0))
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(8)
-        spec = ConvStackSpec((4, 3, 2))
-        params = conv_params(rng, spec)
-        out = conv_stack(spec, params, Tensor(-np.abs(rng.normal(size=(9, 5)))))
+        params = conv_params(rng, (4, 3, 2))
+        out = conv_stack(params, Tensor(-np.abs(rng.normal(size=(9, 5)))))
         assert np.all(out.data >= 0.0)
 
     @pytest.mark.parametrize("p", [25, 65])
     def test_shape_preserved(self, p):
         rng = np.random.default_rng(9)
-        spec = ConvStackSpec((4, 3, 2))
-        params = conv_params(rng, spec)
-        out = conv_stack(spec, params, Tensor(rng.normal(size=(p, 21))))
+        params = conv_params(rng, (4, 3, 2))
+        out = conv_stack(params, Tensor(rng.normal(size=(p, 21))))
         assert out.data.shape == (p, 21)
 
     def test_shape_preserved_with_batch_axis(self):
         rng = np.random.default_rng(10)
-        spec = ConvStackSpec((4, 3, 2))
-        params = conv_params(rng, spec)
-        out = conv_stack(spec, params, Tensor(rng.normal(size=(8, 21, 4))))
+        params = conv_params(rng, (4, 3, 2))
+        out = conv_stack(params, Tensor(rng.normal(size=(8, 21, 4))))
         assert out.data.shape == (8, 21, 4)
 
     def test_station_axis_shorter_than_kernel_rejected(self):
         rng = np.random.default_rng(11)
-        spec = ConvStackSpec((4,))
-        params = conv_params(rng, spec)
+        params = conv_params(rng, (4,))
         with pytest.raises(ValueError, match="shorter than kernel"):
-            conv_stack(spec, params, Tensor(np.zeros((3, 21))))
+            conv_stack(params, Tensor(np.zeros((3, 21))))
 
     def test_gradients(self):
         # positive kernels, biases, and inputs keep every pre-activation on the
         # linear side of the ReLU, where finite differences are valid
         rng = np.random.default_rng(12)
-        spec = ConvStackSpec((3, 2))
-        params = conv_params(rng, spec)
+        params = conv_params(rng, (3, 2))
         for layer in params:
             layer.kernel.data[:] = np.abs(layer.kernel.data) + 0.1
             layer.bias.data[:] = 0.3
         seq = Tensor(rng.uniform(1.0, 2.0, size=(6, 4)), requires_grad=True)
         leaves = [t for layer in params for _, t in layer.named()] + [seq]
-        check_gradients(lambda: tensor_sum(conv_stack(spec, params, seq)), leaves)
+        check_gradients(lambda: tensor_sum(conv_stack(params, seq)), leaves)
 
 
 class TestDense:

@@ -301,11 +301,9 @@ def test_injection_keeps_supersets_across_ratios(table_seed, scope, ratios, seed
         count = round(ratio * in_scope.size)
         if count > in_scope.sum():
             with pytest.raises(DataError, match="cannot remove"):
-                inject_missing(ds, ratio, seed, scope=scope, day_range=day_range)
+                inject_missing(ds, ratio, seed, day_range=day_range)
             break
-        injected, pattern = inject_missing(
-            ds, ratio, seed, scope=scope, day_range=day_range
-        )
+        injected, pattern = inject_missing(ds, ratio, seed, day_range=day_range)
         cells = set(zip(*np.nonzero(ds.mask != injected.mask)))
         assert cells == set(map(tuple, pattern.cells.tolist()))
         assert len(cells) == count

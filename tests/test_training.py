@@ -268,8 +268,7 @@ class TestModelSpecFor:
 
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_stations_fewer_than_widest_kernel(self, arch):
-        conv_spec = ARCHITECTURES[arch].conv_spec
-        if conv_spec is None:
+        if not ARCHITECTURES[arch].kernels:
             assert model_spec_for(arch, 1, WindowConfig()).p == 1
         else:
             with pytest.raises(DataError, match="only 3 stations"):

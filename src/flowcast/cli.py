@@ -176,6 +176,23 @@ def _window_config(config: dict) -> WindowConfig:
         raise UsageError(f"invalid window settings: {exc}") from None
 
 
+def _checkpoint_window(config: dict, trained, checkpoint_path) -> None:
+    """Reject a config window section that is invalid or unlike the
+    checkpoint's window, which ``eval`` and test-scope sweeps score with."""
+    if "window" not in config:
+        return
+    have = dataclasses.asdict(trained.window_cfg)
+    try:
+        wcfg = _window_config(config)
+    except UsageError as exc:
+        raise UsageError(f"{exc}; checkpoint {checkpoint_path} has window {have}") from None
+    if wcfg != trained.window_cfg:
+        raise UsageError(
+            f"config window {dataclasses.asdict(wcfg)} differs from checkpoint "
+            f"{checkpoint_path} window {have}, which eval and test sweeps use"
+        )
+
+
 def _train_config(config: dict, **flags) -> TrainConfig:
     """The config's train section with the flags that are set laid over it."""
     section = _section(config, "train")
@@ -276,8 +293,9 @@ def cmd_eval(args, config: dict) -> None:
     method = args.impute
     if method is not None:
         method = _one(method, METHODS, "imputation method")
-    out = _out_dir(args, config)
     trained = load_checkpoint(checkpoint_path)
+    _checkpoint_window(config, trained, checkpoint_path)
+    out = _out_dir(args, config)
     ds = load_csv(dataset_path)
     digest = _config_digest(
         {
@@ -318,11 +336,9 @@ def cmd_sweep(args, config: dict) -> None:
         raise UsageError(
             "injection seeds must be explicit (--seed or config sweep.seeds)"
         )
-    wcfg = _window_config(config)
-    out = _out_dir(args, config)
     resolved = {"command": "sweep", "scope": scope, "methods": methods, "seeds": seeds}
 
-    cfg = None
+    cfg = wcfg = None
     if scope == "test":
         checkpoint_path = args.checkpoint or _text(
             section.get("checkpoint"), "sweep checkpoint"
@@ -333,6 +349,7 @@ def cmd_sweep(args, config: dict) -> None:
                 "(--checkpoint or config sweep.checkpoint)"
             )
         subject = load_checkpoint(checkpoint_path)
+        _checkpoint_window(config, subject, checkpoint_path)
         resolved["checkpoint_sha256"] = _file_sha256(checkpoint_path)
     else:
         arch_value = args.arch or config.get("arch")
@@ -340,10 +357,12 @@ def cmd_sweep(args, config: dict) -> None:
             raise UsageError("sweep scope 'all' needs an architecture (--arch)")
         subject = _one(arch_value, ARCHITECTURES, "architecture")
         cfg = _train_config(config, seeds=seeds, runs=len(seeds))
+        wcfg = _window_config(config)
         resolved["arch"] = subject
         resolved["window"] = dataclasses.asdict(wcfg)
         resolved["train"] = dataclasses.asdict(cfg)
 
+    out = _out_dir(args, config)
     ds = load_csv(dataset_path)
     resolved["dataset_sha256"] = _file_sha256(dataset_path)
     rows = []

@@ -2,8 +2,9 @@
 
 A dataset is a stations-by-timestamps matrix at a fixed points-per-day
 cadence, with a boolean observation mask. Windows are anchors at every
-admissible in-day position; a batch gathers the three aligned input blocks
-(near-term, one day back, one week back) plus the forecast target on demand.
+admissible in-day position; a batch reads the three aligned input blocks
+(near-term, one day back, one week back) plus the forecast target on demand,
+as read-only views of the tables wherever its anchors are consecutive.
 
 CSV layout: first column an ISO-8601 timestamp, one column per station. A
 cell is missing when it is empty, blank or NaN in any spelling (``nan``,
@@ -24,6 +25,7 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, check_field_types
 
@@ -431,8 +433,9 @@ WEEK_DAYS = 7
 class Windows:
     """Anchor timestamps into input and target tables that are never copied.
 
-    ``stack_batch`` gathers a batch's blocks when it is used, so memory stays
-    O(p x T); indexing and iteration gather one window as a batch of one.
+    ``stack_batch`` reads a batch's blocks when it is used, as read-only
+    strided views of the tables, so memory stays O(p x T); indexing and
+    iteration read one window as a batch of one.
     """
 
     inputs: FlowDataset
@@ -506,22 +509,35 @@ def day_batches(windows: Windows) -> list[Windows]:
 
 
 def stack_batch(batch: Windows) -> tuple[np.ndarray, ...]:
-    """Gather a batch of windows from its tables, stacked on a trailing axis.
+    """Read a batch of windows in place from its tables, stacked on a trailing axis.
 
-    Returns (s, s_d, s_w, target, target_mask, ts): each block is a
-    C-contiguous [p, width, batch] array and ts lists the anchor timestamps.
+    Returns (s, s_d, s_w, target, target_mask, ts): each block is a read-only
+    [p, width, batch] array and ts lists the anchor timestamps. A run of
+    consecutive anchors is a strided view of its table, so a day batch from
+    ``day_batches`` copies nothing; the views of several runs are joined into
+    one new array. Either way a predictor that writes into a block raises
+    ``ValueError``.
     """
     cfg, ppd, ts = batch.cfg, batch.inputs.points_per_day, np.array(batch.anchors)
+    cut = [0, *(np.flatnonzero(np.diff(ts) != 1) + 1), ts.size]
+    # (first anchor, length) of each run; no anchors read one empty run
+    runs = [(ts[a], b - a) for a, b in zip(cut, cut[1:]) if b > a] or [(0, 0)]
 
-    def take(table: np.ndarray, first: int, width: int) -> np.ndarray:
-        # np.take keeps the batch axis innermost, where table[:, idx] would not
-        return np.take(table, ts + np.arange(first, first + width)[:, None], axis=1)
+    def read(table: np.ndarray, first: int, width: int) -> np.ndarray:
+        # windows[..., i] is table[:, i : i + width], with the batch axis last
+        windows = sliding_window_view(table, width, axis=1).transpose(0, 2, 1)
+        views = [windows[..., t + first : t + first + size] for t, size in runs]
+        if len(views) == 1:
+            return views[0]
+        joined = np.concatenate(views, axis=2)
+        joined.setflags(write=False)
+        return joined
 
     return (
-        take(batch.inputs.flows, -cfg.n, cfg.n),
-        take(batch.inputs.flows, -ppd - cfg.n_d, cfg.daily_width),
-        take(batch.inputs.flows, -WEEK_DAYS * ppd - cfg.n_w, cfg.weekly_width),
-        take(batch.targets.flows, 0, cfg.h),
-        take(batch.targets.mask, 0, cfg.h),
+        read(batch.inputs.flows, -cfg.n, cfg.n),
+        read(batch.inputs.flows, -ppd - cfg.n_d, cfg.daily_width),
+        read(batch.inputs.flows, -WEEK_DAYS * ppd - cfg.n_w, cfg.weekly_width),
+        read(batch.targets.flows, 0, cfg.h),
+        read(batch.targets.mask, 0, cfg.h),
         ts,
     )

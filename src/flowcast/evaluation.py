@@ -143,7 +143,8 @@ def as_predictor(subject) -> Callable:
     """Adapt a model, trained bundle, or callable to the predictor protocol.
 
     A predictor maps batched blocks (s, s_d, s_w, ts) to a [p, h, batch]
-    prediction array.
+    prediction array. The blocks are read-only views of the windows' table
+    (see ``stack_batch``); writing into one raises ``ValueError``.
     """
     if isinstance(subject, Model):
         return lambda s, s_d, s_w, ts: forward_batch(subject, s, s_d, s_w).data

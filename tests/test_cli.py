@@ -1050,3 +1050,53 @@ class TestSweep:
         assert [row[1] for row in rows] == ["mean", "median", "interp"]
         assert len({row[2] for row in rows}) == 1
         assert len({row[4] for row in rows}) == 1
+
+
+class TestCheckpointWindow:
+    """eval and test-scope sweeps score with the checkpoint's window."""
+
+    COMMANDS = {
+        "eval": ["eval", "--views", "all"],
+        "sweep": ["sweep", "--impute", "all", "--ratios", "0,0.1", "--seed", "0"],
+    }
+
+    def run(self, ws, tmp_path, command, window):
+        args = self.COMMANDS[command] + ["--checkpoint", str(ws["checkpoint"])]
+        args += ["--dataset", str(ws["data"])]
+        if window is not None:
+            tmp_path.mkdir(exist_ok=True)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"config_version": 1, "window": window}))
+            args += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        return cli.main(args + ["--out", str(out)]), out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "window, named",
+        [({"h": 3}, "'h': 3"), ({"h": "x"}, "'x'"), ({"n": 0}, "n=0")],
+        ids=["other-horizon", "text-horizon", "zero-length"],
+    )
+    def test_window_unlike_the_checkpoint_is_a_usage_error(
+        self, ws, tmp_path, capsys, command, window, named
+    ):
+        rc, out = self.run(ws, tmp_path, command, window)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert named in err and "'h': 9" in err and str(ws["checkpoint"]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("window", [{}, {"n": 21, "h": 9}], ids=["empty", "same"])
+    def test_window_equal_to_the_checkpoint_changes_nothing(
+        self, ws, tmp_path, command, window
+    ):
+        rc, plain = self.run(ws, tmp_path / "plain", command, None)
+        assert rc == 0
+        rc, given = self.run(ws, tmp_path / "given", command, window)
+        assert rc == 0
+        files = sorted(path.name for path in plain.iterdir())
+        assert files == sorted(path.name for path in given.iterdir())
+        for name in files:
+            assert (plain / name).read_bytes() == (given / name).read_bytes()

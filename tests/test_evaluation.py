@@ -213,6 +213,24 @@ class TestEvaluate:
         assert len(day_batches(samples)) == 1
         assert sizes and max(sizes) <= H * len(samples)
 
+    def test_day_batches_read_their_tables_in_place(self):
+        samples = make_samples(np.random.default_rng(12), range(1, PPD))
+        (batch,) = day_batches(samples)
+        *blocks, _ = stack_batch(batch)
+        flows, truth, mask = samples.inputs.flows, samples.targets.flows, samples.targets.mask
+        for block, table in zip(blocks, (flows, flows, flows, truth, mask)):
+            assert np.shares_memory(block, table)
+        before = [table.tobytes() for table in (flows, truth, mask)]
+
+        def scribble(s, s_d, s_w, ts):
+            s[...] = 0.0
+            return np.zeros((P, H, ts.size))
+
+        with pytest.raises(ValueError, match="read-only"):
+            evaluate(scribble, samples)
+        evaluate(persistence_predictor(H), samples, VIEWS)
+        assert [table.tobytes() for table in (flows, truth, mask)] == before
+
     def test_overall_recombines_station_view(self):
         rng = np.random.default_rng(2)
         samples = make_samples(

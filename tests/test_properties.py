@@ -69,14 +69,12 @@ def windows(draw):
     return extract_windows(inputs, cfg, (first, days), target_from=truth)
 
 
-@settings(max_examples=40, deadline=None)
-@given(windows())
-def test_stack_batch_matches_brute_force_slicer(w):
+def assert_matches_slicer(w):
     ppd = w.inputs.points_per_day
     s, s_d, s_w, target, target_mask, ts = stack_batch(w)
     assert np.array_equal(ts, w.anchors)
     for block in (s, s_d, s_w, target, target_mask):
-        assert block.flags.c_contiguous and block.shape[-1] == len(w)
+        assert not block.flags.writeable and block.shape[-1] == len(w)
     for b, t in enumerate(ts):
         want = brute_force_blocks(w.inputs.flows, w.cfg, t, ppd)[:3]
         for got, block in zip((s, s_d, s_w), want):
@@ -85,6 +83,57 @@ def test_stack_batch_matches_brute_force_slicer(w):
         *_, want_mask = brute_force_blocks(w.targets.mask, w.cfg, t, ppd)
         assert np.array_equal(target[..., b], want_target)
         assert np.array_equal(target_mask[..., b], want_mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows())
+def test_stack_batch_matches_brute_force_slicer(w):
+    assert_matches_slicer(w)
+
+
+def gappy_day(w, data):
+    """One day's anchors with at least one interior anchor left out."""
+    ppd = w.inputs.points_per_day
+    day = data.draw(st.sampled_from(sorted(set(w.anchors // ppd))))
+    anchors = w.anchors[w.anchors // ppd == day]
+    anchors = np.delete(anchors, data.draw(st.integers(1, anchors.size - 2)))
+    keep = data.draw(st.lists(st.booleans(), min_size=anchors.size, max_size=anchors.size))
+    keep[0] = keep[-1] = True
+    return anchors[keep]
+
+
+def unsorted(w, data):
+    anchors = data.draw(st.permutations(list(w.anchors)))
+    assume(anchors != sorted(anchors))
+    return anchors
+
+
+def repeated(w, data):
+    picks = data.draw(st.lists(st.sampled_from(list(w.anchors)), min_size=1, max_size=12))
+    return picks + data.draw(st.lists(st.sampled_from(picks), min_size=1, max_size=6))
+
+
+ANCHOR_SETS = {
+    "gaps-in-one-day": gappy_day,
+    "unsorted": unsorted,
+    "repeated": repeated,
+    "single": lambda w, data: [data.draw(st.sampled_from(list(w.anchors)))],
+    "none": lambda w, data: [],
+}
+
+
+@pytest.mark.parametrize("anchor_set", ANCHOR_SETS)
+@settings(max_examples=25, deadline=None)
+@given(w=windows(), data=st.data())
+def test_stack_batch_matches_slicer_on_anchor_sets_days_never_give(w, data, anchor_set):
+    odd = replace(w, anchors=ANCHOR_SETS[anchor_set](w, data))
+    assert_matches_slicer(odd)
+    if not odd:
+        cfg, p = w.cfg, w.inputs.num_stations
+        widths = (cfg.n, cfg.daily_width, cfg.weekly_width, cfg.h, cfg.h)
+        *blocks, ts = stack_batch(odd)
+        assert [block.shape for block in blocks] == [(p, k, 0) for k in widths]
+        assert ts.shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)

@@ -183,56 +183,6 @@ def add_bias(x, v) -> Tensor:
     return Tensor(x.data + vb, _parents=(x, v), _backward=bwd)
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    # Subgradient at 0 is taken as 0.
-    keep = x.data > 0.0
-
-    def bwd(g):
-        _accumulate(x, np.where(keep, g, 0.0))
-
-    return Tensor(np.where(keep, x.data, 0.0), _parents=(x,), _backward=bwd)
-
-
-def conv1d_same(signal, kernel, bias) -> Tensor:
-    """Same-length one-channel cross-correlation along axis 0 of ``signal``.
-
-    ``signal`` is [p, *rest], ``kernel`` [1, 1, k] and ``bias`` [1]; trailing
-    axes of the signal ride along unchanged (time steps, batch). Zero padding
-    splits as left = (k-1)//2, right = k-1-left, so the output keeps length
-    p. No kernel flip.
-    """
-    signal, kernel, bias = _as_tensor(signal), _as_tensor(kernel), _as_tensor(bias)
-    if signal.data.ndim < 1:
-        raise ValueError(f"conv1d_same: signal needs [p, ...], got {signal.data.shape}")
-    if kernel.data.ndim != 3 or kernel.data.shape[:2] != (1, 1):
-        raise ValueError(f"conv1d_same: kernel must be [1, 1, k], got {kernel.data.shape}")
-    if bias.data.shape != (1,):
-        raise ValueError(f"conv1d_same: bias must be [1], got {bias.data.shape}")
-    p, rest = signal.data.shape[0], signal.data.shape[1:]
-    w = kernel.data[0, 0]
-    k = w.shape[0]
-    left = (k - 1) // 2
-
-    padded = np.zeros((p + k - 1,) + rest)
-    padded[left:left + p] = signal.data
-    out = np.full((p,) + rest, bias.data[0])
-    for j in range(k):
-        out += w[j] * padded[j:j + p]
-
-    def bwd(g):
-        kg = np.empty(k)
-        pg = np.zeros_like(padded)
-        for j in range(k):
-            kg[j] = (g * padded[j:j + p]).sum()
-            pg[j:j + p] += w[j] * g
-        _accumulate(kernel, kg.reshape(1, 1, k))
-        _accumulate(bias, np.array([g.sum()]))
-        _accumulate(signal, pg[left:left + p])
-
-    return Tensor(out, _parents=(signal, kernel, bias), _backward=bwd)
-
-
 def concat(parts) -> Tensor:
     """Join tensors along the leading axis."""
     parts = [_as_tensor(p) for p in parts]

@@ -253,6 +253,9 @@ def load_checkpoint(path) -> TrainedModel:
                 f"manifest {entry['sha256'][:12]}..."
             )
             continue
+        if not np.isfinite(data).all():
+            problems.append(f"{entry['name']}: holds non-finite values")
+            continue
         by_name[entry["name"]].data[...] = data
     if problems:
         raise DataError(

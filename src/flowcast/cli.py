@@ -209,9 +209,17 @@ def _train_config(config: dict, **flags) -> TrainConfig:
         raise UsageError(f"invalid train settings: {exc}") from None
 
 
+def _make_dir(path: Path) -> None:
+    """Create a directory and its parents; a path that cannot be one is a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {path}: {exc.strerror}") from None
+
+
 def _out_dir(args, config: dict) -> Path:
     out = Path(args.out or _text(config.get("out", "."), "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     return out
 
 
@@ -229,10 +237,11 @@ def cmd_synth(args, config: dict) -> None:
         cfg = SynthConfig(**section)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid synth settings: {exc}") from None
-    ds = generate(cfg)
     out = Path(args.out or _text(config.get("out", "synth.csv"), "out"))
-    if out.parent != Path():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    if out.is_dir():
+        raise UsageError(f"output {out} is a directory; synth writes one CSV file")
+    _make_dir(out.parent)
+    ds = generate(cfg)
     save_csv(ds, out)
     print(
         f"wrote {ds.num_stations} stations x {ds.num_timestamps} timestamps to {out}"
@@ -249,6 +258,8 @@ def cmd_train(args, config: dict) -> None:
     cfg = _train_config(config, seeds=args.seed, runs=args.runs)
     wcfg = _window_config(config)
     out = _out_dir(args, config)
+    for part in ("checkpoints", "logs"):
+        _make_dir(out / part)
     ds = load_csv(dataset_path)
     digest = _config_digest(
         {
@@ -266,9 +277,7 @@ def cmd_train(args, config: dict) -> None:
     for run in run_tasks(ds, tasks, cfg, wcfg):
         name = f"{run.task.arch}_{method}_seed{run.seed}"
         save_checkpoint(out / "checkpoints" / f"{name}.npz", run.trained)
-        log_path = out / "logs" / f"{name}.jsonl"
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        log_path.write_text(run.log.to_json_lines())
+        (out / "logs" / f"{name}.jsonl").write_text(run.log.to_json_lines())
         scores[run.task.arch].append([getattr(run, metric) for metric in METRICS])
     rows = [
         [arch, method, *(x for column in zip(*runs) for x in mean_sd(column))]

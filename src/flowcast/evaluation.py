@@ -35,7 +35,7 @@ from .dataset import (
     slice_days,
     stack_batch,
 )
-from .errors import DataError
+from .errors import DataError, NumericError
 from .hybrid import Model, forward_batch
 
 VIEWS = ("overall", "horizon", "timestamp", "weekday", "station")
@@ -179,6 +179,9 @@ def _view_rules(
     }
 
 
+# An overflow in a scored cell leaves a non-finite sum, which evaluate reports
+# as a NumericError; one in a masked-off cell is never scored.
+@np.errstate(over="ignore")
 def evaluate(
     subject,
     samples: Windows,
@@ -194,6 +197,7 @@ def evaluate(
     the target mask is set. The cadence and the start date that anchors the
     weekday view (reported Monday-first) come from the windows' table; a
     given ``points_per_day`` or ``start_date`` must agree with that table.
+    Raises NumericError when the scored cells' error sums are not finite.
     """
     requested = tuple(dict.fromkeys(("overall",) + tuple(views)))
     for name in requested:
@@ -246,6 +250,12 @@ def evaluate(
                     for w in plane
                 ]
 
+    abs_total, sq_total, _ = sums["overall"][:, 0]
+    if not (math.isfinite(abs_total) and math.isfinite(sq_total)):
+        raise NumericError(
+            f"scored cells give non-finite error sums: absolute {abs_total}, "
+            f"squared {sq_total}"
+        )
     out = {}
     for name in requested:
         abs_sum, sq_sum, cells = sums[name]
@@ -398,7 +408,7 @@ def robustness_sweep(
         def score(ratio: float, seed: int) -> EvalReport:
             if ratio == 0.0:
                 return at_zero
-            injected, _ = imputation.inject_missing(cleaned, ratio, seed, test_range)
+            injected = imputation.inject_missing(cleaned, ratio, seed, test_range)
             return training._score_test(subject, injected, imputer)
 
         reports = (score(ratio, seed) for ratio in grid for seed in seeds)

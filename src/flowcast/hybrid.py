@@ -1,7 +1,7 @@
 """Hybrid LSTM / CNN forecasters: twelve named architectures, one forward rule.
 
 Each model runs three input streams (near-term, daily, weekly) through the
-same block topology, concatenates the flattened stream outputs, and applies a
+same block topology, joins and flattens the stream outputs, and applies a
 dense regression head producing an h-step forecast for every station.
 """
 
@@ -210,11 +210,11 @@ def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
     if len(set(shapes)) != 1 or len(shapes[0]) != 3:
         raise ValueError(f"streams must share one [p, n, batch] shape, got {shapes}")
     batch = shapes[0][2]
-    flats = []
-    for blocks, x in zip(model.blocks, xs):
-        out = apply_topology(spec.topology, blocks, x)
-        flats.append(reshape(out, (out.data.shape[0] * out.data.shape[1], batch)))
-    pooled = concat(flats)
+    # Stream outputs join along the station axis; rows are stream, station, step.
+    joined = concat(
+        [apply_topology(spec.topology, blocks, x) for blocks, x in zip(model.blocks, xs)]
+    )
+    pooled = reshape(joined, (spec.head_in_width, batch))
     predictions = dense(model.head.W, model.head.b, pooled)
     return reshape(predictions, (spec.p, spec.h, batch))
 

@@ -41,26 +41,6 @@ class ImputationModel:
     train_mask: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class MissingPattern:
-    """Record of one injection: which cells were forced missing and why."""
-
-    ratio: float
-    seed: int
-    cells: np.ndarray
-    day_range: tuple[int, int] | None = None
-
-    def to_json(self) -> dict:
-        payload = {
-            "ratio": self.ratio,
-            "seed": self.seed,
-            "cell_count": int(self.cells.shape[0]),
-        }
-        if self.day_range is not None:
-            payload["day_range"] = list(self.day_range)
-        return payload
-
-
 def _station_fallback(train: FlowDataset, reduce) -> np.ndarray:
     """Per-station statistic over all observed training entries."""
     fallback = np.empty(train.num_stations)
@@ -168,12 +148,13 @@ def inject_missing(
     ratio: float,
     seed: int,
     day_range: tuple[int, int] | None = None,
-) -> tuple[FlowDataset, MissingPattern]:
+) -> FlowDataset:
     """Force a random fraction of currently observed cells to missing.
 
     The count is round(ratio * cells-in-scope); sampling is uniform without
     replacement among observed cells. Scope is the whole table or, with a day
-    range, a contiguous block of days (for test-set-only corruption).
+    range, a contiguous block of days (for test-set-only corruption). The
+    removed cells are ``ds.mask & ~injected.mask``.
     """
     if not (0.0 <= ratio <= 0.5):
         raise DataError(f"injection ratio {ratio} outside [0, 0.5]")
@@ -192,8 +173,7 @@ def inject_missing(
             f"cannot remove {count} cells: only {observed_flat.size} observed in scope"
         )
     if count == 0:
-        cells = np.empty((0, 2), dtype=int)
-        return ds, MissingPattern(ratio, seed, cells, day_range)
+        return ds
 
     rng = np.random.default_rng(seed)
     # Prefix of a full shuffle: the same seed at a higher ratio removes a
@@ -206,8 +186,4 @@ def inject_missing(
     mask = ds.mask.copy()
     flows[stations, timestamps] = np.nan
     mask[stations, timestamps] = False
-    cells = np.column_stack([stations, timestamps])
-    return (
-        replace(ds, flows=flows, mask=mask),
-        MissingPattern(ratio, seed, cells, day_range),
-    )
+    return replace(ds, flows=flows, mask=mask)

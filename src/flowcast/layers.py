@@ -13,15 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    _accumulate,
-    add_bias,
-    conv1d_same,
-    flat_leaves,
-    matmul,
-    relu,
-)
+from .autodiff import Tensor, _accumulate, add_bias, flat_leaves, matmul
 
 GATES = ("f", "i", "c", "o")
 
@@ -209,16 +201,57 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
 def conv_stack(params: list[ConvLayerParams], seq: Tensor) -> Tensor:
     """Convolve each time column along the station axis, ReLU after each layer.
 
-    Each layer is as wide as its kernel. Kernels are shared across time
-    columns (and the batch axis, if present).
+    seq is [p], [p, n] or [p, n, batch]; the output shape matches the input.
+    Each layer is a same-length one-channel cross-correlation with kernel
+    [1, 1, k] and bias [1], no kernel flip, zero-padded as left = (k-1)//2,
+    right = k-1-left. Kernels are shared across time columns (and the batch
+    axis, if present); the ReLU's subgradient at 0 is 0. The whole cascade
+    is one tape node whose backward closure walks the layers in reverse.
     """
-    p = seq.data.shape[0]
+    shape = seq.data.shape
+    for layer in params:
+        if layer.kernel.data.ndim != 3 or layer.kernel.data.shape[:2] != (1, 1):
+            raise ValueError(
+                f"conv kernel must be [1, 1, k], got {layer.kernel.data.shape}"
+            )
+        if layer.bias.data.shape != (1,):
+            raise ValueError(f"conv bias must be [1], got {layer.bias.data.shape}")
+    p = shape[0]
     widest = max(layer.kernel.data.shape[-1] for layer in params)
     if p < widest:
         raise ValueError(f"station axis length {p} is shorter than kernel {widest}")
+    # Each layer's padding offset, zero-padded input and ReLU mask, for backward.
+    saved = []
+    x = seq.data
     for layer in params:
-        seq = relu(conv1d_same(seq, layer.kernel, layer.bias))
-    return seq
+        w = layer.kernel.data[0, 0]
+        k = w.shape[0]
+        left = (k - 1) // 2
+        padded = np.zeros((p + k - 1,) + shape[1:])
+        padded[left : left + p] = x
+        out = np.full(shape, layer.bias.data[0])
+        for j in range(k):
+            out += w[j] * padded[j : j + p]
+        keep = out > 0.0
+        x = np.where(keep, out, 0.0)
+        saved.append((left, padded, keep))
+
+    def bwd(g):
+        for layer, (left, padded, keep) in zip(reversed(params), reversed(saved)):
+            g = np.where(keep, g, 0.0)
+            w = layer.kernel.data[0, 0]
+            kg = np.empty(w.shape[0])
+            pg = np.zeros_like(padded)
+            for j in range(w.shape[0]):
+                kg[j] = (g * padded[j : j + p]).sum()
+                pg[j : j + p] += w[j] * g
+            _accumulate(layer.kernel, kg.reshape(1, 1, -1))
+            _accumulate(layer.bias, np.array([g.sum()]))
+            g = pg[left : left + p]
+        _accumulate(seq, g)
+
+    parents = (seq,) + tuple(t for layer in params for _, t in layer.named())
+    return Tensor(x, _parents=parents, _backward=bwd)
 
 
 def dense(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:

@@ -439,7 +439,7 @@ def _runs(
         table = (task.method, task.ratio, task.seed if task.ratio else None)
         if table != shared:
             shared, prepared = table, None
-            injected, _ = imputation.inject_missing(clean(ds), task.ratio, task.seed)
+            injected = imputation.inject_missing(clean(ds), task.ratio, task.seed)
             prepared = prepare_data(injected, task.method, wcfg)
         model = build(specs[task.arch], task.seed)
         model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)

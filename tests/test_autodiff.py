@@ -8,23 +8,32 @@ from flowcast.autodiff import (
     add_bias,
     backward,
     concat,
-    conv1d_same,
     flat_leaves,
     matmul,
     mul,
     no_grad,
-    relu,
     reshape,
     sub,
     tensor_mean,
     tensor_sum,
 )
+from flowcast.layers import ConvLayerParams, conv_stack
 
 from gradcheck import assert_grads_close, check_gradients, finite_difference
 
 
 def t(data, rg=True):
     return Tensor(np.asarray(data, dtype=float), requires_grad=rg)
+
+
+def conv(sig, kernel, bias):
+    """One conv layer and its ReLU, the fused cascade's smallest case."""
+    return conv_stack([ConvLayerParams(kernel, bias)], sig)
+
+
+def relu(x):
+    """The ReLU as the engine records it: a one-layer cascade, identity kernel."""
+    return conv(x, t(np.ones((1, 1, 1))), t([0.0]))
 
 
 class TestForward:
@@ -61,17 +70,17 @@ class TestForward:
 
     def test_conv_identity_kernel(self):
         sig = t(np.arange(5.0))
-        out = conv1d_same(sig, t(np.ones((1, 1, 1))), t([0.0]))
+        out = conv(sig, t(np.ones((1, 1, 1))), t([0.0]))
         assert np.array_equal(out.data, sig.data)
 
     def test_conv_even_kernel_pad_split(self):
         # k=2 pads 0 on the left and 1 on the right.
-        out = conv1d_same(t([1.0, 2.0, 3.0]), t([[[1.0, 1.0]]]), t([0.0]))
+        out = conv(t([1.0, 2.0, 3.0]), t([[[1.0, 1.0]]]), t([0.0]))
         assert np.array_equal(out.data, [3.0, 5.0, 3.0])
 
     def test_conv_k4_shape(self):
-        out = conv1d_same(t(np.random.default_rng(0).normal(size=25)),
-                          t(np.zeros((1, 1, 4))), t([0.0]))
+        out = conv(t(np.random.default_rng(0).normal(size=25)),
+                   t(np.zeros((1, 1, 4))), t([0.0]))
         assert out.data.shape == (25,)
 
     def test_conv_channel_mismatch(self):
@@ -83,13 +92,13 @@ class TestForward:
             (np.ones((1, 1, 3)), [0.0, 0.0]),
         ]:
             with pytest.raises(ValueError, match="must be"):
-                conv1d_same(sig, t(kernel), t(bias))
+                conv(sig, t(kernel), t(bias))
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        r1 = relu(matmul(t(a), t(b))).data
-        r2 = relu(matmul(t(a), t(b))).data
+        r1 = add_bias(matmul(t(a), t(b)), t(a[0])).data
+        r2 = add_bias(matmul(t(a), t(b)), t(a[0])).data
         assert np.array_equal(r1, r2)
 
 
@@ -158,6 +167,17 @@ class TestBackward:
         b.grad += 2.0
         assert b.data[0] == 5.0 and np.array_equal(grads[6:], [2.0, 2.0])
 
+    def test_relu_subgradient_at_zero_is_zero(self):
+        # Pre-activations of exactly 0, in the first layer and in the second,
+        # pass no gradient back; positive ones pass it whole.
+        x = t([0.0, 2.0, -1.0, 3.0])
+        first = ConvLayerParams(t(np.ones((1, 1, 1))), t([0.0]))
+        second = ConvLayerParams(t(np.ones((1, 1, 1))), t([-2.0]))
+        backward(tensor_sum(conv_stack([first, second], x)))
+        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(second.bias.grad, [1.0])
+        assert np.array_equal(first.kernel.grad, [[[3.0]]])
+
     def test_each_node_visited_once_through_fanout(self):
         # y = x*x - x exercises a node used twice as a parent.
         x = t([2.0])
@@ -194,9 +214,7 @@ def test_conv_grads_match_finite_differences():
             sig = t(rng.normal(size=shape))
             ker = t(rng.normal(size=(1, 1, k)))
             bias = t(rng.normal(size=1))
-            check_gradients(
-                lambda: tensor_sum(conv1d_same(sig, ker, bias)), [sig, ker, bias]
-            )
+            check_gradients(lambda: tensor_sum(conv(sig, ker, bias)), [sig, ker, bias])
 
 
 def test_conv_with_trailing_axes_grads():
@@ -204,7 +222,7 @@ def test_conv_with_trailing_axes_grads():
     sig = t(rng.normal(size=(5, 3, 2)))
     ker = t(rng.normal(size=(1, 1, 4)))
     bias = t(rng.normal(size=1))
-    check_gradients(lambda: tensor_sum(conv1d_same(sig, ker, bias)), [sig, ker, bias])
+    check_gradients(lambda: tensor_sum(conv(sig, ker, bias)), [sig, ker, bias])
 
 
 def test_add_bias_grads():
@@ -230,12 +248,12 @@ class TestNoGrad:
     def test_ops_record_no_graph(self):
         a = t([[1.0, -2.0], [0.5, 3.0]])
         with no_grad():
-            out = tensor_sum(relu(matmul(a, a)))
+            out = tensor_sum(mul(matmul(a, a), a))
             leaf = t([1.0])
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
         assert leaf.requires_grad
-        np.testing.assert_array_equal(out.data, tensor_sum(relu(matmul(a, a))).data)
+        np.testing.assert_array_equal(out.data, tensor_sum(mul(matmul(a, a), a)).data)
 
     def test_recording_restored_after_exception(self):
         a = t([1.0, 2.0])

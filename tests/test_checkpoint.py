@@ -240,6 +240,17 @@ class TestIntegrity:
         assert "head.b: dtype" in str(info.value)
         assert "expected float64" in str(info.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        # saved through save_checkpoint, so every hash agrees with the values
+        trained = fake_trained()
+        trained.model.head.W.data[0, 1] = value
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, trained)
+        with pytest.raises(DataError, match="integrity check failed") as info:
+            load_checkpoint(path)
+        assert "head.W: holds non-finite values" in str(info.value)
+
     def test_missing_parameter_array(self, tmp_path):
         trained = fake_trained()
         src = tmp_path / "model.npz"

@@ -19,6 +19,7 @@ import pytest
 
 import flowcast
 from flowcast import cli, training
+from flowcast.checkpoint import load_checkpoint, save_checkpoint
 from flowcast.dataset import load_csv, save_csv
 from flowcast.errors import NumericError
 from flowcast.evaluation import VIEWS
@@ -402,6 +403,51 @@ class TestArgumentErrors:
         assert len(cli._choose("all", ARCHITECTURES, "architecture")) == 12
 
 
+    @staticmethod
+    def command_args(ws, command):
+        """Arguments that run ``command`` in the workspace, all but ``--out``."""
+        checkpoint = ["--checkpoint", str(ws["checkpoint"]), "--dataset", str(ws["data"])]
+        return {
+            "synth": ["synth", "--seed", "1"],
+            "train": ["train", "--config", str(ws["cfg"]), "--dataset", str(ws["data"]),
+                      "--arch", "LSTM1", "--seed", "0"],
+            "eval": ["eval", *checkpoint],
+            "sweep": ["sweep", *checkpoint, "--impute", "mean", "--ratios", "0,0.1",
+                      "--seed", "0"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("name", ["taken", "taken/sub"], ids=["file", "under_file"])
+    def test_out_dir_through_a_file(self, ws, tmp_path, capsys, command, name):
+        (tmp_path / "taken").write_text("kept")
+        out = tmp_path / name
+        assert cli.main(self.command_args(ws, command) + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert str(out) in err and "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "kept"
+
+    @pytest.mark.parametrize("part", ["checkpoints", "logs"])
+    def test_train_output_subdirectory_taken_by_a_file(self, ws, tmp_path, capsys, part):
+        (tmp_path / part).write_text("kept")
+        args = self.command_args(ws, "train") + ["--out", str(tmp_path)]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(tmp_path / part) in err, err
+        assert (tmp_path / part).read_text() == "kept"
+        assert not list(tmp_path.glob("checkpoints/*"))  # refused before training
+
+    @pytest.mark.parametrize("name", ["", "taken/data.csv"], ids=["dir", "under_file"])
+    def test_synth_out_not_a_file_path(self, ws, tmp_path, capsys, name):
+        (tmp_path / "taken").write_text("kept")
+        out = tmp_path / name
+        assert cli.main(self.command_args(ws, "synth") + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert str(out if out.is_dir() else out.parent) in err
+        assert (tmp_path / "taken").read_text() == "kept"
+
+
 class TestDataErrors:
     def test_missing_dataset_file(self, tmp_path, capsys):
         rc = cli.main(
@@ -699,6 +745,29 @@ class TestNumericErrors:
         monkeypatch.setattr(cli, "cmd_train", boom)
         assert cli.main(["train"]) == 3
         assert "numeric error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize(
+        "value, code, message",
+        [
+            (np.nan, 2, "data error: checkpoint integrity check failed"),
+            (1e300, 3, "numeric error: scored cells give non-finite error sums"),
+        ],
+        ids=["nan", "overflow"],
+    )
+    def test_non_finite_scores_are_loud(
+        self, ws, tmp_path, capsys, command, value, code, message
+    ):
+        # saved through save_checkpoint, so every hash agrees with the weight
+        trained = load_checkpoint(ws["checkpoint"])
+        trained.model.head.W.data[0, 0] = value
+        bad = tmp_path / "bad.npz"
+        save_checkpoint(bad, trained)
+        args = TestArgumentErrors.command_args({**ws, "checkpoint": bad}, command)
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err, err
+        assert not list(tmp_path.glob("out/*"))
 
 
 class TestSynth:

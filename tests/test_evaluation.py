@@ -16,7 +16,7 @@ from flowcast.dataset import (
     day_batches,
     stack_batch,
 )
-from flowcast.errors import DataError
+from flowcast.errors import DataError, NumericError
 from flowcast.evaluation import (
     DEFAULT_RATIOS,
     VIEWS,
@@ -339,6 +339,19 @@ class TestEvaluate:
         assert (got.mae, got.rmse, got.cells) == (want.mae, want.rmse, want.cells)
         assert got.csv_rows() == want.csv_rows()
 
+    @pytest.mark.parametrize("junk", [math.nan, math.inf, 1e200])
+    def test_non_finite_score_at_a_scored_cell_raises(self, junk):
+        # 1e200 is finite, but its square overflows the squared-error sum.
+        samples = make_samples(np.random.default_rng(11), [3, 6])
+
+        def predict(s, s_d, s_w, ts):
+            out = np.zeros((P, H, ts.size))
+            out[1, 0, -1] = junk
+            return out
+
+        with pytest.raises(NumericError, match="non-finite error sums"):
+            evaluate(predict, samples, VIEWS, points_per_day=PPD)
+
     def test_junk_predictor_rejected(self):
         with pytest.raises(DataError, match="predictor"):
             as_predictor(42)
@@ -529,7 +542,7 @@ class TestRobustnessSweep:
         for pt in sweep.points:
             reports = []
             for seed in seeds:
-                injected, _ = imputation.inject_missing(
+                injected = imputation.inject_missing(
                     clean(ds), pt.ratio, seed, day_range=test_range
                 )
                 reports.append(training.evaluate_on(trained, injected, method=method))
@@ -607,7 +620,7 @@ class TestRobustnessSweep:
         for pt in sweep.points:
             reports = []
             for seed in seeds:
-                injected, _ = imputation.inject_missing(clean(ds), pt.ratio, seed)
+                injected = imputation.inject_missing(clean(ds), pt.ratio, seed)
                 again, _, prepared = training.train_once(
                     "LSTM1", injected, "interp", tcfg, WindowConfig(), seed=seed
                 )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flowcast import autodiff
 from flowcast.autodiff import Tensor, backward, tensor_sum
 from flowcast.hybrid import (
     ARCHITECTURES,
@@ -18,6 +19,7 @@ from flowcast.hybrid import (
     parameters,
 )
 from flowcast.layers import conv_stack, lstm_layer
+from flowcast.training import mse_loss
 
 from gradcheck import check_gradients
 
@@ -136,6 +138,41 @@ def test_series_matches_manual_composition():
     via_topology = apply_topology(model.spec.topology, blocks, x)
     manual = conv_stack(blocks.convs, lstm_layer(blocks.lstms[0], x))
     assert np.array_equal(via_topology.data, manual.data)
+
+
+def test_head_reads_rows_by_stream_station_step():
+    rng = np.random.default_rng(6)
+    model = build(spec_for("LSTM1-SP-CNN1"), seed=2)
+    xs = [rng.normal(size=(5, 7, 3)) for _ in range(3)]
+    rows = np.concatenate(
+        [
+            apply_topology(model.spec.topology, blocks, Tensor(x)).data.reshape(-1, 3)
+            for blocks, x in zip(model.blocks, xs)
+        ]
+    )
+    # each of the 10 head outputs copies one input row, spread across streams
+    picks = np.linspace(0, rows.shape[0] - 1, 10).astype(int)
+    model.head.W.data[:] = 0.0
+    model.head.W.data[np.arange(10), picks] = 1.0
+    model.head.b.data[:] = 0.0
+    out = forward_batch(model, *xs).data
+    assert np.array_equal(out.reshape(10, 3), rows[picks])
+
+
+def test_training_step_records_24_nodes():
+    # Read the node-id counter as perfbench does, without advancing it.
+    def created():
+        return int(repr(autodiff._node_ids)[len("count(") : -1])
+
+    rng = np.random.default_rng(7)
+    model = build(spec_for("LSTM2-SP-CNN3", p=8, n=21, h=3), seed=0)
+    xs = [rng.normal(size=(8, 21, 5)) for _ in range(3)]
+    before = created()
+    mse_loss(forward_batch(model, *xs), rng.normal(size=(8, 3, 5)))
+    # 3 inputs; per stream 2 LSTM layers, the conv cascade and a concat; the
+    # stream concat and its flattening; matmul, add_bias and the [p, h, batch]
+    # reshape; the loss's target, sub, mul and mean.
+    assert created() - before == 3 + 3 * 4 + 2 + 3 + 4
 
 
 def test_sp_variants_differ():

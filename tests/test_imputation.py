@@ -7,13 +7,7 @@ import pytest
 
 from flowcast.dataset import FlowDataset
 from flowcast.errors import DataError
-from flowcast.imputation import (
-    METHODS,
-    MissingPattern,
-    fit,
-    impute,
-    inject_missing,
-)
+from flowcast.imputation import METHODS, fit, impute, inject_missing
 
 MONDAY = dt.date(2019, 1, 7)
 
@@ -173,45 +167,51 @@ class TestImpute:
             impute(model, other)
 
 
+def removed(ds, out):
+    """The (station, timestamp) cells an injection took out of ``ds``."""
+    return np.argwhere(ds.mask & ~out.mask)
+
+
 class TestInjectMissing:
     def test_ratio_zero_unchanged(self):
         ds = random_dataset()
-        out, pattern = inject_missing(ds, 0.0, seed=1)
+        out = inject_missing(ds, 0.0, seed=1)
         assert out is ds
-        assert pattern.cells.shape == (0, 2)
+        assert removed(ds, out).shape == (0, 2)
 
     def test_counts(self):
         cube = np.ones((100, 1, 288))
         ds = dataset_from_cube(cube, np.ones((100, 1, 288), bool))
-        out, pattern = inject_missing(ds, 0.21, seed=2)
-        assert pattern.cells.shape[0] == 6048
+        out = inject_missing(ds, 0.21, seed=2)
+        assert removed(ds, out).shape[0] == 6048
         assert int((~out.mask).sum()) == 6048
         assert np.isnan(out.flows[~out.mask]).all()
 
     def test_deterministic(self):
         ds = random_dataset(seed=3)
-        a, pa = inject_missing(ds, 0.1, seed=7)
-        b, pb = inject_missing(ds, 0.1, seed=7)
-        assert np.array_equal(pa.cells, pb.cells)
+        a = inject_missing(ds, 0.1, seed=7)
+        b = inject_missing(ds, 0.1, seed=7)
         assert np.array_equal(a.mask, b.mask)
-        c, pc = inject_missing(ds, 0.1, seed=8)
-        assert not np.array_equal(pa.cells, pc.cells)
+        assert np.array_equal(a.flows, b.flows, equal_nan=True)
+        c = inject_missing(ds, 0.1, seed=8)
+        assert not np.array_equal(removed(ds, a), removed(ds, c))
 
     def test_test_scope_only_touches_range(self):
         ds = random_dataset(p=2, days=6, missing=0.0)
-        out, pattern = inject_missing(ds, 0.2, seed=4, day_range=(4, 6))
+        out = inject_missing(ds, 0.2, seed=4, day_range=(4, 6))
         untouched = out.mask[:, : 4 * 288]
         assert untouched.all()
-        expected = round(0.2 * 2 * 2 * 288)
-        assert pattern.cells.shape[0] == expected
-        assert np.all(pattern.cells[:, 1] >= 4 * 288)
+        cells = removed(ds, out)
+        assert cells.shape[0] == round(0.2 * 2 * 2 * 288)
+        assert np.all(cells[:, 1] >= 4 * 288)
 
     def test_never_marks_observed(self):
         ds = random_dataset(seed=5, missing=0.3)
-        out, pattern = inject_missing(ds, 0.1, seed=6)
-        stations, timestamps = pattern.cells[:, 0], pattern.cells[:, 1]
-        assert ds.mask[stations, timestamps].all()
-        assert not out.mask[stations, timestamps].any()
+        out = inject_missing(ds, 0.1, seed=6)
+        # every cell missing before stays missing, so only observed cells go
+        assert not (out.mask & ~ds.mask).any()
+        assert (~out.mask).sum() - (~ds.mask).sum() == removed(ds, out).shape[0] > 0
+        assert np.array_equal(out.flows[out.mask], ds.flows[out.mask])
 
     def test_ratio_bounds(self):
         ds = random_dataset()
@@ -227,12 +227,3 @@ class TestInjectMissing:
         ds = dataset_from_cube(cube, mask)
         with pytest.raises(DataError, match="only 100 observed"):
             inject_missing(ds, 0.5, seed=0)
-
-    def test_pattern_json(self):
-        ds = random_dataset(missing=0.0)
-        _, pattern = inject_missing(ds, 0.1, seed=11, day_range=(4, 6))
-        payload = pattern.to_json()
-        assert payload["ratio"] == 0.1
-        assert payload["seed"] == 11
-        assert payload["day_range"] == [4, 6]
-        assert payload["cell_count"] == pattern.cells.shape[0]

@@ -252,7 +252,64 @@ class TestLstmLayer:
         np.testing.assert_array_equal(out, np.broadcast_to(expected, out.shape))
 
 
+def conv_oracle(params, x):
+    """The cascade in plain numpy: per layer an explicit zero pad, each output
+    station summed tap by tap from the bias, then the ReLU."""
+    p = x.shape[0]
+    for layer in params:
+        w, b = layer.kernel.data[0, 0], layer.bias.data[0]
+        k = w.size
+        pad = [((k - 1) // 2, k - 1 - (k - 1) // 2)] + [(0, 0)] * (x.ndim - 1)
+        padded = np.pad(x, pad)
+        out = np.empty(x.shape)
+        for i in range(p):
+            total = np.full(x.shape[1:], b)
+            for j in range(k):
+                total = total + w[j] * padded[i + j]
+            out[i] = total
+        x = np.where(out > 0, out, 0.0)
+    return x
+
+
+def random_conv_params(rng, kernels):
+    """Conv layers with normal kernels and biases, so some units are dead."""
+    return [
+        ConvLayerParams(
+            Tensor(rng.normal(size=(1, 1, k)), requires_grad=True),
+            Tensor(rng.normal(size=1), requires_grad=True),
+        )
+        for k in kernels
+    ]
+
+
 class TestConvStack:
+    @pytest.mark.parametrize("shape", [(7,), (7, 5), (7, 5, 3)])
+    @pytest.mark.parametrize("kernels", [(1,), (2,), (3,), (4,), (4, 3, 2)])
+    def test_matches_numpy_oracle_bit_for_bit(self, shape, kernels):
+        rng = np.random.default_rng(13)
+        params = random_conv_params(rng, kernels)
+        x = rng.normal(size=shape)
+        out = conv_stack(params, Tensor(x))
+        assert np.array_equal(out.data, conv_oracle(params, x))
+        assert 0 < np.count_nonzero(out.data) < out.data.size
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 3, 2)])
+    def test_cascade_gradients_with_dead_units(self, shape):
+        # signed kernels, biases and inputs switch some ReLUs off at each layer
+        rng = np.random.default_rng(14)
+        params = random_conv_params(rng, (4, 3, 2))
+        seq = Tensor(rng.normal(size=shape), requires_grad=True)
+        leaves = [t for layer in params for _, t in layer.named()] + [seq]
+        check_gradients(lambda: tensor_sum(conv_stack(params, seq)), leaves)
+
+    def test_one_tape_node_over_the_cascade(self):
+        rng = np.random.default_rng(15)
+        params = random_conv_params(rng, (4, 3, 2))
+        seq = Tensor(rng.normal(size=(8, 21, 4)))
+        out = conv_stack(params, seq)
+        assert out._parents[0] is seq
+        assert out._parents[1:] == tuple(t for layer in params for _, t in layer.named())
+
     def test_identity_kernel_is_relu(self):
         params = [ConvLayerParams(Tensor(np.ones((1, 1, 1)), requires_grad=True),
                                   Tensor(np.zeros(1), requires_grad=True))]

@@ -9,7 +9,7 @@ forecast; only the path between input and the dense head differs.
 import numpy as np
 
 from flowcast import ARCHITECTURES, ModelSpec, build
-from flowcast.hybrid import forward, parameter_count
+from flowcast.hybrid import forward
 
 
 class Blocks:
@@ -29,7 +29,7 @@ for name, topo in ARCHITECTURES.items():
     out = forward(model, sample)
     print(
         f"{name:<16} {topo.kind:<18} {topo.lstm_depth:>4} {topo.cnn_depth:>4} "
-        f"{parameter_count(model):>8}  {out.data.shape}"
+        f"{model.values.size:>8}  {out.data.shape}"
     )
 
 print(f"\nall twelve forecast {p} stations x {h} steps = 45 minutes ahead.")

@@ -128,11 +128,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shapes differ: {a.data.shape} vs {b.data.shape}")
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -146,21 +141,11 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("sub", a, b)
-
-    def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
-
-
 def mul(a, b) -> Tensor:
     """Element-wise product (the usual Hadamard product on equal shapes)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("mul", a, b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul: shapes differ: {a.data.shape} vs {b.data.shape}")
 
     def bwd(g):
         _accumulate(a, b.data * g)
@@ -224,14 +209,3 @@ def tensor_sum(x) -> Tensor:
 
     return Tensor(x.data.sum(), _parents=(x,), _backward=bwd)
 
-
-def tensor_mean(x) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
-    if n == 0:
-        raise ValueError("mean of an empty tensor")
-
-    def bwd(g):
-        _accumulate(x, np.broadcast_to(g / n, x.data.shape).copy())
-
-    return Tensor(x.data.mean(), _parents=(x,), _backward=bwd)

@@ -124,11 +124,6 @@ def _read_archive(path) -> tuple[dict, dict[str, np.ndarray]]:
     return manifest, arrays
 
 
-def read_manifest(path) -> dict:
-    """Parse and structurally validate the embedded manifest."""
-    return _read_archive(path)[0]
-
-
 def _matches(value, schema) -> bool:
     """Whether a parsed JSON value has the shape ``schema`` describes.
 

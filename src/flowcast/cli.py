@@ -209,18 +209,26 @@ def _train_config(config: dict, **flags) -> TrainConfig:
         raise UsageError(f"invalid train settings: {exc}") from None
 
 
-def _make_dir(path: Path) -> None:
-    """Create a directory and its parents; a path that cannot be one is a usage error."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot make output directory {path}: {exc.strerror}") from None
+def _claim(*paths: Path) -> None:
+    """Make the directories the result files go in, before any work is done.
+
+    A result path taken by a directory, or a directory that cannot be made,
+    is a usage error, raised before anything is made.
+    """
+    for path in paths:
+        if path.is_dir():
+            raise UsageError(f"result path {path} is a directory")
+    for folder in dict.fromkeys(path.parent for path in paths):
+        try:
+            folder.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot make output directory {folder}: {exc.strerror}"
+            ) from None
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = Path(args.out or _text(config.get("out", "."), "out"))
-    _make_dir(out)
-    return out
+def _out(args, config: dict) -> Path:
+    return Path(args.out or _text(config.get("out", "."), "out"))
 
 
 def cmd_synth(args, config: dict) -> None:
@@ -238,9 +246,7 @@ def cmd_synth(args, config: dict) -> None:
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid synth settings: {exc}") from None
     out = Path(args.out or _text(config.get("out", "synth.csv"), "out"))
-    if out.is_dir():
-        raise UsageError(f"output {out} is a directory; synth writes one CSV file")
-    _make_dir(out.parent)
+    _claim(out)
     ds = generate(cfg)
     save_csv(ds, out)
     print(
@@ -257,9 +263,12 @@ def cmd_train(args, config: dict) -> None:
     method = _one(args.impute or config.get("impute", MEAN), METHODS, "imputation method")
     cfg = _train_config(config, seeds=args.seed, runs=args.runs)
     wcfg = _window_config(config)
-    out = _out_dir(args, config)
-    for part in ("checkpoints", "logs"):
-        _make_dir(out / part)
+    tasks = [RunTask(a, method, 0.0, s) for a in archs for s in cfg.seeds[: cfg.runs]]
+    out = _out(args, config)
+    names = [f"{task.arch}_{method}_seed{task.seed}" for task in tasks]
+    checkpoints = [out / "checkpoints" / f"{name}.npz" for name in names]
+    logs = [out / "logs" / f"{name}.jsonl" for name in names]
+    _claim(out / "metrics.csv", *checkpoints, *logs)
     ds = load_csv(dataset_path)
     digest = _config_digest(
         {
@@ -272,12 +281,10 @@ def cmd_train(args, config: dict) -> None:
         }
     )
 
-    tasks = [RunTask(a, method, 0.0, s) for a in archs for s in cfg.seeds[: cfg.runs]]
     scores = {arch: [] for arch in archs}
-    for run in run_tasks(ds, tasks, cfg, wcfg):
-        name = f"{run.task.arch}_{method}_seed{run.seed}"
-        save_checkpoint(out / "checkpoints" / f"{name}.npz", run.trained)
-        (out / "logs" / f"{name}.jsonl").write_text(run.log.to_json_lines())
+    for run, checkpoint, log in zip(run_tasks(ds, tasks, cfg, wcfg), checkpoints, logs):
+        save_checkpoint(checkpoint, run.trained)
+        log.write_text(run.log.to_json_lines())
         scores[run.task.arch].append([getattr(run, metric) for metric in METRICS])
     rows = [
         [arch, method, *(x for column in zip(*runs) for x in mean_sd(column))]
@@ -304,7 +311,8 @@ def cmd_eval(args, config: dict) -> None:
         method = _one(method, METHODS, "imputation method")
     trained = load_checkpoint(checkpoint_path)
     _checkpoint_window(config, trained, checkpoint_path)
-    out = _out_dir(args, config)
+    out = _out(args, config)
+    _claim(out / "eval_report.json", out / "eval_report.csv")
     ds = load_csv(dataset_path)
     digest = _config_digest(
         {
@@ -371,7 +379,8 @@ def cmd_sweep(args, config: dict) -> None:
         resolved["window"] = dataclasses.asdict(wcfg)
         resolved["train"] = dataclasses.asdict(cfg)
 
-    out = _out_dir(args, config)
+    out = _out(args, config)
+    _claim(out / "sweep.csv")
     ds = load_csv(dataset_path)
     resolved["dataset_sha256"] = _file_sha256(dataset_path)
     rows = []

@@ -139,23 +139,6 @@ class EvalReport:
         return rows
 
 
-def as_predictor(subject) -> Callable:
-    """Adapt a model, trained bundle, or callable to the predictor protocol.
-
-    A predictor maps batched blocks (s, s_d, s_w, ts) to a [p, h, batch]
-    prediction array. The blocks are read-only views of the windows' table
-    (see ``stack_batch``); writing into one raises ``ValueError``.
-    """
-    if isinstance(subject, Model):
-        return lambda s, s_d, s_w, ts: forward_batch(subject, s, s_d, s_w).data
-    inner = getattr(subject, "model", None)
-    if isinstance(inner, Model):
-        return as_predictor(inner)
-    if callable(subject):
-        return subject
-    raise DataError(f"cannot use a {type(subject).__name__} as a predictor")
-
-
 def _view_rules(
     p: int, h: int, ppd: int, start_date, station_ids
 ) -> dict[str, tuple[tuple, Callable | None]]:
@@ -191,7 +174,12 @@ def evaluate(
     station_ids: Sequence[str] | None = None,
     metadata: dict | None = None,
 ) -> EvalReport:
-    """Score a predictor over windows, bucketed into the given views.
+    """Score a model or a predictor over windows, bucketed into the given views.
+
+    A predictor maps batched blocks (s, s_d, s_w, ts) to a [p, h, batch]
+    prediction array. The blocks are read-only views of the windows' table
+    (see ``stack_batch``); writing into one raises ``ValueError``. Anything
+    else is a DataError.
 
     The overall view is always included. Residuals enter a bucket only where
     the target mask is set. The cadence and the start date that anchors the
@@ -223,7 +211,15 @@ def evaluate(
     # Rows: summed absolute error, summed squared error, cells scored.
     sums = {name: np.zeros((3, len(rules[name][0]))) for name in requested}
     hz = np.arange(h)[:, None]
-    predict = as_predictor(subject)
+    if isinstance(subject, Model):
+
+        def predict(s, s_d, s_w, ts):
+            return forward_batch(subject, s, s_d, s_w).data
+
+    elif callable(subject):
+        predict = subject
+    else:
+        raise DataError(f"cannot use a {type(subject).__name__} as a predictor")
 
     for batch in day_batches(samples):
         s, s_d, s_w, target, target_mask, ts = stack_batch(batch)

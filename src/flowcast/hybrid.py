@@ -238,11 +238,3 @@ def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
                 yield f"{prefix}.conv{depth}.{name}", tensor
     for name, tensor in model.head.named():
         yield f"head.{name}", tensor
-
-
-def parameters(model: Model) -> list[Tensor]:
-    return [tensor for _, tensor in named_parameters(model)]
-
-
-def parameter_count(model: Model) -> int:
-    return model.values.size

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul, sub, tensor_mean
+from .autodiff import Tensor, _accumulate, backward
 from .dataset import (
     POINTS_PER_DAY,
     FlowDataset,
@@ -130,14 +130,21 @@ class TrainLog:
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error over every entry of the prediction block."""
-    data = target.data if isinstance(target, Tensor) else np.asarray(target, float)
+    """Mean squared error of the prediction block against a target array, as
+    one tape node whose closure adds ``2 * diff * g / n`` into ``pred``."""
+    data = np.asarray(target, float)
     if pred.data.shape != data.shape:
         raise ValueError(
             f"prediction shape {pred.data.shape} does not match target {data.shape}"
         )
-    diff = sub(pred, Tensor(data))
-    return tensor_mean(mul(diff, diff))
+    diff = pred.data - data
+
+    def bwd(g):
+        # Exactly diff * (g / n) added twice (2.0 * x == x + x), so trained
+        # weights keep their bits.
+        _accumulate(pred, 2.0 * (diff * (g / diff.size)))
+
+    return Tensor((diff * diff).mean(), _parents=(pred,), _backward=bwd)
 
 
 @dataclass

@@ -437,6 +437,27 @@ class TestArgumentErrors:
         assert (tmp_path / part).read_text() == "kept"
         assert not list(tmp_path.glob("checkpoints/*"))  # refused before training
 
+    @pytest.mark.parametrize(
+        "command, result",
+        [
+            ("train", "metrics.csv"),
+            ("train", "checkpoints/LSTM1_mean_seed0.npz"),
+            ("train", "logs/LSTM1_mean_seed0.jsonl"),
+            ("eval", "eval_report.csv"),
+            ("sweep", "sweep.csv"),
+        ],
+        ids=["train", "train-checkpoint", "train-log", "eval", "sweep"],
+    )
+    def test_result_name_taken_by_a_directory(self, ws, tmp_path, capsys, command, result):
+        out = tmp_path / "out"
+        (out / result).mkdir(parents=True)
+        assert cli.main(self.command_args(ws, command) + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: result path {out / result} is a directory\n", err
+        # Refused before any work: --out holds only the directories made here.
+        made = {Path(result), *Path(result).parents} - {Path(".")}
+        assert {path.relative_to(out) for path in out.rglob("*")} == made
+
     @pytest.mark.parametrize("name", ["", "taken/data.csv"], ids=["dir", "under_file"])
     def test_synth_out_not_a_file_path(self, ws, tmp_path, capsys, name):
         (tmp_path / "taken").write_text("kept")

@@ -21,7 +21,6 @@ from flowcast.evaluation import (
     DEFAULT_RATIOS,
     VIEWS,
     EvalReport,
-    as_predictor,
     evaluate,
     historical_mean_predictor,
     mae,
@@ -353,8 +352,9 @@ class TestEvaluate:
             evaluate(predict, samples, VIEWS, points_per_day=PPD)
 
     def test_junk_predictor_rejected(self):
-        with pytest.raises(DataError, match="predictor"):
-            as_predictor(42)
+        samples = make_samples(np.random.default_rng(7), [3])
+        with pytest.raises(DataError, match="cannot use a int as a predictor"):
+            evaluate(42, samples)
 
     def test_station_labels(self):
         samples = make_samples(np.random.default_rng(9), [3])

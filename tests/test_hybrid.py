@@ -15,8 +15,6 @@ from flowcast.hybrid import (
     forward,
     forward_batch,
     named_parameters,
-    parameter_count,
-    parameters,
 )
 from flowcast.layers import conv_stack, lstm_layer
 from flowcast.training import mse_loss
@@ -66,7 +64,7 @@ GOLDEN_COUNTS = {
 def assert_on_buffer(model):
     """Every parameter's data and grad are views of the model's two flat
     vectors, and together the parameters cover them exactly."""
-    tensors = parameters(model)
+    tensors = [t for _, t in named_parameters(model)]
     assert sum(t.data.size for t in tensors) == model.values.size == model.grads.size
     for t in tensors:
         assert np.shares_memory(t.data, model.values)
@@ -78,15 +76,15 @@ def test_parameters_are_views_of_one_buffer(name):
     model = build(spec_for(name), seed=0)
     assert_on_buffer(model)
     backward(tensor_sum(forward(model, FakeSample(np.random.default_rng(2), 5, 7))))
-    written = sum(np.abs(t.grad).sum() for t in parameters(model))
+    written = sum(np.abs(t.grad).sum() for _, t in named_parameters(model))
     assert written > 0 and written == pytest.approx(np.abs(model.grads).sum(), rel=1e-12)
     model.values[...] = 0.5
-    assert all(np.all(t.data == 0.5) for t in parameters(model))
+    assert all(np.all(t.data == 0.5) for _, t in named_parameters(model))
 
 
 @pytest.mark.parametrize("name,count", sorted(GOLDEN_COUNTS.items()))
 def test_parameter_count_goldens(name, count):
-    assert parameter_count(build(spec_for(name), seed=0)) == count
+    assert build(spec_for(name), seed=0).values.size == count
 
 
 def test_build_deterministic():
@@ -159,7 +157,7 @@ def test_head_reads_rows_by_stream_station_step():
     assert np.array_equal(out.reshape(10, 3), rows[picks])
 
 
-def test_training_step_records_24_nodes():
+def test_training_step_records_21_nodes():
     # Read the node-id counter as perfbench does, without advancing it.
     def created():
         return int(repr(autodiff._node_ids)[len("count(") : -1])
@@ -171,8 +169,8 @@ def test_training_step_records_24_nodes():
     mse_loss(forward_batch(model, *xs), rng.normal(size=(8, 3, 5)))
     # 3 inputs; per stream 2 LSTM layers, the conv cascade and a concat; the
     # stream concat and its flattening; matmul, add_bias and the [p, h, batch]
-    # reshape; the loss's target, sub, mul and mean.
-    assert created() - before == 3 + 3 * 4 + 2 + 3 + 4
+    # reshape; the fused loss.
+    assert created() - before == 3 + 3 * 4 + 2 + 3 + 1
 
 
 def test_sp_variants_differ():
@@ -212,7 +210,8 @@ def test_end_to_end_gradients_full_fd_lstm_only():
     rng = np.random.default_rng(12)
     model = build(spec_for("LSTM1", p=3, n=5, h=2), seed=13)
     sample = FakeSample(rng, 3, 5)
-    check_gradients(lambda: tensor_sum(forward(model, sample)), parameters(model))
+    params = [t for _, t in named_parameters(model)]
+    check_gradients(lambda: tensor_sum(forward(model, sample)), params)
 
 
 def nudge_conv_biases(model, value=0.1):

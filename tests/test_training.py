@@ -12,7 +12,7 @@ from flowcast.autodiff import Tensor, backward
 from flowcast.dataset import WindowConfig
 from flowcast.errors import DataError, NumericError
 from flowcast.evaluation import evaluate, mean_sd
-from flowcast.hybrid import ARCHITECTURES, ModelSpec, build, parameters
+from flowcast.hybrid import ARCHITECTURES, ModelSpec, build, named_parameters
 from flowcast.synthgen import SynthConfig, generate
 from flowcast.training import (
     AdamState,
@@ -147,6 +147,19 @@ class TestMseLoss:
         want = 2.0 * (pred.data - target) / pred.data.size
         np.testing.assert_allclose(pred.grad, want, atol=1e-12)
 
+    def test_gradient_bits_of_a_batch_block(self):
+        # One [p, h, batch] block, as training feeds it. The gradient must be
+        # diff * (1/n) added twice, bit for bit: trained weights depend on it.
+        rng = np.random.default_rng(2)
+        pred = Tensor(rng.normal(size=(5, 9, 7)), requires_grad=True)
+        target = rng.normal(size=(5, 9, 7))
+        loss = mse_loss(pred, target)
+        backward(loss)
+        diff = pred.data - target
+        assert loss.item() == (diff * diff).mean()
+        twice = diff * (1 / diff.size) + diff * (1 / diff.size)
+        np.testing.assert_array_equal(pred.grad, twice)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         pred = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -249,7 +262,7 @@ class TestParameterDigest:
         spec = ModelSpec(topology=ARCHITECTURES["LSTM1"], p=3, n=5, h=2)
         model = build(spec, seed=3)
         before = parameter_digest(model)
-        parameters(model)[0].data[0, 0] += 1e-9
+        next(named_parameters(model))[1].data[0, 0] += 1e-9
         assert parameter_digest(model) != before
 
 
@@ -317,10 +330,10 @@ def tiny_model(synth, seed=0):
 class TestTrain:
     def test_lr_zero_is_identity(self, synth, prepared):
         model = tiny_model(synth)
-        before = [t.data.copy() for t in parameters(model)]
+        before = [t.data.copy() for _, t in named_parameters(model)]
         cfg = TrainConfig(lr=0.0, max_epochs=2, runs=1, seeds=(0,))
         model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
-        for saved, tensor in zip(before, parameters(model)):
+        for saved, (_, tensor) in zip(before, named_parameters(model)):
             np.testing.assert_array_equal(saved, tensor.data)
         assert [e.epoch for e in log.entries] == [1, 2]
         assert log.wall_time > 0
@@ -383,7 +396,7 @@ class TestTrain:
 
     def test_divergence_aborts(self, synth, prepared):
         model = tiny_model(synth)
-        parameters(model)[0].data[0, 0] = np.nan
+        next(named_parameters(model))[1].data[0, 0] = np.nan
         cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
         with pytest.raises(NumericError, match="diverged"):
             train(model, prepared.train_samples, prepared.val_samples, cfg)

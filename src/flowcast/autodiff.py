@@ -192,13 +192,16 @@ def concat(parts) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
+    """A read-only view of x in a new shape (a copy where no view fits)."""
     x = _as_tensor(x)
     shape = tuple(shape)
 
     def bwd(g):
         _accumulate(x, g.reshape(x.data.shape))
 
-    return Tensor(x.data.reshape(shape).copy(), _parents=(x,), _backward=bwd)
+    out = x.data.reshape(shape)
+    out.flags.writeable = False
+    return Tensor(out, _parents=(x,), _backward=bwd)
 
 
 def tensor_sum(x) -> Tensor:

@@ -169,8 +169,9 @@ def build(spec: ModelSpec, seed: int) -> Model:
     return model
 
 
-def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tensor:
-    """Run one stream's blocks over a [p, n] or [p, n, batch] input."""
+def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> list[Tensor]:
+    """Run one stream's blocks over a [p, n] or [p, n, batch] input; returns
+    the stream's output parts in station-axis order, joined by the caller."""
 
     def lstm_chain(t: Tensor) -> Tensor:
         for params in blocks.lstms:
@@ -182,18 +183,18 @@ def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> Tenso
 
     kind = topology.kind
     if kind == LSTM_ONLY:
-        return lstm_chain(x)
+        return [lstm_chain(x)]
     if kind == SERIES_LSTM_CNN:
-        return conv_chain(lstm_chain(x))
+        return [conv_chain(lstm_chain(x))]
     if kind == SERIES_CNN_LSTM:
-        return lstm_chain(conv_chain(x))
+        return [lstm_chain(conv_chain(x))]
     if kind == PARALLEL:
-        return concat([lstm_chain(x), conv_chain(x)])
+        return [lstm_chain(x), conv_chain(x)]
     if kind == SERIES_PARALLEL_D:
         mid = lstm_chain(x)
-        return concat([mid, conv_chain(mid)])
+        return [mid, conv_chain(mid)]
     mid = conv_chain(x)
-    return concat([mid, lstm_chain(mid)])
+    return [mid, lstm_chain(mid)]
 
 
 def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
@@ -210,9 +211,13 @@ def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
     if len(set(shapes)) != 1 or len(shapes[0]) != 3:
         raise ValueError(f"streams must share one [p, n, batch] shape, got {shapes}")
     batch = shapes[0][2]
-    # Stream outputs join along the station axis; rows are stream, station, step.
+    # Every stream's parts join in one concat; rows are stream, station, step.
     joined = concat(
-        [apply_topology(spec.topology, blocks, x) for blocks, x in zip(model.blocks, xs)]
+        [
+            part
+            for blocks, x in zip(model.blocks, xs)
+            for part in apply_topology(spec.topology, blocks, x)
+        ]
     )
     pooled = reshape(joined, (spec.head_in_width, batch))
     predictions = dense(model.head.W, model.head.b, pooled)

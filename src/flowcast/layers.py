@@ -91,9 +91,12 @@ class DenseParams:
 class _Trace:
     """Forward activations kept for backpropagation through time.
 
-    Time is the leading axis: ``gates[t]`` holds the activated f, i, o, z
-    rows of step t, ``h[t]``/``c[t]`` the state entering step t (so index n
-    is the final state) and ``tanh_c[t]`` the tanh of the cell leaving it.
+    ``gates`` [n, 4p, batch] is the input projection, activated in place:
+    ``gates[t]`` holds the f, i, o, z rows of step t. ``h`` [p, n + 1, batch]
+    holds the hidden states with column 0 the zero initial state, so
+    ``h[:, 1:]`` is the layer output. ``c`` [n + 1, p, batch] holds the cell
+    entering each step (``c[n]`` is the final cell) and ``tanh_c`` [n, p,
+    batch] the tanh of the cell leaving it.
     """
 
     gates: np.ndarray
@@ -106,19 +109,18 @@ def _lstm_forward(W, U, b, seq) -> _Trace:
     """Run the cell over seq [p, n, batch] from the all-zero state."""
     p, n, width = seq.shape
     sig = 3 * p
-    projected = W @ seq.transpose(1, 0, 2)
-    projected += b[:, None]
-    gates = np.empty((n, 4 * p, width))
-    h = np.empty((n + 1, p, width))
+    gates = W @ seq.transpose(1, 0, 2)
+    gates += b[:, None]
+    h = np.empty((p, n + 1, width))
     c = np.empty((n + 1, p, width))
     tanh_c = np.empty((n, p, width))
-    h[0], c[0] = 0.0, 0.0
+    h[:, 0], c[0] = 0.0, 0.0
     # The logistic is 1 / (1 + exp(-a)); below about -709 the exp overflows
     # to inf, and 1 / inf is the correct 0.
     with np.errstate(over="ignore"):
         for t in range(n):
             a = gates[t]
-            np.add(projected[t], U @ h[t], out=a)
+            a += U @ h[:, t]
             s = a[:sig]
             np.negative(s, out=s)
             np.exp(s, out=s)
@@ -126,9 +128,11 @@ def _lstm_forward(W, U, b, seq) -> _Trace:
             np.reciprocal(s, out=s)
             np.tanh(a[sig:], out=a[sig:])
             f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
-            np.add(f * c[t], i * z, out=c[t + 1])
+            np.multiply(f, c[t], out=c[t + 1])
+            np.multiply(i, z, out=tanh_c[t])
+            c[t + 1] += tanh_c[t]
             np.tanh(c[t + 1], out=tanh_c[t])
-            np.multiply(o, tanh_c[t], out=h[t + 1])
+            np.multiply(o, tanh_c[t], out=h[:, t + 1])
     return _Trace(gates, h, c, tanh_c)
 
 
@@ -141,26 +145,28 @@ def _lstm_backward(W, U, seq, trace: _Trace, dh_out):
     n, rows, width = trace.gates.shape
     p = rows // 4
     sig = 3 * p
-    d_pre = np.empty_like(trace.gates)
+    d_pre = np.empty((rows, n, width))
     dh = np.zeros((p, width))
     dc = np.zeros((p, width))
+    # The gate gradients of one step: contiguous, because a strided right
+    # operand can change the bits of the dh product when batch is 1.
+    g = np.empty((rows, width))
     for t in reversed(range(n)):
         a = trace.gates[t]
         f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
         tc = trace.tanh_c[t]
         dh = dh + dh_out[t]
         dc = dc + dh * o * (1.0 - tc * tc)
-        g = d_pre[t]
         g[:p] = dc * trace.c[t] * f * (1.0 - f)
         g[p : 2 * p] = dc * z * i * (1.0 - i)
         g[2 * p : sig] = dh * tc * o * (1.0 - o)
         g[sig:] = dc * i * (1.0 - z * z)
         dc = dc * f
+        d_pre[:, t] = g
         dh = U.T @ g
-    d_pre = d_pre.transpose(1, 0, 2).reshape(rows, n * width)
-    h_prev = trace.h[:-1].transpose(1, 0, 2).reshape(p, n * width)
+    d_pre = d_pre.reshape(rows, n * width)
     dW = d_pre @ seq.reshape(p, n * width).T
-    dU = d_pre @ h_prev.T
+    dU = d_pre @ trace.h[:, :-1].reshape(p, n * width).T
     db = d_pre.sum(axis=1)
     dseq = (W.T @ d_pre).reshape(p, n, width)
     return dW, dU, db, dseq
@@ -170,7 +176,8 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
     """Run the cell over columns oldest to newest; column t of the output is h_t.
 
     seq is [p, n] or [p, n, batch]; the output shape matches the input. The
-    whole layer is one tape node whose backward closure runs BPTT.
+    whole layer is one tape node whose backward closure runs BPTT. The output
+    is a read-only view of the hidden states that BPTT reads.
     """
     shape = seq.data.shape
     if seq.data.ndim not in (2, 3):
@@ -191,11 +198,9 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
         _accumulate(params.b, db)
         _accumulate(seq, dseq.reshape(shape))
 
-    return Tensor(
-        np.ascontiguousarray(trace.h[1:].transpose(1, 0, 2)).reshape(shape),
-        _parents=(seq, params.W, params.U, params.b),
-        _backward=bwd,
-    )
+    out = trace.h[:, 1:].reshape(shape)
+    out.flags.writeable = False
+    return Tensor(out, _parents=(seq, params.W, params.U, params.b), _backward=bwd)
 
 
 def conv_stack(params: list[ConvLayerParams], seq: Tensor) -> Tensor:

@@ -174,8 +174,10 @@ def adam_step(
     if not np.isfinite(grads).all():
         raise NumericError(f"non-finite gradient at step {t}")
     g = grads + cfg.l2 * values
-    state.m[...] = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    state.v[...] = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * g
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * g * g
     values -= cfg.lr * (state.m / c1) / (np.sqrt(state.v / c2) + cfg.eps)
 
 

@@ -66,6 +66,15 @@ class TestForward:
         with pytest.raises(ValueError, match="incompatible"):
             concat([t(np.ones((3, 4))), t(np.ones((3, 5)))])
 
+    def test_reshape_is_a_read_only_view(self):
+        a = t(np.arange(6.0))
+        r = reshape(a, (2, 3))
+        assert np.shares_memory(r.data, a.data)
+        with pytest.raises(ValueError, match="read-only"):
+            r.data[0, 0] = 1.0
+        a.data[0] = 7.0  # the input itself stays writable
+        assert r.data[0, 0] == 7.0
+
     def test_conv_identity_kernel(self):
         sig = t(np.arange(5.0))
         out = conv(sig, t(np.ones((1, 1, 1))), t([0.0]))

@@ -133,7 +133,7 @@ def test_series_matches_manual_composition():
     model = build(spec_for("LSTM1-S-CNN1"), seed=4)
     blocks = model.blocks[0]
     x = Tensor(rng.normal(size=(5, 7)))
-    via_topology = apply_topology(model.spec.topology, blocks, x)
+    [via_topology] = apply_topology(model.spec.topology, blocks, x)
     manual = conv_stack(blocks.convs, lstm_layer(blocks.lstms[0], x))
     assert np.array_equal(via_topology.data, manual.data)
 
@@ -142,10 +142,12 @@ def test_head_reads_rows_by_stream_station_step():
     rng = np.random.default_rng(6)
     model = build(spec_for("LSTM1-SP-CNN1"), seed=2)
     xs = [rng.normal(size=(5, 7, 3)) for _ in range(3)]
+    # each stream's parts in order: the LSTM output, then the conv stack over it
     rows = np.concatenate(
         [
-            apply_topology(model.spec.topology, blocks, Tensor(x)).data.reshape(-1, 3)
+            part.data.reshape(-1, 3)
             for blocks, x in zip(model.blocks, xs)
+            for part in apply_topology(model.spec.topology, blocks, Tensor(x))
         ]
     )
     # each of the 10 head outputs copies one input row, spread across streams
@@ -157,7 +159,7 @@ def test_head_reads_rows_by_stream_station_step():
     assert np.array_equal(out.reshape(10, 3), rows[picks])
 
 
-def test_training_step_records_21_nodes():
+def test_training_step_records_18_nodes():
     # Read the node-id counter as perfbench does, without advancing it.
     def created():
         return int(repr(autodiff._node_ids)[len("count(") : -1])
@@ -167,10 +169,10 @@ def test_training_step_records_21_nodes():
     xs = [rng.normal(size=(8, 21, 5)) for _ in range(3)]
     before = created()
     mse_loss(forward_batch(model, *xs), rng.normal(size=(8, 3, 5)))
-    # 3 inputs; per stream 2 LSTM layers, the conv cascade and a concat; the
-    # stream concat and its flattening; matmul, add_bias and the [p, h, batch]
-    # reshape; the fused loss.
-    assert created() - before == 3 + 3 * 4 + 2 + 3 + 1
+    # 3 inputs; per stream 2 LSTM layers and the conv cascade; the one concat
+    # of every stream's parts and its flattening; matmul, add_bias and the
+    # [p, h, batch] reshape; the fused loss.
+    assert created() - before == 3 + 3 * 3 + 2 + 3 + 1
 
 
 def test_sp_variants_differ():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tensor, flat_leaves, mul, tensor_sum
+from flowcast.autodiff import Tensor, backward, flat_leaves, mul, tensor_sum
 from flowcast.hybrid import ARCHITECTURES, ModelSpec, build
 from flowcast.layers import (
     ConvLayerParams,
@@ -250,6 +250,117 @@ class TestLstmLayer:
         # forget 0, input and output 1: each step's cell is the saturated candidate
         expected = np.tanh(np.tanh(params.b_c.data))[:, None, None]
         np.testing.assert_array_equal(out, np.broadcast_to(expected, out.shape))
+
+    def test_output_is_read_only(self):
+        # the output is a view of the hidden states BPTT reads, so a write
+        # into it would corrupt the gradients
+        rng = np.random.default_rng(18)
+        out = lstm_layer(init_lstm(rng, 3), Tensor(rng.normal(size=(3, 4, 2))))
+        with pytest.raises(ValueError, match="read-only"):
+            out.data[0, 0, 0] = 1.0
+
+
+def reference_lstm_forward(W, U, b, seq):
+    """A reference kernel with separate projection and gate buffers and
+    time-major hidden states [n + 1, p, batch]; the layer matches it bit for
+    bit."""
+    p, n, width = seq.shape
+    sig = 3 * p
+    projected = W @ seq.transpose(1, 0, 2)
+    projected += b[:, None]
+    gates = np.empty((n, 4 * p, width))
+    h = np.empty((n + 1, p, width))
+    c = np.empty((n + 1, p, width))
+    tanh_c = np.empty((n, p, width))
+    h[0], c[0] = 0.0, 0.0
+    with np.errstate(over="ignore"):
+        for t in range(n):
+            a = gates[t]
+            np.add(projected[t], U @ h[t], out=a)
+            s = a[:sig]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            np.tanh(a[sig:], out=a[sig:])
+            f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
+            np.add(f * c[t], i * z, out=c[t + 1])
+            np.tanh(c[t + 1], out=tanh_c[t])
+            np.multiply(o, tanh_c[t], out=h[t + 1])
+    return gates, h, c, tanh_c
+
+
+def reference_lstm_backward(W, U, seq, trace, dh_out):
+    """BPTT of the reference kernel; returns dW, dU, db and dseq [p, n, batch]."""
+    gates, h, c, tanh_c = trace
+    n, rows, width = gates.shape
+    p = rows // 4
+    sig = 3 * p
+    d_pre = np.empty_like(gates)
+    dh = np.zeros((p, width))
+    dc = np.zeros((p, width))
+    for t in reversed(range(n)):
+        a = gates[t]
+        f, i, o, z = a[:p], a[p : 2 * p], a[2 * p : sig], a[sig:]
+        tc = tanh_c[t]
+        dh = dh + dh_out[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        g = d_pre[t]
+        g[:p] = dc * c[t] * f * (1.0 - f)
+        g[p : 2 * p] = dc * z * i * (1.0 - i)
+        g[2 * p : sig] = dh * tc * o * (1.0 - o)
+        g[sig:] = dc * i * (1.0 - z * z)
+        dc = dc * f
+        dh = U.T @ g
+    d_pre = d_pre.transpose(1, 0, 2).reshape(rows, n * width)
+    h_prev = h[:-1].transpose(1, 0, 2).reshape(p, n * width)
+    dW = d_pre @ seq.reshape(p, n * width).T
+    dU = d_pre @ h_prev.T
+    db = d_pre.sum(axis=1)
+    dseq = (W.T @ d_pre).reshape(p, n, width)
+    return dW, dU, db, dseq
+
+
+def reference_lstm_layer(params, x):
+    """Output [p, n, batch] of one reference layer, and its BPTT as a function
+    of the output gradient."""
+    W, U, b = params.W.data, params.U.data, params.b.data
+    trace = reference_lstm_forward(W, U, b, x)
+
+    def bptt(d_out):
+        return reference_lstm_backward(W, U, x, trace, d_out.transpose(1, 0, 2))
+
+    return trace[1][1:].transpose(1, 0, 2), bptt
+
+
+class TestLstmKernelOracle:
+    @pytest.mark.parametrize("shape", [(8, 21, 253), (3, 4)], ids=["batch", "2d"])
+    def test_stacked_layers_match_reference_bits(self, shape):
+        # The second layer reads the first one's output, so both a fresh
+        # input and a layer output pass through the kernel.
+        rng = np.random.default_rng(19)
+        p, n = shape[:2]
+        as3d = (p, n, shape[2] if len(shape) == 3 else 1)
+        first, second = init_lstm(rng, p), init_lstm(rng, p)
+        seq = Tensor(rng.normal(size=shape), requires_grad=True)
+        weights = rng.normal(size=shape)
+        mid = lstm_layer(first, seq)
+        out = lstm_layer(second, mid)
+        backward(tensor_sum(mul(out, Tensor(weights))))
+
+        x = seq.data.reshape(as3d)
+        want_mid, bptt_first = reference_lstm_layer(first, x)
+        want_out, bptt_second = reference_lstm_layer(second, np.ascontiguousarray(want_mid))
+        grads_second = bptt_second(weights.reshape(as3d))
+        grads_first = bptt_first(grads_second[3])
+        assert np.array_equal(mid.data, want_mid.reshape(shape))
+        assert np.array_equal(out.data, want_out.reshape(shape))
+        for params, grads, into in ((second, grads_second, mid), (first, grads_first, seq)):
+            dW, dU, db, dseq = grads
+            assert np.array_equal(params.W.grad, dW)
+            assert np.array_equal(params.U.grad, dU)
+            assert np.array_equal(params.b.grad, db)
+            assert np.array_equal(into.grad, dseq.reshape(shape))
 
 
 def conv_oracle(params, x):

@@ -251,6 +251,23 @@ class TestAdamStep:
         np.testing.assert_array_equal(values, np.concatenate(parts))
 
 
+    def test_in_place_moments_match_the_plain_update_bits(self):
+        cfg = TrainConfig(lr=0.01, l2=1e-3)
+        rng = np.random.default_rng(22)
+        values = rng.normal(size=1000)
+        want, m, v = values.copy(), np.zeros(1000), np.zeros(1000)
+        state = adam_init(values)
+        for t in range(1, 6):
+            grads = rng.normal(size=1000)
+            adam_step(values, grads, state, cfg)
+            g = grads + cfg.l2 * want
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            c1, c2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            want -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        for got, ref in ((state.m, m), (state.v, v), (values, want)):
+            np.testing.assert_array_equal(got, ref)
+
 class TestParameterDigest:
     def test_same_seed_same_digest(self):
         spec = ModelSpec(topology=ARCHITECTURES["LSTM1"], p=3, n=5, h=2)

@@ -4,8 +4,8 @@ Every operation records its parents and a backward closure on the output
 tensor. Node ids increase with creation order, so sorting a reachable set
 by id gives a topological order for free: a backward pass seeds the loss
 gradient and replays the closures in reverse creation order, visiting each
-node exactly once. Inside ``no_grad()`` ops record nothing, so inference
-builds no graph.
+node exactly once and dropping its closure once it has run. Inside
+``no_grad()`` ops record nothing, so inference builds no graph.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class Tensor:
 
     Leaf tensors wrap raw data; tensors produced by ops carry the parent
     references and backward closure needed for reverse-mode accumulation.
+    ``backward`` drops each closure once it has run; the parents stay.
     A leaf from ``flat_leaves`` (every model parameter) has its ``grad`` view
     from the start, and backward and ``zero_grad`` write into it in place;
     any other tensor's ``grad`` stays ``None`` until backward touches it.
@@ -101,7 +102,11 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor the scalar ``loss`` depends on.
 
     Gradients accumulate into existing ``grad`` buffers, so callers zero
-    parameter gradients between passes.
+    parameter gradients between passes. The pass consumes the graph: each
+    node's closure, with the arrays it saved for backward, is dropped as
+    soon as it has run. Parents and ``grad`` stay, so a caller holding an
+    intermediate tensor still reads its gradient, but a second backward
+    through any consumed node raises ``ValueError`` before adding anything.
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -112,6 +117,8 @@ def backward(loss: Tensor) -> None:
         t = stack.pop()
         if t.node_id in seen or not t.requires_grad:
             continue
+        if t._parents and t._backward is None:
+            raise ValueError("backward: the graph was consumed by an earlier backward")
         seen.add(t.node_id)
         nodes.append(t)
         stack.extend(t._parents)
@@ -122,6 +129,7 @@ def backward(loss: Tensor) -> None:
     for t in nodes:
         if t._backward is not None:
             t._backward(t.grad)
+            t._backward = None
 
 
 def _as_tensor(x) -> Tensor:

@@ -1,5 +1,7 @@
 """Tests for the reverse-mode engine: forward semantics, adjoints, graph rules."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,12 @@ from flowcast.autodiff import (
     reshape,
     tensor_sum,
 )
+from flowcast.hybrid import build, forward_batch
 from flowcast.layers import ConvLayerParams, conv_stack
+from flowcast.training import mse_loss
 
 from gradcheck import assert_grads_close, check_gradients, finite_difference
+from test_hybrid import spec_for
 
 
 def t(data, rg=True):
@@ -190,6 +195,62 @@ class TestBackward:
         x = t([2.0])
         backward(tensor_sum(mul(mul(x, x), x)))
         assert np.allclose(x.grad, [12.0])
+
+
+def training_step_loss():
+    """The loss of one LSTM2-SP-CNN3 training step at p=8, n=21, and its model."""
+    rng = np.random.default_rng(7)
+    model = build(spec_for("LSTM2-SP-CNN3", p=8, n=21, h=3), seed=0)
+    xs = [rng.normal(size=(8, 21, 5)) for _ in range(3)]
+    return mse_loss(forward_batch(model, *xs), rng.normal(size=(8, 3, 5))), model
+
+
+def op_nodes(loss):
+    """Every tensor reachable from loss that carries a backward closure."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._backward is not None:
+                nodes.append(node)
+    return nodes
+
+
+class TestBackwardConsumesTheGraph:
+    def test_every_closure_is_freed_when_backward_returns(self):
+        # The closures hold the LSTM traces, the conv cascade's padded inputs
+        # and the loss's residual; reference counting alone must free them.
+        loss, _ = training_step_loss()
+        closures = [weakref.ref(node._backward) for node in op_nodes(loss)]
+        assert len(closures) == 15
+        backward(loss)
+        assert [ref() for ref in closures] == [None] * len(closures)
+
+    def test_held_intermediate_keeps_its_gradient(self):
+        x = t([1.0, -2.0, 3.0])
+        w = Tensor(np.array([0.5, 4.0, -1.0]))
+        y = mul(x, x)
+        backward(tensor_sum(mul(y, w)))
+        assert np.array_equal(y.grad, w.data)
+        assert np.array_equal(x.grad, 2.0 * x.data * w.data)
+
+    def test_second_backward_raises_and_adds_nothing(self):
+        loss, model = training_step_loss()
+        backward(loss)
+        grads = model.grads.copy()
+        with pytest.raises(ValueError, match="consumed by an earlier backward"):
+            backward(loss)
+        assert np.array_equal(model.grads, grads)
+
+    def test_consumed_node_inside_a_new_graph_raises(self):
+        x = t([2.0])
+        y = mul(x, x)
+        backward(tensor_sum(y))
+        with pytest.raises(ValueError, match="consumed"):
+            backward(tensor_sum(mul(y, x)))
+        assert np.array_equal(x.grad, [4.0])
 
 
 OPS = {

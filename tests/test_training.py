@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -429,6 +430,31 @@ class TestTrain:
         first = json.loads(lines[0])
         assert first["epoch"] == 1
         assert json.loads(lines[-1])["checkpoint_id"] == log.checkpoint_id
+
+
+def test_later_steps_do_not_hold_the_previous_graph(monkeypatch):
+    # Four LSTM2-SP-CNN3 steps at p=8 on 253-window day batches. Traced bytes
+    # are deterministic; a step that still held the previous step's graph
+    # peaked about 1.6x the first step's.
+    table = generate(SynthConfig(p=8, days=20, seed=3, native_missing_ratio=0.0))
+    prepared = prepare_data(table)
+    model = build(model_spec_for("LSTM2-SP-CNN3", 8, WINDOWS), seed=0)
+    peaks = []
+
+    def traced_adam_step(*args):
+        adam_step(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(training, "adam_step", traced_adam_step)
+    tracemalloc.start()
+    try:
+        cfg = TrainConfig(max_epochs=1)
+        train(model, prepared.train_samples[: 4 * 253], prepared.val_samples, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks[1:]) <= 1.25 * peaks[0]
 
 
 class TestExperiments:

@@ -427,6 +427,19 @@ def window_positions(cfg: WindowConfig, points_per_day: int = POINTS_PER_DAY) ->
 
 
 WEEK_DAYS = 7
+# Days back from a window's target day that the s, s_d and s_w blocks read;
+# each block reads only that day (see ``window_positions``).
+STREAM_DAY_LAGS = (0, 1, WEEK_DAYS)
+
+
+def _input_reads(cfg: WindowConfig, points_per_day: int) -> list[tuple[int, int]]:
+    """(offset from the anchor, width) of the s, s_d and s_w blocks."""
+    backs = (cfg.n, cfg.n_d, cfg.n_w)
+    widths = (cfg.n, cfg.daily_width, cfg.weekly_width)
+    return [
+        (-lag * points_per_day - back, width)
+        for lag, back, width in zip(STREAM_DAY_LAGS, backs, widths)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +462,7 @@ class Windows:
             raise DataError(f"target shape {self.targets.flows.shape} is not {shape}")
         anchors = np.array(self.anchors, dtype=int)
         ppd, cfg = self.inputs.points_per_day, self.cfg
-        lo = max(cfg.n, ppd + cfg.n_d, WEEK_DAYS * ppd + cfg.n_w)
+        lo = max(-offset for offset, _ in _input_reads(cfg, ppd))
         hi = shape[1] - cfg.h
         inside = anchors.size == 0 or lo <= anchors.min() <= anchors.max() <= hi
         if anchors.ndim != 1 or not inside:
@@ -534,9 +547,7 @@ def stack_batch(batch: Windows) -> tuple[np.ndarray, ...]:
         return joined
 
     return (
-        read(batch.inputs.flows, -cfg.n, cfg.n),
-        read(batch.inputs.flows, -ppd - cfg.n_d, cfg.daily_width),
-        read(batch.inputs.flows, -WEEK_DAYS * ppd - cfg.n_w, cfg.weekly_width),
+        *(read(batch.inputs.flows, *where) for where in _input_reads(cfg, ppd)),
         read(batch.targets.flows, 0, cfg.h),
         read(batch.targets.mask, 0, cfg.h),
         ts,

@@ -24,8 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import imputation
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
 from .dataset import (
+    STREAM_DAY_LAGS,
     WEEK_DAYS,
     FlowDataset,
     WindowConfig,
@@ -36,7 +37,7 @@ from .dataset import (
     stack_batch,
 )
 from .errors import DataError, NumericError
-from .hybrid import Model, forward_batch
+from .hybrid import Model, apply_topology, forward_batch, head
 
 VIEWS = ("overall", "horizon", "timestamp", "weekday", "station")
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -356,6 +357,36 @@ def _check_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
+def _reusing_predictor(model: Model, points_per_day: int, first_day: int) -> Callable:
+    """The model as a predictor that keeps the stream parts of each block
+    reading only days before ``first_day``, and reuses them for an equal block.
+
+    Stream k of a day-d batch reads only day ``d - STREAM_DAY_LAGS[k]``. Such
+    a block's input and parts are kept when they are computed, and the parts
+    are reused only for an input equal to the kept one; any other block is
+    computed. Each stream runs on its own, so a reused part has the bytes a
+    computed one would.
+    """
+    topology = model.spec.topology
+    kept: dict[tuple[int, int], tuple[np.ndarray, list[Tensor]]] = {}
+
+    def predict(s, s_d, s_w, ts):
+        day = int(ts[0]) // points_per_day
+        parts = []
+        for stream, (blocks, x) in enumerate(zip(model.blocks, (s, s_d, s_w))):
+            key = (day, stream)
+            if key in kept and np.array_equal(kept[key][0], x):
+                parts += kept[key][1]
+                continue
+            out = apply_topology(topology, blocks, Tensor(x))
+            if day - STREAM_DAY_LAGS[stream] < first_day:
+                kept[key] = (x, out)
+            parts += out
+        return head(model, parts).data
+
+    return predict
+
+
 def robustness_sweep(
     subject,
     dataset: FlowDataset,
@@ -393,19 +424,22 @@ def robustness_sweep(
         if not isinstance(subject, training.TrainedModel):
             raise DataError("scope 'test' reuses a trained model; pass a TrainedModel")
         arch = subject.arch
-        test_range = subject.ranges[2]
         cleaned = clean(dataset)
         # Test-scope injection never touches the training days, so one rule
         # fitted on the clean table serves every injected one; at ratio 0 every
-        # seed leaves the table clean, so it is scored once.
+        # seed leaves the table clean, so it is scored once. Every point reads
+        # only the test days and the week before them, and the blocks that
+        # read only that week are computed once, at ratio 0.
         imputer = training._fit_test_fill(subject, cleaned, method)
-        at_zero = training._score_test(subject, cleaned, imputer)
+        table, test_range = training._test_slice(subject, cleaned)
+        predict = _reusing_predictor(subject.model, table.points_per_day, test_range[0])
+        at_zero = training._score_test(subject, table, test_range, imputer, predict)
 
         def score(ratio: float, seed: int) -> EvalReport:
             if ratio == 0.0:
                 return at_zero
-            injected = imputation.inject_missing(cleaned, ratio, seed, test_range)
-            return training._score_test(subject, injected, imputer)
+            injected = imputation.inject_missing(table, ratio, seed, test_range)
+            return training._score_test(subject, injected, test_range, imputer, predict)
 
         reports = (score(ratio, seed) for ratio in grid for seed in seeds)
     else:

@@ -210,16 +210,23 @@ def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
     shapes = [x.data.shape for x in xs]
     if len(set(shapes)) != 1 or len(shapes[0]) != 3:
         raise ValueError(f"streams must share one [p, n, batch] shape, got {shapes}")
-    batch = shapes[0][2]
-    # Every stream's parts join in one concat; rows are stream, station, step.
-    joined = concat(
+    return head(
+        model,
         [
             part
             for blocks, x in zip(model.blocks, xs)
             for part in apply_topology(spec.topology, blocks, x)
-        ]
+        ],
     )
-    pooled = reshape(joined, (spec.head_in_width, batch))
+
+
+def head(model: Model, parts: list[Tensor]) -> Tensor:
+    """Join every stream's output parts, in stream order, in one concat and
+    apply the dense head; returns the [p, h, batch] forecast."""
+    spec = model.spec
+    batch = parts[0].data.shape[-1]
+    # Rows of the joined block are stream, station, step.
+    pooled = reshape(concat(parts), (spec.head_in_width, batch))
     predictions = dense(model.head.W, model.head.b, pooled)
     return reshape(predictions, (spec.p, spec.h, batch))
 

@@ -21,6 +21,7 @@ import numpy as np
 from .autodiff import Tensor, _accumulate, backward
 from .dataset import (
     POINTS_PER_DAY,
+    WEEK_DAYS,
     FlowDataset,
     StandardStats,
     WindowConfig,
@@ -351,7 +352,8 @@ def evaluate_on(
     """
     cleaned = clean(ds)
     imputer = _fit_test_fill(trained, cleaned, method or trained.impute_method)
-    return _score_test(trained, cleaned, imputer, views)
+    table, test_range = _test_slice(trained, cleaned)
+    return _score_test(trained, table, test_range, imputer, trained.model, views)
 
 
 def _fit_test_fill(
@@ -373,25 +375,37 @@ def _fit_test_fill(
     return imputation.fit(method, slice_days(cleaned, trained.ranges[0]))
 
 
+def _test_slice(
+    trained: TrainedModel, cleaned: FlowDataset
+) -> tuple[FlowDataset, tuple[int, int]]:
+    """The days the test windows read, the test range and the week before it,
+    as a table of their own, with the test range counted in its days."""
+    start, stop = trained.ranges[2]
+    first = max(0, start - WEEK_DAYS)
+    return slice_days(cleaned, (first, stop)), (start - first, stop - first)
+
+
 def _score_test(
     trained: TrainedModel,
-    cleaned: FlowDataset,
+    table: FlowDataset,
+    test_range: tuple[int, int],
     imputer: imputation.ImputationModel,
+    subject,
     views: Sequence[str] = ("overall",),
 ):
-    """Score the model on the test days of a cleaned table under a fitted rule,
-    standardized with the model's stats."""
+    """Score the model, or a predictor standing in for it, on the test range
+    of a cleaned table under a fitted rule, standardized with the model's stats."""
     samples = extract_windows(
-        apply_standardization(imputation.impute(imputer, cleaned), trained.stats),
+        apply_standardization(imputation.impute(imputer, table), trained.stats),
         trained.window_cfg,
-        trained.ranges[2],
-        target_from=apply_standardization(cleaned, trained.stats),
+        test_range,
+        target_from=apply_standardization(table, trained.stats),
     )
     return evaluate(
-        trained.model,
+        subject,
         samples,
         views,
-        station_ids=cleaned.station_ids,
+        station_ids=table.station_ids,
         metadata={"arch": trained.arch, "impute": imputer.method},
     )
 

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from flowcast.dataset import (
+    STREAM_DAY_LAGS,
     FlowDataset,
     StandardStats,
     WindowConfig,
     Windows,
     apply_standardization,
     clean,
+    day_batches,
     extract_windows,
     load_csv,
     save_csv,
     split,
+    stack_batch,
     standardize,
     window_positions,
 )
@@ -473,6 +476,28 @@ class TestExtractWindows:
                 Windows(ds, ds, cfg, bad)
         with pytest.raises(DataError, match="target shape"):
             Windows(ds, make_dataset(p=2, days=9), cfg, [lo])
+
+    @pytest.mark.parametrize(
+        "cfg", [WindowConfig(), WindowConfig(n=5, h=2, n_d=3, n_w=1)]
+    )
+    def test_each_stream_reads_only_its_lagged_day(self, cfg):
+        # Every cell holds its own day index, so a block that strays into a
+        # neighbouring day holds a second value.
+        days = 10
+        day_of = np.repeat(np.arange(days, dtype=float), 288)
+        ds = FlowDataset(
+            np.tile(day_of, (2, 1)), np.ones((2, days * 288), bool), ("a", "b"), MONDAY
+        )
+        assert STREAM_DAY_LAGS == (0, 1, 7)
+        batches = day_batches(extract_windows(ds, cfg, (0, days)))
+        assert len(batches) == days - 7
+        for batch in batches:
+            day = batch.anchors[0] // 288
+            s, s_d, s_w, target, _, _ = stack_batch(batch)
+            assert np.unique(s).tolist() == [day]
+            assert np.unique(s_d).tolist() == [day - 1]
+            assert np.unique(s_w).tolist() == [day - 7]
+            assert np.unique(target).tolist() == [day]
 
     def test_window_positions_bounds(self):
         cfg = WindowConfig()

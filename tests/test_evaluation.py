@@ -3,17 +3,22 @@
 import datetime as dt
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flowcast import imputation, training
+from flowcast import evaluation, imputation, training
 from flowcast.dataset import (
+    STREAM_DAY_LAGS,
     FlowDataset,
     WindowConfig,
     Windows,
+    apply_standardization,
     clean,
     day_batches,
+    extract_windows,
+    slice_days,
     stack_batch,
 )
 from flowcast.errors import DataError, NumericError
@@ -648,3 +653,123 @@ class TestRobustnessSweep:
         assert zero.seed_mae == tuple(r.mae for r in reports)
         assert zero.seed_rmse == tuple(r.rmse for r in reports)
         assert zero.seed_cells == tuple(r.cells for r in reports)
+
+
+def untrained(ds, arch, seed=0):
+    """A built, untrained model bundled like a trained one for ``ds``."""
+    prepared = training.prepare_data(ds)
+    wcfg = prepared.window_cfg
+    return training.TrainedModel(
+        model=build(training.model_spec_for(arch, ds.num_stations, wcfg), seed),
+        arch=arch,
+        impute_method="mean",
+        stats=prepared.stats,
+        window_cfg=wcfg,
+        ranges=prepared.ranges,
+        start_date=ds.start_date,
+        points_per_day=ds.points_per_day,
+    )
+
+
+@pytest.fixture(scope="module")
+def eight_test_days():
+    # 80 days split 64/8/8: the last test day's weekly block reads the first
+    # test day, so one stream block after the first week is not pre-test.
+    ds = generate(SynthConfig(p=4, days=80, seed=2))
+    return ds, untrained(ds, "LSTM2-SP-CNN3")
+
+
+class TestTestScopeReuse:
+    @pytest.mark.parametrize("method", imputation.METHODS)
+    def test_longer_test_range_scores_like_evaluate_on(
+        self, eight_test_days, monkeypatch, method
+    ):
+        ds, trained = eight_test_days
+        start, stop = trained.ranges[2]
+        assert (start, stop) == (72, 80)
+        test_days = stop - start
+        pre_test = sum(
+            d - lag < start for d in range(start, stop) for lag in STREAM_DAY_LAGS
+        )
+        assert pre_test == 8
+        calls = []
+        original = evaluation.apply_topology
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(evaluation, "apply_topology", counted)
+        ratios, seeds = (0.0, 0.1, 0.2), (0, 1)
+        sweep = robustness_sweep(
+            trained, ds, method, ratios=ratios, injection_seeds=seeds
+        )
+        injected_points = (len(ratios) - 1) * len(seeds)
+        clean_pass = 3 * test_days
+        assert len(calls) == clean_pass + injected_points * (3 * test_days - pre_test)
+        for pt in sweep.points:
+            reports = []
+            for seed in seeds:
+                injected = imputation.inject_missing(
+                    clean(ds), pt.ratio, seed, day_range=(start, stop)
+                )
+                reports.append(training.evaluate_on(trained, injected, method=method))
+            assert pt.seed_mae == tuple(r.mae for r in reports)
+            assert pt.seed_rmse == tuple(r.rmse for r in reports)
+            assert pt.seed_cells == tuple(r.cells for r in reports)
+
+    @pytest.mark.parametrize("method", imputation.METHODS)
+    def test_evaluate_on_matches_the_whole_table(self, eight_test_days, method):
+        # evaluate_on reads only the test days and the week before; every
+        # view, the weekday and timestamp ones included, must be what the
+        # whole table gives.
+        ds, trained = eight_test_days
+        injected = imputation.inject_missing(
+            clean(ds), 0.15, 4, day_range=trained.ranges[2]
+        )
+        imputer = imputation.fit(
+            method, slice_days(injected, trained.ranges[0])
+        )
+        samples = extract_windows(
+            apply_standardization(imputation.impute(imputer, injected), trained.stats),
+            trained.window_cfg,
+            trained.ranges[2],
+            target_from=apply_standardization(injected, trained.stats),
+        )
+        whole = evaluate(trained.model, samples, VIEWS, station_ids=ds.station_ids)
+        sliced = training.evaluate_on(trained, injected, VIEWS, method)
+        assert sliced.csv_rows() == whole.csv_rows()
+
+    def test_a_wrong_day_rule_costs_speed_not_correctness(self, eight_test_days):
+        # A predictor that takes every day for a pre-test day keeps every
+        # block at the clean pass; the injected blocks differ from the kept
+        # ones, so it must compute them again and score like the model.
+        ds, trained = eight_test_days
+        table, test_range = training._test_slice(trained, clean(ds))
+        imputer = imputation.fit("mean", slice_days(ds, trained.ranges[0]))
+        predict = evaluation._reusing_predictor(
+            trained.model, table.points_per_day, first_day=10**6
+        )
+        for ratio in (0.0, 0.2, 0.2):
+            injected = imputation.inject_missing(table, ratio, 1, test_range)
+            args = (trained, injected, test_range, imputer)
+            want = training._score_test(*args, trained.model, VIEWS)
+            got = training._score_test(*args, predict, VIEWS)
+            assert got.csv_rows() == want.csv_rows()
+
+    def test_sweep_memory_keeps_only_pre_test_blocks(self):
+        # Traced bytes are deterministic. At p=8 over 60 days the sweep below
+        # peaked at 10.2 MiB above its base; keeping every stream block took
+        # it to 17.6 MiB and imputing the whole table at every point to 14.7.
+        ds = generate(SynthConfig(p=8, days=60, seed=11, native_missing_ratio=0.0))
+        trained = untrained(ds, "LSTM2-SP-CNN3")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            robustness_sweep(
+                trained, ds, "mean", ratios=(0.0, 0.1), injection_seeds=(0, 1)
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.5 * 2**20

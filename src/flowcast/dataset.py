@@ -389,7 +389,8 @@ def standardize(
 
 
 def apply_standardization(ds: FlowDataset, stats: StandardStats) -> FlowDataset:
-    scaled = (ds.flows - stats.mean[:, None]) / stats.std[:, None]
+    scaled = ds.flows - stats.mean[:, None]
+    scaled /= stats.std[:, None]
     return replace(ds, flows=scaled)
 
 

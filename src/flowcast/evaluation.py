@@ -33,7 +33,6 @@ from .dataset import (
     Windows,
     clean,
     day_batches,
-    slice_days,
     stack_batch,
 )
 from .errors import DataError, NumericError
@@ -283,7 +282,7 @@ def historical_mean_predictor(
     ds: FlowDataset, train_range: tuple[int, int], h: int
 ) -> Callable:
     """Baseline that predicts the per-(station, timestamp-of-day) training mean."""
-    table = imputation.fit(imputation.MEAN, slice_days(ds, train_range)).table
+    table = imputation.fit(imputation.MEAN, ds, train_range).table
     ppd = ds.points_per_day
 
     def predict(s, s_d, s_w, ts):

@@ -28,8 +28,8 @@ class ImputationModel:
     ``table`` holds the fill statistic for the mean and median methods. For
     interpolation it holds the per-station fallback used when a slot has no
     training observations; the training values and mask live in
-    ``train_flows``/``train_mask`` as [station, day, timestamp-of-day] cubes,
-    with days counted from ``origin``.
+    ``train_flows``/``train_mask`` as [station, day, timestamp-of-day] views
+    of the fitted table, with days counted from ``origin``.
     """
 
     method: str
@@ -41,48 +41,66 @@ class ImputationModel:
     train_mask: np.ndarray | None = None
 
 
-def _station_fallback(train: FlowDataset, reduce) -> np.ndarray:
+def _station_fallback(cube, observed, station_ids, reduce) -> np.ndarray:
     """Per-station statistic over all observed training entries."""
-    fallback = np.empty(train.num_stations)
-    for s in range(train.num_stations):
-        values = train.flows[s][train.mask[s]]
+    fallback = np.empty(len(station_ids))
+    for s in range(len(station_ids)):
+        values = cube[s][observed[s]]
         if values.size == 0:
-            raise DataError(
-                f"station {train.station_ids[s]} has no observed training values"
-            )
+            raise DataError(f"station {station_ids[s]} has no observed training values")
         fallback[s] = reduce(values)
     return fallback
 
 
-def fit(method: str, train: FlowDataset) -> ImputationModel:
-    """Fit fill rules on the training dataset.
+# Bytes of one gather of slot rows: a block of slots is gathered and reduced
+# at a time, so a fit's peak does not grow with the table.
+_GATHER_BYTES = 2**18
 
-    A (station, timestamp-of-day) slot's statistic reduces that slot's
+
+def fit(
+    method: str, train: FlowDataset, days: tuple[int, int] | None = None
+) -> ImputationModel:
+    """Fit fill rules on a day range of a table (by default all of it).
+
+    The range is read in place as a [station, day, timestamp-of-day] view;
+    an interp model keeps views of the caller's table, not copies. A
+    (station, timestamp-of-day) slot's statistic reduces that slot's
     observed training values in day order. Slots with the same number k of
-    observed days are reduced together as one [slots, k] block, row by row,
-    which agrees bit-for-bit with reducing each slot on its own.
+    observed days are reduced together, a bounded block of [slots, k] rows
+    at a time, row by row, which agrees bit-for-bit with reducing each slot
+    on its own.
     """
     if method not in METHODS:
         raise DataError(f"unknown imputation method {method!r}, expected {METHODS}")
+    start, stop = (0, train.num_days) if days is None else days
+    if not (0 <= start < stop <= train.num_days):
+        raise DataError(f"day range {days} outside 0..{train.num_days}")
     p = train.num_stations
     ppd = train.points_per_day
-    cube = train.flows.reshape(p, train.num_days, ppd)
-    observed = train.mask.reshape(p, train.num_days, ppd)
+    span = stop - start
+    cube = train.flows[:, start * ppd : stop * ppd].reshape(p, span, ppd)
+    observed = train.mask[:, start * ppd : stop * ppd].reshape(p, span, ppd)
     reduce = np.median if method == MEDIAN else np.mean
-    table = np.repeat(_station_fallback(train, reduce)[:, None], ppd, axis=1)
+    fallback = _station_fallback(cube, observed, train.station_ids, reduce)
+    table = np.repeat(fallback[:, None], ppd, axis=1)
     if method != INTERP:
         counts = observed.sum(axis=1)
+        step = max(1, _GATHER_BYTES // cube.itemsize // span)
         for k in np.unique(counts[counts > 0]):
-            stations, taus = np.nonzero(counts == k)
-            rows = cube[stations, :, taus][observed[stations, :, taus]]
-            table[stations, taus] = reduce(rows.reshape(stations.size, k), axis=1)
+            slots = np.nonzero(counts == k)
+            for lo in range(0, slots[0].size, step):
+                stations, taus = (index[lo : lo + step] for index in slots)
+                rows = cube[stations, :, taus]
+                if k < span:
+                    rows = rows[observed[stations, :, taus]].reshape(stations.size, k)
+                table[stations, taus] = reduce(rows, axis=1)
     keep = method == INTERP
     return ImputationModel(
         method=method,
         table=table,
         station_ids=train.station_ids,
         points_per_day=ppd,
-        origin=train.start_date,
+        origin=train.start_date + dt.timedelta(days=start),
         train_flows=cube if keep else None,
         train_mask=observed if keep else None,
     )
@@ -133,12 +151,16 @@ def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
         raise DataError("points-per-day mismatch between dataset and model")
     if ds.mask.all():
         return ds
+    filled = ds.flows.copy()
     if model.method in (MEAN, MEDIAN):
-        fill = np.tile(model.table, (1, ds.num_days))
-        filled = np.where(ds.mask, ds.flows, fill)
+        shape = (ds.num_stations, ds.num_days, ds.points_per_day)
+        np.copyto(
+            filled.reshape(shape),
+            model.table[:, None, :],
+            where=~ds.mask.reshape(shape),
+        )
     else:
         holes = np.nonzero(~ds.mask)
-        filled = ds.flows.copy()
         filled[holes] = _interpolate(model, ds, holes)
     return replace(ds, flows=filled, mask=np.ones_like(ds.mask))
 

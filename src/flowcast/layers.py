@@ -136,11 +136,12 @@ def _lstm_forward(W, U, b, seq) -> _Trace:
     return _Trace(gates, h, c, tanh_c)
 
 
-def _lstm_backward(W, U, seq, trace: _Trace, dh_out):
+def _lstm_backward(U, seq, trace: _Trace, dh_out):
     """Backpropagation through time for one ``_lstm_forward`` call.
 
     ``dh_out`` [n, p, batch] is the gradient into each step's hidden output.
-    Returns the packed dW, dU, db and the input gradient [p, n, batch].
+    Returns the packed dW, dU, db and the gate gradients d_pre [4p, n * batch],
+    from which ``W.T @ d_pre`` gives the input gradient.
     """
     n, rows, width = trace.gates.shape
     p = rows // 4
@@ -168,16 +169,16 @@ def _lstm_backward(W, U, seq, trace: _Trace, dh_out):
     dW = d_pre @ seq.reshape(p, n * width).T
     dU = d_pre @ trace.h[:, :-1].reshape(p, n * width).T
     db = d_pre.sum(axis=1)
-    dseq = (W.T @ d_pre).reshape(p, n, width)
-    return dW, dU, db, dseq
+    return dW, dU, db, d_pre
 
 
 def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
     """Run the cell over columns oldest to newest; column t of the output is h_t.
 
     seq is [p, n] or [p, n, batch]; the output shape matches the input. The
-    whole layer is one tape node whose backward closure runs BPTT. The output
-    is a read-only view of the hidden states that BPTT reads.
+    whole layer is one tape node whose backward closure runs BPTT, and
+    computes the input gradient only when ``seq`` needs one. The output is a
+    read-only view of the hidden states that BPTT reads.
     """
     shape = seq.data.shape
     if seq.data.ndim not in (2, 3):
@@ -192,11 +193,12 @@ def lstm_layer(params: LstmParams, seq: Tensor) -> Tensor:
 
     def bwd(g):
         dh_out = g.reshape(p, n, width).transpose(1, 0, 2)
-        dW, dU, db, dseq = _lstm_backward(W, U, x, trace, dh_out)
+        dW, dU, db, d_pre = _lstm_backward(U, x, trace, dh_out)
         _accumulate(params.W, dW)
         _accumulate(params.U, dU)
         _accumulate(params.b, db)
-        _accumulate(seq, dseq.reshape(shape))
+        if seq.requires_grad:
+            _accumulate(seq, (W.T @ d_pre).reshape(shape))
 
     out = trace.h[:, 1:].reshape(shape)
     out.flags.writeable = False
@@ -211,7 +213,8 @@ def conv_stack(params: list[ConvLayerParams], seq: Tensor) -> Tensor:
     [1, 1, k] and bias [1], no kernel flip, zero-padded as left = (k-1)//2,
     right = k-1-left. Kernels are shared across time columns (and the batch
     axis, if present); the ReLU's subgradient at 0 is 0. The whole cascade
-    is one tape node whose backward closure walks the layers in reverse.
+    is one tape node whose backward closure walks the layers in reverse, down
+    to the input's gradient only when ``seq`` needs one.
     """
     shape = seq.data.shape
     for layer in params:
@@ -246,12 +249,15 @@ def conv_stack(params: list[ConvLayerParams], seq: Tensor) -> Tensor:
             g = np.where(keep, g, 0.0)
             w = layer.kernel.data[0, 0]
             kg = np.empty(w.shape[0])
-            pg = np.zeros_like(padded)
             for j in range(w.shape[0]):
                 kg[j] = (g * padded[j : j + p]).sum()
-                pg[j : j + p] += w[j] * g
             _accumulate(layer.kernel, kg.reshape(1, 1, -1))
             _accumulate(layer.bias, np.array([g.sum()]))
+            if layer is params[0] and not seq.requires_grad:
+                return
+            pg = np.zeros_like(padded)
+            for j in range(w.shape[0]):
+                pg[j : j + p] += w[j] * g
             g = pg[left : left + p]
         _accumulate(seq, g)
 

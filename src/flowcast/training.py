@@ -244,7 +244,7 @@ def prepare_data(
     ranges = split(ds)
     train_range, val_range, test_range = ranges
     cleaned = clean(ds)
-    imputer = imputation.fit(method, slice_days(cleaned, train_range))
+    imputer = imputation.fit(method, cleaned, train_range)
     filled_std, stats = standardize(imputation.impute(imputer, cleaned), train_range)
     truth_std = apply_standardization(cleaned, stats)
     return PreparedData(
@@ -372,7 +372,7 @@ def _fit_test_fill(
             f"the model was trained on {days} days from {trained.start_date}; "
             f"the dataset has {cleaned.num_days} days from {cleaned.start_date}"
         )
-    return imputation.fit(method, slice_days(cleaned, trained.ranges[0]))
+    return imputation.fit(method, cleaned, trained.ranges[0])
 
 
 def _test_slice(

@@ -2,7 +2,6 @@
 
 import datetime as dt
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,8 @@ from flowcast.dataset import (
     window_positions,
 )
 from flowcast.errors import DataError
+
+from memory import traced_peak
 
 MONDAY = dt.date(2019, 1, 7)
 
@@ -204,12 +205,7 @@ class TestCsvRoundTrip:
         # took about 9.3x.
         path = tmp_path / "flows.csv"
         save_csv(make_dataset(p=64, days=14, missing=0.05), path)
-        tracemalloc.start()
-        try:
-            back = load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(lambda: load_csv(path))
         assert peak < 4 * (back.flows.nbytes + back.mask.nbytes)
 
     def test_ragged_row_rejected(self, tmp_path):

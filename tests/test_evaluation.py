@@ -3,7 +3,6 @@
 import datetime as dt
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,8 @@ from flowcast.evaluation import (
 from flowcast.hybrid import ARCHITECTURES, ModelSpec, build, forward_batch
 from flowcast.synthgen import SynthConfig, generate
 from flowcast.training import TrainConfig, train_once
+
+from memory import traced_peak
 
 
 class TestMae:
@@ -763,13 +764,9 @@ class TestTestScopeReuse:
         # it to 17.6 MiB and imputing the whole table at every point to 14.7.
         ds = generate(SynthConfig(p=8, days=60, seed=11, native_missing_ratio=0.0))
         trained = untrained(ds, "LSTM2-SP-CNN3")
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            robustness_sweep(
+        _, peak = traced_peak(
+            lambda: robustness_sweep(
                 trained, ds, "mean", ratios=(0.0, 0.1), injection_seeds=(0, 1)
             )
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        )
         assert peak < 12.5 * 2**20

@@ -5,7 +5,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from flowcast.dataset import FlowDataset
+from flowcast import imputation
+from flowcast.dataset import FlowDataset, slice_days
 from flowcast.errors import DataError
 from flowcast.imputation import METHODS, fit, impute, inject_missing
 
@@ -83,6 +84,52 @@ class TestFit:
         ds = dataset_from_cube(cube, mask)
         with pytest.raises(DataError, match="no observed training values"):
             fit("mean", ds)
+
+
+DAY_RANGE = (2, 7)
+
+
+class TestFitOnDayRange:
+    """Fitting on a day range of a table agrees bit for bit with fitting a
+    standalone copy of those days."""
+
+    @pytest.fixture
+    def ds(self):
+        # Some slots are observed on all 5 days of the range and some are not,
+        # so both reduction paths run.
+        ds = random_dataset(p=3, days=9, seed=3)
+        counts = ds.mask.reshape(3, 9, 288)[:, 2:7].sum(axis=1)
+        assert (counts == 5).any() and (counts < 5).any()
+        return ds
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_fit_on_a_sliced_copy(self, ds, method):
+        got = fit(method, ds, DAY_RANGE)
+        want = fit(method, slice_days(ds, DAY_RANGE))
+        assert got.table.tobytes() == want.table.tobytes()
+        assert got.origin == want.origin == MONDAY + dt.timedelta(days=2)
+        # Holes of another table fall before, inside and after the range.
+        other = random_dataset(p=3, days=9, seed=4, missing=0.3)
+        assert impute(got, other).flows.tobytes() == impute(want, other).flows.tobytes()
+
+    def test_interp_keeps_views_of_the_table(self, ds):
+        model = fit("interp", ds, DAY_RANGE)
+        assert model.train_flows.shape == (3, 5, 288)
+        assert np.shares_memory(model.train_flows, ds.flows)
+        assert np.shares_memory(model.train_mask, ds.mask)
+
+    @pytest.mark.parametrize("method", ["mean", "median"])
+    @pytest.mark.parametrize("gather_bytes", [1, 8 * 5 * 7])
+    def test_gathering_in_blocks_keeps_the_bits(self, ds, monkeypatch, method, gather_bytes):
+        # One block by default; then blocks of one slot and of seven slots.
+        want = fit(method, ds, DAY_RANGE).table
+        monkeypatch.setattr(imputation, "_GATHER_BYTES", gather_bytes)
+        assert fit(method, ds, DAY_RANGE).table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("days", [(-1, 3), (3, 3), (5, 2), (0, 10), (9, 10)])
+    def test_out_of_range_days_rejected(self, ds, days):
+        with pytest.raises(DataError, match=r"day range .* outside 0\.\.9"):
+            fit("mean", ds, days)
 
 
 class TestImpute:

@@ -362,6 +362,22 @@ class TestLstmKernelOracle:
             assert np.array_equal(params.b.grad, db)
             assert np.array_equal(into.grad, dseq.reshape(shape))
 
+    def test_input_without_gradient_gets_none_and_same_parameter_grads(self):
+        # A stream's first LSTM layer reads the raw input, which needs no
+        # gradient: BPTT skips the input product, and the weights' gradients
+        # keep the reference bits.
+        rng = np.random.default_rng(23)
+        params = init_lstm(rng, 8)
+        x = rng.normal(size=(8, 21, 5))
+        weights = rng.normal(size=x.shape)
+        seq = Tensor(x)
+        backward(tensor_sum(mul(lstm_layer(params, seq), Tensor(weights))))
+        assert seq.grad is None
+        dW, dU, db, _ = reference_lstm_layer(params, x)[1](weights)
+        assert np.array_equal(params.W.grad, dW)
+        assert np.array_equal(params.U.grad, dU)
+        assert np.array_equal(params.b.grad, db)
+
 
 def conv_oracle(params, x):
     """The cascade in plain numpy: per layer an explicit zero pad, each output
@@ -412,6 +428,28 @@ class TestConvStack:
         seq = Tensor(rng.normal(size=shape), requires_grad=True)
         leaves = [t for layer in params for _, t in layer.named()] + [seq]
         check_gradients(lambda: tensor_sum(conv_stack(params, seq)), leaves)
+
+    def test_input_without_gradient_gets_none_and_same_parameter_grads(self):
+        # CNN-first wirings convolve the raw input: the cascade's backward
+        # stops at the first layer's parameters, with the same bits.
+        rng = np.random.default_rng(24)
+        params = random_conv_params(rng, (4, 3, 2))
+        x = rng.normal(size=(8, 21, 4))
+        weights = rng.normal(size=x.shape)
+        leaves = [t for layer in params for _, t in layer.named()]
+
+        def parameter_grads(seq):
+            for t in leaves:
+                t.grad = None
+            backward(tensor_sum(mul(conv_stack(params, seq), Tensor(weights))))
+            return [t.grad for t in leaves]
+
+        want = parameter_grads(Tensor(x, requires_grad=True))
+        seq = Tensor(x)
+        got = parameter_grads(seq)
+        assert seq.grad is None
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_one_tape_node_over_the_cascade(self):
         rng = np.random.default_rng(15)

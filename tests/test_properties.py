@@ -408,6 +408,29 @@ def test_grouped_fill_statistics_match_per_slot_reduction(ds, method):
 
 
 @settings(max_examples=40, deadline=None)
+@given(gappy_tables(), st.sampled_from(("mean", "median")))
+def test_mean_and_median_fill_matches_tiled_where(ds, method):
+    model = fit(method, ds)
+    want = np.where(ds.mask, ds.flows, np.tile(model.table, (1, ds.num_days)))
+    filled = impute(model, ds)
+    assert filled.flows.tobytes() == want.tobytes()
+    assert filled.mask.all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(gappy_tables(), st.sampled_from(METHODS), st.data())
+def test_fit_on_a_day_range_matches_fit_on_its_copy(ds, method, data):
+    lo = data.draw(st.integers(0, ds.num_days - 1))
+    days = (lo, data.draw(st.integers(lo + 1, ds.num_days)))
+    train = slice_days(ds, days)
+    assume(train.mask.any(axis=1).all())
+    got, want = fit(method, ds, days), fit(method, train)
+    assert got.table.tobytes() == want.table.tobytes()
+    assert got.origin == want.origin
+    assert impute(got, ds).flows.tobytes() == impute(want, ds).flows.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
 @given(gappy_tables(), st.data())
 def test_interp_matches_per_hole_np_interp(ds, data):
     # Fit on a day slice that may start after the table does, then fill a

@@ -45,6 +45,14 @@ def _check_last_day(start: dt.date, days: int) -> None:
         raise DataError(f"{days} days from {start} run past {dt.date.max}")
 
 
+def check_day_range(day_range: tuple[int, int], num_days: int) -> tuple[int, int]:
+    """A day range's (start, stop), checked to be nonempty and inside 0..num_days."""
+    start, stop = day_range
+    if not (0 <= start < stop <= num_days):
+        raise DataError(f"day range {day_range} outside 0..{num_days}")
+    return start, stop
+
+
 @dataclass(frozen=True)
 class FlowDataset:
     """Immutable flow table: [p stations x T timestamps], NaN where unobserved."""
@@ -204,6 +212,8 @@ def _read_sidecar(path: Path, station_ids: tuple[str, ...]) -> tuple[int, str]:
         if not isinstance(meta, dict):
             raise DataError(f"sidecar {sidecar} must hold a JSON object")
         lane = meta.get("lane", lane)
+        if not isinstance(lane, str):
+            raise DataError(f"sidecar {sidecar}: lane must be a string, got {lane!r}")
         points_per_day = meta.get("points_per_day", points_per_day)
         if not isinstance(points_per_day, int) or isinstance(points_per_day, bool):
             raise DataError(
@@ -366,9 +376,7 @@ def standardize(
     Uses the sample standard deviation (N-1 denominator) over observed
     training entries; the whole dataset is transformed with those statistics.
     """
-    start, stop = train_days
-    if not (0 <= start < stop <= ds.num_days):
-        raise DataError(f"train day range {train_days} outside 0..{ds.num_days}")
+    start, stop = check_day_range(train_days, ds.num_days)
     lo = start * ds.points_per_day
     hi = stop * ds.points_per_day
     mean = np.empty(ds.num_stations)
@@ -396,9 +404,7 @@ def apply_standardization(ds: FlowDataset, stats: StandardStats) -> FlowDataset:
 
 def slice_days(ds: FlowDataset, day_range: tuple[int, int]) -> FlowDataset:
     """A standalone dataset covering the given day range."""
-    start, stop = day_range
-    if not (0 <= start < stop <= ds.num_days):
-        raise DataError(f"day range {day_range} outside 0..{ds.num_days}")
+    start, stop = check_day_range(day_range, ds.num_days)
     lo = start * ds.points_per_day
     hi = stop * ds.points_per_day
     return replace(
@@ -449,7 +455,9 @@ class Windows:
 
     ``stack_batch`` reads a batch's blocks when it is used, as read-only
     strided views of the tables, so memory stays O(p x T); indexing and
-    iteration read one window as a batch of one.
+    iteration read one window as a batch of one. A target counts only where
+    its mask is set; where it is off, targets that share the filled input
+    table's values, as ``prepare_data``'s do, hold the standardized fill.
     """
 
     inputs: FlowDataset
@@ -497,11 +505,11 @@ def extract_windows(
 
     Input blocks may reach back into earlier days; days lacking a full week
     of history are skipped. When ``target_from`` is given, target values and
-    masks come from that aligned dataset while inputs come from ``ds``.
+    masks come from that aligned dataset while inputs come from ``ds``. A
+    target counts only where its mask is set; where the mask is off it
+    holds the standardized fill when ``target_from`` shares ``ds``'s values.
     """
-    start, stop = day_range
-    if not (0 <= start < stop <= ds.num_days):
-        raise DataError(f"day range {day_range} outside 0..{ds.num_days}")
+    start, stop = check_day_range(day_range, ds.num_days)
     ppd = ds.points_per_day
     positions = np.asarray(window_positions(cfg, ppd))
     if positions.size == 0:

@@ -31,7 +31,6 @@ from .dataset import (
     FlowDataset,
     WindowConfig,
     Windows,
-    clean,
     day_batches,
     stack_batch,
 )
@@ -423,14 +422,12 @@ def robustness_sweep(
         if not isinstance(subject, training.TrainedModel):
             raise DataError("scope 'test' reuses a trained model; pass a TrainedModel")
         arch = subject.arch
-        cleaned = clean(dataset)
         # Test-scope injection never touches the training days, so one rule
         # fitted on the clean table serves every injected one; at ratio 0 every
         # seed leaves the table clean, so it is scored once. Every point reads
         # only the test days and the week before them, and the blocks that
         # read only that week are computed once, at ratio 0.
-        imputer = training._fit_test_fill(subject, cleaned, method)
-        table, test_range = training._test_slice(subject, cleaned)
+        table, test_range, imputer = training._test_days(subject, dataset, method)
         predict = _reusing_predictor(subject.model, table.points_per_day, test_range[0])
         at_zero = training._score_test(subject, table, test_range, imputer, predict)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import FlowDataset
+from .dataset import FlowDataset, check_day_range
 from .errors import DataError
 
 MEAN = "mean"
@@ -72,9 +72,8 @@ def fit(
     """
     if method not in METHODS:
         raise DataError(f"unknown imputation method {method!r}, expected {METHODS}")
-    start, stop = (0, train.num_days) if days is None else days
-    if not (0 <= start < stop <= train.num_days):
-        raise DataError(f"day range {days} outside 0..{train.num_days}")
+    days = (0, train.num_days) if days is None else days
+    start, stop = check_day_range(days, train.num_days)
     p = train.num_stations
     ppd = train.points_per_day
     span = stop - start
@@ -182,9 +181,7 @@ def inject_missing(
         raise DataError(f"injection ratio {ratio} outside [0, 0.5]")
     lo, hi = 0, ds.num_timestamps
     if day_range is not None:
-        start, stop = day_range
-        if not (0 <= start < stop <= ds.num_days):
-            raise DataError(f"day range {day_range} outside 0..{ds.num_days}")
+        start, stop = check_day_range(day_range, ds.num_days)
         lo, hi = start * ds.points_per_day, stop * ds.points_per_day
 
     scoped_total = ds.num_stations * (hi - lo)

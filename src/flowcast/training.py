@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -235,28 +235,27 @@ def prepare_data(
     """Run the full preprocessing pipeline on a raw dataset.
 
     Cleans, splits chronologically 80/10/10, fits imputation on the training
-    days, fills the whole table, standardizes it and the cleaned truth with
-    statistics of the filled training days, and extracts windows over the
-    standardized tables. Training targets come from the filled table;
-    validation and test targets keep the original values and masks so
-    scoring never trusts an imputed reading.
+    days, fills the whole table, standardizes it with statistics of the
+    filled training days, and extracts windows over the standardized table.
+    Training targets are the filled table. Validation and test share one
+    targets table: the filled table's values under the cleaned mask, so
+    scoring never trusts an imputed reading. At every observed cell those
+    values are the cleaned readings, standardized.
     """
     ranges = split(ds)
     train_range, val_range, test_range = ranges
     cleaned = clean(ds)
     imputer = imputation.fit(method, cleaned, train_range)
     filled_std, stats = standardize(imputation.impute(imputer, cleaned), train_range)
-    truth_std = apply_standardization(cleaned, stats)
+    targets = replace(filled_std, mask=cleaned.mask)
     return PreparedData(
         dataset=filled_std,
         stats=stats,
         window_cfg=wcfg,
         ranges=ranges,
         train_samples=extract_windows(filled_std, wcfg, train_range),
-        val_samples=extract_windows(filled_std, wcfg, val_range, target_from=truth_std),
-        test_samples=extract_windows(
-            filled_std, wcfg, test_range, target_from=truth_std
-        ),
+        val_samples=extract_windows(filled_std, wcfg, val_range, target_from=targets),
+        test_samples=extract_windows(filled_std, wcfg, test_range, target_from=targets),
     )
 
 
@@ -350,16 +349,17 @@ def evaluate_on(
     the raw dataset has observations. The dataset must be the model's own
     table: its station count, cadence, start date and day count.
     """
+    method = method or trained.impute_method
+    return _score_test(trained, *_test_days(trained, ds, method), trained.model, views)
+
+
+def _test_days(
+    trained: TrainedModel, ds: FlowDataset, method: str
+) -> tuple[FlowDataset, tuple[int, int], imputation.ImputationModel]:
+    """The model's own table, cleaned: the days its test windows read (the
+    test range and the week before it) as a table of their own, the test
+    range counted in those days, and the rule fitted on the training days."""
     cleaned = clean(ds)
-    imputer = _fit_test_fill(trained, cleaned, method or trained.impute_method)
-    table, test_range = _test_slice(trained, cleaned)
-    return _score_test(trained, table, test_range, imputer, trained.model, views)
-
-
-def _fit_test_fill(
-    trained: TrainedModel, cleaned: FlowDataset, method: str
-) -> imputation.ImputationModel:
-    """Check that the table is the model's own; fit the rule on its training days."""
     fits = (trained.model.spec.p, trained.points_per_day)
     if (cleaned.num_stations, cleaned.points_per_day) != fits:
         raise DataError(
@@ -372,17 +372,10 @@ def _fit_test_fill(
             f"the model was trained on {days} days from {trained.start_date}; "
             f"the dataset has {cleaned.num_days} days from {cleaned.start_date}"
         )
-    return imputation.fit(method, cleaned, trained.ranges[0])
-
-
-def _test_slice(
-    trained: TrainedModel, cleaned: FlowDataset
-) -> tuple[FlowDataset, tuple[int, int]]:
-    """The days the test windows read, the test range and the week before it,
-    as a table of their own, with the test range counted in its days."""
+    imputer = imputation.fit(method, cleaned, trained.ranges[0])
     start, stop = trained.ranges[2]
     first = max(0, start - WEEK_DAYS)
-    return slice_days(cleaned, (first, stop)), (start - first, stop - first)
+    return slice_days(cleaned, (first, stop)), (start - first, stop - first), imputer
 
 
 def _score_test(
@@ -394,13 +387,11 @@ def _score_test(
     views: Sequence[str] = ("overall",),
 ):
     """Score the model, or a predictor standing in for it, on the test range
-    of a cleaned table under a fitted rule, standardized with the model's stats."""
-    samples = extract_windows(
-        apply_standardization(imputation.impute(imputer, table), trained.stats),
-        trained.window_cfg,
-        test_range,
-        target_from=apply_standardization(table, trained.stats),
-    )
+    of a cleaned table under a fitted rule, standardized with the model's
+    stats; targets count where the cleaned table is observed."""
+    inputs = apply_standardization(imputation.impute(imputer, table), trained.stats)
+    targets = replace(inputs, mask=table.mask)
+    samples = extract_windows(inputs, trained.window_cfg, test_range, target_from=targets)
     return evaluate(
         subject,
         samples,

@@ -590,6 +590,30 @@ class TestDataErrors:
         assert "data error:" in err and "points_per_day" in err
         assert "Traceback" not in err
 
+    def test_sidecar_lane_not_a_string(self, ws, tmp_path, capsys):
+        data = tmp_path / "numeric_lane.csv"
+        data.write_bytes(ws["data"].read_bytes())
+        sidecar = json.loads(Path(str(ws["data"]) + ".meta.json").read_text())
+        sidecar["lane"] = 3
+        Path(str(data) + ".meta.json").write_text(json.dumps(sidecar))
+        rc = cli.main(
+            [
+                "train",
+                "--dataset",
+                str(data),
+                "--arch",
+                "LSTM1",
+                "--seed",
+                "0",
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "lane" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("change", ["stations", "cadence"])
     def test_eval_on_data_the_model_does_not_fit(self, ws, tmp_path, capsys, change):
         ds = load_csv(ws["data"])

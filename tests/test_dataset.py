@@ -242,6 +242,9 @@ class TestCsvRoundTrip:
             b'{"points_per_day": 288.5}',
             b'{"points_per_day": true}',
             b'{"stations": 5}',
+            b'{"lane": 7}',
+            b'{"lane": null}',
+            b'{"lane": ["ML"]}',
             b"\xff\xfe not text",
         ],
     )

@@ -746,8 +746,7 @@ class TestTestScopeReuse:
         # block at the clean pass; the injected blocks differ from the kept
         # ones, so it must compute them again and score like the model.
         ds, trained = eight_test_days
-        table, test_range = training._test_slice(trained, clean(ds))
-        imputer = imputation.fit("mean", slice_days(ds, trained.ranges[0]))
+        table, test_range, imputer = training._test_days(trained, ds, "mean")
         predict = evaluation._reusing_predictor(
             trained.model, table.points_per_day, first_day=10**6
         )

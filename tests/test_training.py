@@ -10,7 +10,7 @@ import pytest
 
 from flowcast import training
 from flowcast.autodiff import Tensor, backward
-from flowcast.dataset import WindowConfig
+from flowcast.dataset import WindowConfig, clean
 from flowcast.errors import DataError, NumericError
 from flowcast.evaluation import evaluate, historical_mean_predictor, mean_sd
 from flowcast.hybrid import ARCHITECTURES, ModelSpec, build, named_parameters
@@ -329,6 +329,23 @@ class TestPrepareData:
                 smp.target_mask, synth.mask[:, smp.t : smp.t + 9]
             )
 
+    def test_val_and_test_share_one_targets_table(self, synth):
+        # The targets are the standardized filled table's values under the
+        # cleaned mask: one table for validation and test, read in place.
+        start = 13 * 288
+        t = start + int(np.flatnonzero(synth.mask[0, start:])[0])
+        flows = synth.flows.copy()
+        flows[0, t] = -4.0  # an observed negative reading, which clean drops
+        ds = dataclasses.replace(synth, flows=flows)
+        prep = prepare_data(ds, "mean")
+        val, test = prep.val_samples, prep.test_samples
+        assert val.targets is test.targets
+        assert np.shares_memory(val.targets.flows, prep.dataset.flows)
+        np.testing.assert_array_equal(val.targets.mask, clean(ds).mask)
+        assert ds.mask[0, t] and not val.targets.mask[0, t]
+        joined = val + test
+        assert joined.anchors.tolist() == [*val.anchors, *test.anchors]
+
     def test_inputs_fully_imputed(self, prepared):
         assert prepared.dataset.mask.all()
         assert not np.isnan(prepared.dataset.flows).any()
@@ -441,14 +458,23 @@ def test_data_path_copies_no_table_it_does_not_return(method):
     # fitting copied the training days and filling tiled the table, and at
     # 2.31-2.57 without; the historical-mean baseline peaked at 2.73 with
     # that copy, 0.97 gathering every slot's row at once and 0.37 in blocks.
+    # What prepare_data returns held 2.15 tables while validation and test
+    # targets came from a second standardized table, and 1.15 without it.
     ds = generate(SynthConfig(p=32, days=30, seed=5, native_missing_ratio=0.05))
     warm = prepare_data(ds, method)
     historical_mean_predictor(warm.dataset, warm.ranges[0], 9)
-    prepared, prepare_peak = traced_peak(lambda: prepare_data(ds, method))
+
+    def prepare_holding():
+        base = tracemalloc.get_traced_memory()[0]
+        prepared = prepare_data(ds, method)
+        return prepared, tracemalloc.get_traced_memory()[0] - base
+
+    (prepared, held), prepare_peak = traced_peak(prepare_holding)
     _, history_peak = traced_peak(
         lambda: historical_mean_predictor(prepared.dataset, prepared.ranges[0], 9)
     )
     assert prepare_peak < 2.8 * ds.flows.nbytes
+    assert held < 1.5 * ds.flows.nbytes
     assert history_peak < 0.75 * ds.flows.nbytes
 
 

@@ -78,7 +78,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
             f"gradient contribution {g.shape} does not match tensor {t.data.shape}"
         )
     if t.grad is None:
-        # A copy, never g itself: add_bias hands its own g to x, reshape a view of it.
+        # A copy, never g itself: reshape hands on a view of its output's grad.
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
@@ -160,43 +160,6 @@ def mul(a, b) -> Tensor:
         _accumulate(b, a.data * g)
 
     return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
-
-
-def add_bias(x, v) -> Tensor:
-    """Add a vector along the leading axis, broadcast over trailing axes."""
-    x, v = _as_tensor(x), _as_tensor(v)
-    if v.data.ndim != 1 or x.data.ndim < 1 or v.data.shape[0] != x.data.shape[0]:
-        raise ValueError(f"add_bias: vector {v.data.shape} does not fit axis 0 of {x.data.shape}")
-    vb = v.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-
-    def bwd(g):
-        _accumulate(x, g)
-        _accumulate(v, g.sum(axis=tuple(range(1, g.ndim))))
-
-    return Tensor(x.data + vb, _parents=(x, v), _backward=bwd)
-
-
-def concat(parts) -> Tensor:
-    """Join tensors along the leading axis."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat: empty part list")
-    for t in parts[1:]:
-        if t.data.shape[1:] != parts[0].data.shape[1:]:
-            raise ValueError(
-                f"concat: incompatible shapes {parts[0].data.shape} vs {t.data.shape}"
-            )
-    offsets = np.cumsum([0] + [t.data.shape[0] for t in parts])
-
-    def bwd(g):
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(t, g[lo:hi])
-
-    return Tensor(
-        np.concatenate([t.data for t in parts]),
-        _parents=tuple(parts),
-        _backward=bwd,
-    )
 
 
 def reshape(x, shape) -> Tensor:

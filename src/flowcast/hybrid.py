@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, concat, flat_leaves, reshape
+from .autodiff import Tensor, flat_leaves, reshape
 from .layers import (
     ConvLayerParams,
     DenseParams,
@@ -221,14 +221,12 @@ def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
 
 
 def head(model: Model, parts: list[Tensor]) -> Tensor:
-    """Join every stream's output parts, in stream order, in one concat and
-    apply the dense head; returns the [p, h, batch] forecast."""
+    """Apply the dense head to every stream's output parts, which ``dense``
+    joins in stream order (rows stream, station, step); returns the
+    [p, h, batch] forecast."""
     spec = model.spec
-    batch = parts[0].data.shape[-1]
-    # Rows of the joined block are stream, station, step.
-    pooled = reshape(concat(parts), (spec.head_in_width, batch))
-    predictions = dense(model.head.W, model.head.b, pooled)
-    return reshape(predictions, (spec.p, spec.h, batch))
+    predictions = dense(model.head.W, model.head.b, parts)
+    return reshape(predictions, (spec.p, spec.h, parts[0].data.shape[-1]))
 
 
 def forward(model: Model, sample) -> Tensor:

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, add_bias, flat_leaves, matmul
+from .autodiff import Tensor, _accumulate, flat_leaves
 
 GATES = ("f", "i", "c", "o")
 
@@ -265,9 +265,36 @@ def conv_stack(params: list[ConvLayerParams], seq: Tensor) -> Tensor:
     return Tensor(x, _parents=parents, _backward=bwd)
 
 
-def dense(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
-    """Affine regression head over columns x [in, batch], no activation."""
-    return add_bias(matmul(weights, x), bias)
+def dense(weights: Tensor, bias: Tensor, parts: list[Tensor]) -> Tensor:
+    """Affine regression head, no activation: joins the parts along their
+    leading axis, reads the result as columns x [in, batch] and returns
+    ``weights @ x + bias`` [out, batch].
+
+    One tape node: its closure adds ``g @ x.T`` into the weights, the row sums
+    of ``g`` into the bias and each part's rows of ``weights.T @ g`` into that
+    part.
+    """
+    x = np.concatenate([t.data for t in parts])
+    batch = x.shape[-1]
+    shape = weights.data.shape
+    if len(shape) != 2 or bias.data.shape != shape[:1] or x.size != shape[1] * batch:
+        raise ValueError(
+            f"dense: weights {shape} and bias {bias.data.shape} "
+            f"do not fit the joined rows {x.shape}"
+        )
+    x = x.reshape(shape[1], batch)
+    out = weights.data @ x
+    out += bias.data[:, None]
+
+    def bwd(g):
+        _accumulate(weights, g @ x.T)
+        _accumulate(bias, g.sum(axis=1))
+        dx = (weights.data.T @ g).reshape(-1, *parts[0].data.shape[1:])
+        cuts = np.cumsum([t.data.shape[0] for t in parts])[:-1]
+        for t, rows in zip(parts, np.split(dx, cuts)):
+            _accumulate(t, rows)
+
+    return Tensor(out, _parents=(weights, bias, *parts), _backward=bwd)
 
 
 def glorot_uniform(

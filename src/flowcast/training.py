@@ -438,15 +438,6 @@ def run_tasks(
     Consecutive tasks that share a fill rule, ratio and (above ratio 0)
     seed share one prepared table, and at most one is held at a time.
     """
-    for result, prepared in _runs(ds, tasks, cfg, wcfg):
-        del prepared  # leave _runs the only reference, so it can free the table
-        yield result
-
-
-def _runs(
-    ds: FlowDataset, tasks: Sequence[RunTask], cfg: TrainConfig, wcfg: WindowConfig
-) -> Iterator[tuple[RunResult, PreparedData]]:
-    """``run_tasks``, with each result's prepared table for ``train_once``."""
     specs = {t.arch: model_spec_for(t.arch, ds.num_stations, wcfg) for t in tasks}
     shared = prepared = None
     for task in tasks:
@@ -455,20 +446,27 @@ def _runs(
             shared, prepared = table, None
             injected = imputation.inject_missing(clean(ds), task.ratio, task.seed)
             prepared = prepare_data(injected, task.method, wcfg)
-        model = build(specs[task.arch], task.seed)
-        model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
-        trained = TrainedModel(
-            model=model,
-            arch=task.arch,
-            impute_method=task.method,
-            stats=prepared.stats,
-            window_cfg=wcfg,
-            ranges=prepared.ranges,
-            start_date=ds.start_date,
-            points_per_day=ds.points_per_day,
-        )
-        test = evaluate(model, prepared.test_samples)
-        yield RunResult(task, log, trained, test), prepared
+        yield _run(task, specs[task.arch], prepared, cfg)
+
+
+def _run(
+    task: RunTask, spec: ModelSpec, prepared: PreparedData, cfg: TrainConfig
+) -> RunResult:
+    """Build the task's model, train it on the prepared table and score it on
+    the test windows."""
+    model = build(spec, task.seed)
+    model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
+    trained = TrainedModel(
+        model=model,
+        arch=task.arch,
+        impute_method=task.method,
+        stats=prepared.stats,
+        window_cfg=prepared.window_cfg,
+        ranges=prepared.ranges,
+        start_date=prepared.dataset.start_date,
+        points_per_day=prepared.dataset.points_per_day,
+    )
+    return RunResult(task, log, trained, evaluate(model, prepared.test_samples))
 
 
 def train_once(
@@ -480,5 +478,7 @@ def train_once(
     seed: int = 0,
 ) -> tuple[TrainedModel, TrainLog, PreparedData]:
     """Prepare the dataset and train a single model from one seed."""
-    ((run, prepared),) = _runs(ds, [RunTask(arch, method, 0.0, seed)], cfg, wcfg)
+    spec = model_spec_for(arch, ds.num_stations, wcfg)
+    prepared = prepare_data(ds, method, wcfg)
+    run = _run(RunTask(arch, method, 0.0, seed), spec, prepared, cfg)
     return run.trained, run.log, prepared

@@ -7,9 +7,7 @@ import pytest
 
 from flowcast.autodiff import (
     Tensor,
-    add_bias,
     backward,
-    concat,
     flat_leaves,
     matmul,
     mul,
@@ -59,18 +57,6 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\(2,\) vs \(3,\)"):
             mul(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
 
-    def test_concat_single(self):
-        a = t([[1.0, 2.0]])
-        assert np.array_equal(concat([a]).data, a.data)
-
-    def test_concat_shapes(self):
-        a, b = t(np.ones((3, 4))), t(np.ones((3, 4)))
-        assert concat([a, b]).data.shape == (6, 4)
-
-    def test_concat_incompatible(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            concat([t(np.ones((3, 4))), t(np.ones((3, 5)))])
-
     def test_reshape_is_a_read_only_view(self):
         a = t(np.arange(6.0))
         r = reshape(a, (2, 3))
@@ -109,8 +95,8 @@ class TestForward:
     def test_determinism(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        r1 = add_bias(matmul(t(a), t(b)), t(a[0])).data
-        r2 = add_bias(matmul(t(a), t(b)), t(a[0])).data
+        r1 = matmul(t(a), t(b)).data
+        r2 = matmul(t(a), t(b)).data
         assert np.array_equal(r1, r2)
 
 
@@ -224,7 +210,7 @@ class TestBackwardConsumesTheGraph:
         # and the loss's residual; reference counting alone must free them.
         loss, _ = training_step_loss()
         closures = [weakref.ref(node._backward) for node in op_nodes(loss)]
-        assert len(closures) == 15
+        assert len(closures) == 12
         backward(loss)
         assert [ref() for ref in closures] == [None] * len(closures)
 
@@ -257,7 +243,6 @@ OPS = {
     "relu": lambda a, b: relu(a),
     "mul": mul,
     "matmul2": lambda a, b: matmul(reshape(a, (2, 3)), reshape(b, (3, 2))),
-    "concat": lambda a, b: concat([a, b]),
     "reshape": lambda a, b: reshape(a, (3, 2)),
 }
 
@@ -289,13 +274,6 @@ def test_conv_with_trailing_axes_grads():
     ker = t(rng.normal(size=(1, 1, 4)))
     bias = t(rng.normal(size=1))
     check_gradients(lambda: tensor_sum(conv(sig, ker, bias)), [sig, ker, bias])
-
-
-def test_add_bias_grads():
-    rng = np.random.default_rng(8)
-    x = t(rng.normal(size=(4, 3)))
-    v = t(rng.normal(size=4))
-    check_gradients(lambda: tensor_sum(mul(add_bias(x, v), add_bias(x, v))), [x, v])
 
 
 def test_composed_network_grads():

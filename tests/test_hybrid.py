@@ -159,7 +159,7 @@ def test_head_reads_rows_by_stream_station_step():
     assert np.array_equal(out.reshape(10, 3), rows[picks])
 
 
-def test_training_step_records_18_nodes():
+def test_training_step_records_15_nodes():
     # Read the node-id counter as perfbench does, without advancing it.
     def created():
         return int(repr(autodiff._node_ids)[len("count(") : -1])
@@ -169,10 +169,10 @@ def test_training_step_records_18_nodes():
     xs = [rng.normal(size=(8, 21, 5)) for _ in range(3)]
     before = created()
     mse_loss(forward_batch(model, *xs), rng.normal(size=(8, 3, 5)))
-    # 3 inputs; per stream 2 LSTM layers and the conv cascade; the one concat
-    # of every stream's parts and its flattening; matmul, add_bias and the
-    # [p, h, batch] reshape; the fused loss.
-    assert created() - before == 3 + 3 * 3 + 2 + 3 + 1
+    # 3 inputs; per stream 2 LSTM layers and the conv cascade; the dense head,
+    # which joins every stream's parts; the [p, h, batch] reshape; the fused
+    # loss.
+    assert created() - before == 3 + 3 * 3 + 1 + 1 + 1
 
 
 def test_sp_variants_differ():

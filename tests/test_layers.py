@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tensor, backward, flat_leaves, mul, tensor_sum
+from flowcast.autodiff import Tensor, backward, flat_leaves, mul, no_grad, tensor_sum
 from flowcast.hybrid import ARCHITECTURES, ModelSpec, build
 from flowcast.layers import (
     ConvLayerParams,
@@ -507,18 +507,18 @@ class TestConvStack:
 class TestDense:
     def test_identity(self):
         x = np.array([[1.0], [2.0], [3.0]])
-        out = dense(Tensor(np.eye(3)), Tensor(np.zeros(3)), Tensor(x))
+        out = dense(Tensor(np.eye(3)), Tensor(np.zeros(3)), [Tensor(x)])
         assert np.array_equal(out.data, x)
 
     def test_zero_weights_give_bias(self):
         b = np.array([5.0, -1.0])
-        out = dense(Tensor(np.zeros((2, 3))), Tensor(b), Tensor(np.ones((3, 1))))
+        out = dense(Tensor(np.zeros((2, 3))), Tensor(b), [Tensor(np.ones((3, 1)))])
         assert np.array_equal(out.data, b[:, None])
 
     def test_batch_form(self):
         rng = np.random.default_rng(13)
         W, b, x = rng.normal(size=(2, 4)), rng.normal(size=2), rng.normal(size=(4, 5))
-        out = dense(Tensor(W), Tensor(b), Tensor(x))
+        out = dense(Tensor(W), Tensor(b), [Tensor(x)])
         assert np.allclose(out.data, W @ x + b[:, None])
 
     def test_gradients(self):
@@ -526,7 +526,43 @@ class TestDense:
         W = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
         x = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
-        check_gradients(lambda: tensor_sum(dense(W, b, x)), [W, b, x])
+        check_gradients(lambda: tensor_sum(dense(W, b, [x])), [W, b, x])
+
+    @staticmethod
+    def joined_case(seed):
+        # Three parts of different leading widths, 6 x 3 joined rows, batch 4.
+        rng = np.random.default_rng(seed)
+        parts = [
+            Tensor(rng.normal(size=(rows, 3, 4)), requires_grad=True)
+            for rows in (2, 3, 1)
+        ]
+        W = Tensor(rng.normal(size=(5, 18)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        return W, b, parts
+
+    def test_joins_parts_in_order(self):
+        W, b, parts = self.joined_case(15)
+        out = dense(W, b, parts)
+        x = np.concatenate([t.data for t in parts]).reshape(-1, 4)
+        assert np.array_equal(out.data, W.data @ x + b.data[:, None])
+
+    def test_joined_gradients(self):
+        W, b, parts = self.joined_case(16)
+        # Square the output so each part's gradient depends on the weights.
+        check_gradients(lambda: tensor_sum(mul(dense(W, b, parts), dense(W, b, parts))),
+                        [W, b, *parts])
+
+    def test_width_mismatch_names_both_shapes(self):
+        _, b, parts = self.joined_case(17)
+        with pytest.raises(ValueError, match=r"\(5, 17\).*\(6, 3, 4\)"):
+            dense(Tensor(np.zeros((5, 17))), b, parts)
+
+    def test_no_grad_records_no_parents(self):
+        W, b, parts = self.joined_case(18)
+        with no_grad():
+            out = dense(W, b, parts)
+        assert out._parents == () and out._backward is None
+        assert np.array_equal(out.data, dense(W, b, parts).data)
 
 
 class TestInit:

@@ -195,6 +195,14 @@ def _parse_manifest(manifest: dict) -> tuple[ModelSpec, dict]:
         raise DataError(
             f"manifest stats need {spec.p} finite means and positive finite deviations"
         )
+    ranges = tuple(tuple(r) for r in manifest["ranges"])
+    (a, b), (c, d), (e, f) = ranges
+    if not a == 0 < b == c < d == e < f or stats.train_days != ranges[0]:
+        raise DataError(
+            f"manifest ranges {manifest['ranges']} must be three nonempty contiguous "
+            f"day ranges from day 0, the first equal to stats train_days "
+            f"{list(stats.train_days)}"
+        )
     try:
         start_date = dt.date.fromisoformat(manifest["start_date"])
     except ValueError:
@@ -204,7 +212,7 @@ def _parse_manifest(manifest: dict) -> tuple[ModelSpec, dict]:
         "impute_method": manifest["impute_method"],
         "stats": stats,
         "window_cfg": window,
-        "ranges": tuple(tuple(r) for r in manifest["ranges"]),
+        "ranges": ranges,
         "start_date": start_date,
         "points_per_day": manifest["points_per_day"],
     }

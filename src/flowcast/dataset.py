@@ -4,7 +4,7 @@ A dataset is a stations-by-timestamps matrix at a fixed points-per-day
 cadence, with a boolean observation mask. Windows are anchors at every
 admissible in-day position; a batch reads the three aligned input blocks
 (near-term, one day back, one week back) plus the forecast target on demand,
-as read-only views of the tables wherever its anchors are consecutive.
+as read-only views of one table wherever its anchors are consecutive.
 
 CSV layout: first column an ISO-8601 timestamp, one column per station. A
 cell is missing when it is empty, blank or NaN in any spelling (``nan``,
@@ -55,7 +55,12 @@ def check_day_range(day_range: tuple[int, int], num_days: int) -> tuple[int, int
 
 @dataclass(frozen=True)
 class FlowDataset:
-    """Immutable flow table: [p stations x T timestamps], NaN where unobserved."""
+    """Immutable flow table: [p stations x T timestamps] and its mask.
+
+    A value counts only where the mask is set, and there it is finite. Where
+    the mask is off it means nothing: NaN in a loaded or injected table, the
+    negative reading ``clean`` dropped, or a fill under a scored table's mask.
+    """
 
     flows: np.ndarray
     mask: np.ndarray
@@ -451,28 +456,25 @@ def _input_reads(cfg: WindowConfig, points_per_day: int) -> list[tuple[int, int]
 
 @dataclass(frozen=True, eq=False)
 class Windows:
-    """Anchor timestamps into input and target tables that are never copied.
+    """Anchor timestamps into one table that is never copied.
 
-    ``stack_batch`` reads a batch's blocks when it is used, as read-only
-    strided views of the tables, so memory stays O(p x T); indexing and
-    iteration read one window as a batch of one. A target counts only where
-    its mask is set; where it is off, targets that share the filled input
-    table's values, as ``prepare_data``'s do, hold the standardized fill.
+    ``stack_batch`` reads a batch's input and target blocks from the table's
+    flows and its target mask from the table's mask when it is used, as
+    read-only strided views, so memory stays O(p x T); indexing and iteration
+    read one window as a batch of one. A target counts only where its mask is
+    set; where it is off, the tables ``prepare_data`` builds hold the
+    standardized fill.
     """
 
-    inputs: FlowDataset
-    targets: FlowDataset
+    table: FlowDataset
     cfg: WindowConfig
     anchors: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = self.inputs.flows.shape
-        if self.targets.flows.shape != shape:
-            raise DataError(f"target shape {self.targets.flows.shape} is not {shape}")
         anchors = np.array(self.anchors, dtype=int)
-        ppd, cfg = self.inputs.points_per_day, self.cfg
+        ppd, cfg = self.table.points_per_day, self.cfg
         lo = max(-offset for offset, _ in _input_reads(cfg, ppd))
-        hi = shape[1] - cfg.h
+        hi = self.table.num_timestamps - cfg.h
         inside = anchors.size == 0 or lo <= anchors.min() <= anchors.max() <= hi
         if anchors.ndim != 1 or not inside:
             raise DataError(f"anchors must be 1-D and in [{lo}, {hi}] for {cfg}")
@@ -489,25 +491,18 @@ class Windows:
         return WindowSample(*(block[..., 0] for block in blocks), t=int(ts[0]))
 
     def __add__(self, other: "Windows") -> "Windows":
-        shared = other.inputs is self.inputs and other.targets is self.targets
-        if not shared or other.cfg != self.cfg:
+        if other.table is not self.table or other.cfg != self.cfg:
             raise DataError("only windows over the same tables and config concatenate")
         return replace(self, anchors=np.concatenate([self.anchors, other.anchors]))
 
 
 def extract_windows(
-    ds: FlowDataset,
-    cfg: WindowConfig,
-    day_range: tuple[int, int],
-    target_from: FlowDataset | None = None,
+    ds: FlowDataset, cfg: WindowConfig, day_range: tuple[int, int]
 ) -> Windows:
-    """All windows whose targets fall inside the given day range.
+    """All windows over ``ds`` whose targets fall inside the given day range.
 
     Input blocks may reach back into earlier days; days lacking a full week
-    of history are skipped. When ``target_from`` is given, target values and
-    masks come from that aligned dataset while inputs come from ``ds``. A
-    target counts only where its mask is set; where the mask is off it
-    holds the standardized fill when ``target_from`` shares ``ds``'s values.
+    of history are skipped. Targets are ``ds``'s values under its mask.
     """
     start, stop = check_day_range(day_range, ds.num_days)
     ppd = ds.points_per_day
@@ -520,18 +515,18 @@ def extract_windows(
             f"day range {day_range} has no day with a full week of history"
         )
     anchors = (days[:, None] * ppd + positions).ravel()
-    return Windows(ds, ds if target_from is None else target_from, cfg, anchors)
+    return Windows(ds, cfg, anchors)
 
 
 def day_batches(windows: Windows) -> list[Windows]:
     """Split chronologically ordered windows into one batch per target day."""
-    days = windows.anchors // windows.inputs.points_per_day
+    days = windows.anchors // windows.table.points_per_day
     starts = np.flatnonzero(np.diff(days, prepend=-1))
     return [windows[a:b] for a, b in zip(starts, [*starts[1:], len(windows)])]
 
 
 def stack_batch(batch: Windows) -> tuple[np.ndarray, ...]:
-    """Read a batch of windows in place from its tables, stacked on a trailing axis.
+    """Read a batch of windows in place from its table, stacked on a trailing axis.
 
     Returns (s, s_d, s_w, target, target_mask, ts): each block is a read-only
     [p, width, batch] array and ts lists the anchor timestamps. A run of
@@ -540,7 +535,7 @@ def stack_batch(batch: Windows) -> tuple[np.ndarray, ...]:
     one new array. Either way a predictor that writes into a block raises
     ``ValueError``.
     """
-    cfg, ppd, ts = batch.cfg, batch.inputs.points_per_day, np.array(batch.anchors)
+    cfg, ppd, ts = batch.cfg, batch.table.points_per_day, np.array(batch.anchors)
     cut = [0, *(np.flatnonzero(np.diff(ts) != 1) + 1), ts.size]
     # (first anchor, length) of each run; no anchors read one empty run
     runs = [(ts[a], b - a) for a, b in zip(cut, cut[1:]) if b > a] or [(0, 0)]
@@ -556,8 +551,8 @@ def stack_batch(batch: Windows) -> tuple[np.ndarray, ...]:
         return joined
 
     return (
-        *(read(batch.inputs.flows, *where) for where in _input_reads(cfg, ppd)),
-        read(batch.targets.flows, 0, cfg.h),
-        read(batch.targets.mask, 0, cfg.h),
+        *(read(batch.table.flows, *where) for where in _input_reads(cfg, ppd)),
+        read(batch.table.flows, 0, cfg.h),
+        read(batch.table.mask, 0, cfg.h),
         ts,
     )

@@ -192,7 +192,7 @@ def evaluate(
             raise DataError(f"unknown view {name!r}, expected one of {VIEWS}")
     if not samples:
         raise DataError("no samples to evaluate")
-    table = samples.inputs
+    table = samples.table
     if points_per_day not in (None, table.points_per_day):
         raise DataError(
             f"points_per_day {points_per_day} disagrees with the windows' "
@@ -203,7 +203,7 @@ def evaluate(
             f"start date {start_date} disagrees with the windows' {table.start_date}"
         )
     points_per_day, start_date = table.points_per_day, table.start_date
-    p, h = samples.targets.num_stations, samples.cfg.h
+    p, h = table.num_stations, samples.cfg.h
     if station_ids is not None and len(station_ids) != p:
         raise DataError(f"{len(station_ids)} station ids for {p} stations")
     rules = _view_rules(p, h, points_per_day, start_date, station_ids)
@@ -400,9 +400,10 @@ def robustness_sweep(
     scope="test" corrupts only the test days and reuses one already-trained
     model (``subject`` must be a TrainedModel); scope="all" corrupts the whole
     table and retrains from scratch per ratio and seed, pairing each injection
-    seed with the same build seed. Metrics are aggregated over the injection
-    seeds, which must be distinct; targets are scored at cells still observed
-    after injection.
+    seed with the same build seed, at ``window_cfg`` (by default a
+    TrainedModel's own window, else the default one). Metrics are aggregated
+    over the injection seeds, which must be distinct and nonnegative; targets
+    are scored at cells still observed after injection.
     """
     from . import training
 
@@ -412,6 +413,8 @@ def robustness_sweep(
         raise DataError("need at least one injection seed")
     if len(set(seeds)) != len(seeds):
         raise DataError(f"injection seeds {seeds} repeat; each must be its own draw")
+    if min(seeds) < 0:
+        raise DataError(f"injection seeds {seeds} must be nonnegative")
     if scope not in ("test", "all"):
         raise DataError(f"unknown sweep scope {scope!r}")
     if method not in imputation.METHODS:
@@ -439,13 +442,15 @@ def robustness_sweep(
 
         reports = (score(ratio, seed) for ratio in grid for seed in seeds)
     else:
-        arch = subject.arch if isinstance(subject, training.TrainedModel) else subject
+        trained = isinstance(subject, training.TrainedModel)
+        arch = subject.arch if trained else subject
         if not isinstance(arch, str):
             raise DataError("scope 'all' needs an architecture name or TrainedModel")
         if cfg is None:
             raise DataError("scope 'all' retrains models and needs a TrainConfig")
         tasks = [training.RunTask(arch, method, r, s) for r in grid for s in seeds]
-        runs = training.run_tasks(dataset, tasks, cfg, window_cfg or WindowConfig())
+        wcfg = window_cfg or (subject.window_cfg if trained else WindowConfig())
+        runs = training.run_tasks(dataset, tasks, cfg, wcfg)
         reports = (run.test for run in runs)
 
     points = tuple(

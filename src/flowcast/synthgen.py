@@ -45,6 +45,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        if self.seed < 0:
+            raise DataError(f"seed {self.seed} must be nonnegative")
         if self.p < 1 or self.days < 1:
             raise DataError(
                 f"need at least one station and one day, got p={self.p}, days={self.days}"

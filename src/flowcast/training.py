@@ -85,6 +85,8 @@ class TrainConfig:
             )
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds {self.seeds} repeat; each run needs its own seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds {self.seeds} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -235,27 +237,27 @@ def prepare_data(
     """Run the full preprocessing pipeline on a raw dataset.
 
     Cleans, splits chronologically 80/10/10, fits imputation on the training
-    days, fills the whole table, standardizes it with statistics of the
-    filled training days, and extracts windows over the standardized table.
-    Training targets are the filled table. Validation and test share one
-    targets table: the filled table's values under the cleaned mask, so
-    scoring never trusts an imputed reading. At every observed cell those
-    values are the cleaned readings, standardized.
+    days, fills the whole table and standardizes it with statistics of the
+    filled training days. Training windows read that table, so training
+    targets include the fill. Validation and test windows read one scored
+    table, its values under the cleaned mask, so scoring never trusts an
+    imputed reading; at every observed cell the values are the cleaned
+    readings, standardized.
     """
     ranges = split(ds)
     train_range, val_range, test_range = ranges
     cleaned = clean(ds)
     imputer = imputation.fit(method, cleaned, train_range)
     filled_std, stats = standardize(imputation.impute(imputer, cleaned), train_range)
-    targets = replace(filled_std, mask=cleaned.mask)
+    scored = replace(filled_std, mask=cleaned.mask)
     return PreparedData(
         dataset=filled_std,
         stats=stats,
         window_cfg=wcfg,
         ranges=ranges,
         train_samples=extract_windows(filled_std, wcfg, train_range),
-        val_samples=extract_windows(filled_std, wcfg, val_range, target_from=targets),
-        test_samples=extract_windows(filled_std, wcfg, test_range, target_from=targets),
+        val_samples=extract_windows(scored, wcfg, val_range),
+        test_samples=extract_windows(scored, wcfg, test_range),
     )
 
 
@@ -388,10 +390,10 @@ def _score_test(
 ):
     """Score the model, or a predictor standing in for it, on the test range
     of a cleaned table under a fitted rule, standardized with the model's
-    stats; targets count where the cleaned table is observed."""
-    inputs = apply_standardization(imputation.impute(imputer, table), trained.stats)
-    targets = replace(inputs, mask=table.mask)
-    samples = extract_windows(inputs, trained.window_cfg, test_range, target_from=targets)
+    stats; the windows read the filled values under the cleaned table's mask."""
+    filled = apply_standardization(imputation.impute(imputer, table), trained.stats)
+    scored = replace(filled, mask=table.mask)
+    samples = extract_windows(scored, trained.window_cfg, test_range)
     return evaluate(
         subject,
         samples,

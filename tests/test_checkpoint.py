@@ -346,6 +346,35 @@ class TestIntegrity:
         with pytest.raises(DataError, match="digest mismatch"):
             load_checkpoint(dst)
 
+    def test_ranges_must_agree_with_the_stats(self, tmp_path):
+        src = tmp_path / "a.npz"
+        save_checkpoint(src, fake_trained())
+
+        def load_with(ranges, train_days):
+            def alter(payload):
+                manifest = json.loads(str(payload["manifest"]))
+                manifest["ranges"] = ranges
+                manifest["stats"]["train_days"] = train_days
+                payload["manifest"] = np.asarray(json.dumps(manifest))
+                return payload
+
+            rewrite(src, tmp_path / "b.npz", alter)
+            return load_checkpoint(tmp_path / "b.npz")
+
+        # Checkpoints written before the 80/10/10 split was fixed may hold
+        # other fractions.
+        loaded = load_with([[0, 10], [10, 12], [12, 14]], [0, 10])
+        assert loaded.ranges == ((0, 10), (10, 12), (12, 14))
+        for ranges, train_days in [
+            ([[0, 8], [8, 10], [10, 14]], [0, 12]),  # the stats disagree
+            ([[1, 12], [12, 13], [13, 14]], [1, 12]),  # not from day 0
+            ([[0, 12], [12, 12], [12, 14]], [0, 12]),  # an empty range
+            ([[0, 12], [13, 14], [14, 15]], [0, 12]),  # a gap
+            ([[0, 12], [11, 13], [13, 14]], [0, 12]),  # an overlap
+        ]:
+            with pytest.raises(DataError, match="manifest ranges"):
+                load_with(ranges, train_days)
+
     def test_invalid_spec_in_manifest(self, tmp_path):
         trained = fake_trained()
         src = tmp_path / "model.npz"

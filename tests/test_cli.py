@@ -41,6 +41,12 @@ def provenance_lines(path):
     return path.read_text().splitlines()[:2]
 
 
+@pytest.fixture(autouse=True)
+def _run_in_tmp_path(tmp_path, monkeypatch):
+    """Run each test from its own directory, so a default ``--out`` lands there."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Workspace with a config, two datasets, and one trained checkpoint."""
@@ -398,6 +404,26 @@ class TestArgumentErrors:
             # the line names the problem, not the ratio's 401 digits
             assert err.startswith("data error:") and len(err) < 200, err
 
+    @pytest.mark.parametrize(
+        "command, code, prefix",
+        [
+            (["synth", "--seed", "-3"], 1, "usage error:"),
+            (["train", "--arch", "LSTM1", "--seed", "-1"], 1, "usage error:"),
+            (["sweep", "--ratios", "0,0.1", "--seed", "-1"], 2, "data error:"),
+        ],
+        ids=["synth", "train", "sweep"],
+    )
+    def test_negative_seed_rejected(self, ws, tmp_path, capsys, command, code, prefix):
+        inputs = {
+            "synth": [],
+            "train": ["--dataset", str(ws["data"])],
+            "sweep": ["--dataset", str(ws["data"]), "--checkpoint", str(ws["checkpoint"])],
+        }[command[0]]
+        assert cli.main(command + inputs + ["--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert "must be nonnegative" in err
+
     def test_resolve_archs_all(self):
         assert cli._choose("all", ARCHITECTURES, "architecture") == list(ARCHITECTURES)
         assert len(cli._choose("all", ARCHITECTURES, "architecture")) == 12
@@ -480,6 +506,8 @@ class TestDataErrors:
                 "LSTM1",
                 "--seed",
                 "0",
+                "--out",
+                str(tmp_path / "out"),
             ]
         )
         assert rc == 2
@@ -487,7 +515,8 @@ class TestDataErrors:
 
     def test_table_past_the_last_date(self, tmp_path, capsys):
         data = write_two_per_day_csv(tmp_path / "late.csv", ["9999-12-31", "10000-01-01"])
-        rc = cli.main(["train", "--dataset", str(data), "--arch", "LSTM1", "--seed", "0"])
+        args = ["train", "--dataset", str(data), "--arch", "LSTM1", "--seed", "0"]
+        rc = cli.main(args + ["--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1, err
@@ -712,6 +741,24 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "data error:" in err and "manifest" in err
         assert "Traceback" not in err
+
+    def test_ranges_unlike_the_stats_rejected(self, ws, tmp_path, capsys):
+        # The training days are recorded twice, as ranges[0] and as the
+        # stats' train_days; ranges that disagree would score training and
+        # validation days as test days.
+        def shift_ranges(payload):
+            manifest = json.loads(str(payload["manifest"]))
+            manifest["ranges"] = [[0, 6], [6, 8], [8, 14]]
+            payload["manifest"] = np.asarray(json.dumps(manifest))
+            return payload
+
+        damaged = tmp_path / "shifted.npz"
+        rewrite(ws["checkpoint"], damaged, shift_ranges)
+        args = ["eval", "--checkpoint", str(damaged), "--dataset", str(ws["data"])]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: manifest ranges") and err.count("\n") == 1, err
+        assert "[0, 12]" in err
 
     def test_text_parameter_array_rejected(self, ws, tmp_path):
         # run as a user would, so an uncaught exception would show as a

@@ -453,28 +453,14 @@ class TestExtractWindows:
         with pytest.raises(DataError, match="day range"):
             extract_windows(ds, WindowConfig(), (0, 12))
 
-    def test_target_from_override(self):
-        ds = make_dataset(p=2, days=8, seed=3, missing=0.0)
-        other_flows = ds.flows + 1000.0
-        other_mask = ds.mask.copy()
-        other_mask[:, 7 * 288 :] = False
-        other = FlowDataset(other_flows, other_mask, ds.station_ids, ds.start_date)
-        samples = extract_windows(ds, WindowConfig(), (7, 8), target_from=other)
-        sample = samples[0]
-        assert np.all(sample.target >= 1000.0)
-        assert not sample.target_mask.any()
-        assert np.all(sample.s < 1000.0)
-
     def test_anchors_outside_the_table_rejected(self):
         ds = make_dataset(p=1, days=9)
         cfg = WindowConfig()
         lo, hi = 7 * 288 + cfg.n_w, 9 * 288 - cfg.h
-        assert len(Windows(ds, ds, cfg, [lo, hi])) == 2
+        assert len(Windows(ds, cfg, [lo, hi])) == 2
         for bad in ([lo - 1], [hi + 1], [[lo]]):
             with pytest.raises(DataError, match="anchors"):
-                Windows(ds, ds, cfg, bad)
-        with pytest.raises(DataError, match="target shape"):
-            Windows(ds, make_dataset(p=2, days=9), cfg, [lo])
+                Windows(ds, cfg, bad)
 
     @pytest.mark.parametrize(
         "cfg", [WindowConfig(), WindowConfig(n=5, h=2, n_d=3, n_w=1)]

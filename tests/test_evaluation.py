@@ -3,6 +3,7 @@
 import datetime as dt
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def make_samples(rng, ts, mask_fn=None, p=P):
         start_date=START,
         points_per_day=PPD,
     )
-    return Windows(ds, ds, WINDOW, anchors)
+    return Windows(ds, WINDOW, anchors)
 
 
 class TestEvaluate:
@@ -222,7 +223,7 @@ class TestEvaluate:
         samples = make_samples(np.random.default_rng(12), range(1, PPD))
         (batch,) = day_batches(samples)
         *blocks, _ = stack_batch(batch)
-        flows, truth, mask = samples.inputs.flows, samples.targets.flows, samples.targets.mask
+        flows, truth, mask = samples.table.flows, samples.table.flows, samples.table.mask
         for block, table in zip(blocks, (flows, flows, flows, truth, mask)):
             assert np.shares_memory(block, table)
         before = [table.tobytes() for table in (flows, truth, mask)]
@@ -270,7 +271,7 @@ class TestEvaluate:
         samples = make_samples(np.random.default_rng(5), [3, 15, 27])
         implicit = evaluate(grid_predictor, samples, ("weekday",))
         given = evaluate(
-            grid_predictor, samples, ("weekday",), start_date=samples.inputs.start_date
+            grid_predictor, samples, ("weekday",), start_date=samples.table.start_date
         )
         for name in ("overall", "weekday"):
             assert np.array_equal(implicit.views[name].counts, given.views[name].counts)
@@ -655,6 +656,20 @@ class TestRobustnessSweep:
         assert zero.seed_rmse == tuple(r.rmse for r in reports)
         assert zero.seed_cells == tuple(r.cells for r in reports)
 
+    def test_all_scope_retrains_at_the_models_window(self):
+        # Without a window_cfg, a TrainedModel is retrained at its own window.
+        ds = generate(SynthConfig(p=3, days=12, seed=5))
+        wcfg = WindowConfig(n=9, h=3, n_d=3, n_w=3)
+        tcfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        trained, _, prepared = train_once("LSTM1", ds, "mean", tcfg, wcfg)
+        sweep = robustness_sweep(
+            trained, ds, "mean", (0.0,), "all", injection_seeds=(0,), cfg=tcfg
+        )
+        want = evaluate(trained.model, prepared.test_samples)
+        (zero,) = sweep.points
+        assert zero.seed_cells == (want.cells,)
+        assert zero.seed_mae == (want.mae,) and zero.seed_rmse == (want.rmse,)
+
 
 def untrained(ds, arch, seed=0):
     """A built, untrained model bundled like a trained one for ``ds``."""
@@ -731,11 +746,9 @@ class TestTestScopeReuse:
         imputer = imputation.fit(
             method, slice_days(injected, trained.ranges[0])
         )
+        filled = apply_standardization(imputation.impute(imputer, injected), trained.stats)
         samples = extract_windows(
-            apply_standardization(imputation.impute(imputer, injected), trained.stats),
-            trained.window_cfg,
-            trained.ranges[2],
-            target_from=apply_standardization(injected, trained.stats),
+            replace(filled, mask=injected.mask), trained.window_cfg, trained.ranges[2]
         )
         whole = evaluate(trained.model, samples, VIEWS, station_ids=ds.station_ids)
         sliced = training.evaluate_on(trained, injected, VIEWS, method)

@@ -51,7 +51,7 @@ def table(rng, p, days, ppd, missing):
 
 @st.composite
 def windows(draw):
-    """Windows over a random input table with targets from a second table."""
+    """Windows over a random table."""
     cfg = WindowConfig(
         n=draw(st.integers(1, 8)),
         h=draw(st.integers(1, 6)),
@@ -63,24 +63,22 @@ def windows(draw):
     p = draw(st.integers(1, 4))
     missing = draw(st.floats(0.0, 0.9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    inputs = table(rng, p, days, ppd, missing)
-    truth = table(rng, p, days, ppd, missing)
     first = draw(st.integers(0, days - 1))
-    return extract_windows(inputs, cfg, (first, days), target_from=truth)
+    return extract_windows(table(rng, p, days, ppd, missing), cfg, (first, days))
 
 
 def assert_matches_slicer(w):
-    ppd = w.inputs.points_per_day
+    ppd = w.table.points_per_day
     s, s_d, s_w, target, target_mask, ts = stack_batch(w)
     assert np.array_equal(ts, w.anchors)
     for block in (s, s_d, s_w, target, target_mask):
         assert not block.flags.writeable and block.shape[-1] == len(w)
     for b, t in enumerate(ts):
-        want = brute_force_blocks(w.inputs.flows, w.cfg, t, ppd)[:3]
+        want = brute_force_blocks(w.table.flows, w.cfg, t, ppd)[:3]
         for got, block in zip((s, s_d, s_w), want):
             assert np.array_equal(got[..., b], block)
-        *_, want_target = brute_force_blocks(w.targets.flows, w.cfg, t, ppd)
-        *_, want_mask = brute_force_blocks(w.targets.mask, w.cfg, t, ppd)
+        *_, want_target = brute_force_blocks(w.table.flows, w.cfg, t, ppd)
+        *_, want_mask = brute_force_blocks(w.table.mask, w.cfg, t, ppd)
         assert np.array_equal(target[..., b], want_target)
         assert np.array_equal(target_mask[..., b], want_mask)
 
@@ -93,7 +91,7 @@ def test_stack_batch_matches_brute_force_slicer(w):
 
 def gappy_day(w, data):
     """One day's anchors with at least one interior anchor left out."""
-    ppd = w.inputs.points_per_day
+    ppd = w.table.points_per_day
     day = data.draw(st.sampled_from(sorted(set(w.anchors // ppd))))
     anchors = w.anchors[w.anchors // ppd == day]
     anchors = np.delete(anchors, data.draw(st.integers(1, anchors.size - 2)))
@@ -129,7 +127,7 @@ def test_stack_batch_matches_slicer_on_anchor_sets_days_never_give(w, data, anch
     odd = replace(w, anchors=ANCHOR_SETS[anchor_set](w, data))
     assert_matches_slicer(odd)
     if not odd:
-        cfg, p = w.cfg, w.inputs.num_stations
+        cfg, p = w.cfg, w.table.num_stations
         widths = (cfg.n, cfg.daily_width, cfg.weekly_width, cfg.h, cfg.h)
         *blocks, ts = stack_batch(odd)
         assert [block.shape for block in blocks] == [(p, k, 0) for k in widths]
@@ -146,7 +144,7 @@ def test_slicing_and_concatenation_keep_order_and_length(w, first, second):
     anchors = list(w.anchors)
     a, b = w[first], w[second]
     assert list(a.anchors) == anchors[first] and len(a) == len(anchors[first])
-    assert a.inputs is w.inputs and a.targets is w.targets
+    assert a.table is w.table
     both = a + b
     assert list(both.anchors) == anchors[first] + anchors[second]
     assert len(both) == len(a) + len(b)
@@ -472,7 +470,7 @@ def test_evaluate_adds_up_over_any_split(w, data):
     assume(len(w) >= 2)
     cut = data.draw(st.integers(1, len(w) - 1))
     predict = persistence_predictor(w.cfg.h)
-    start = w.inputs.start_date
+    start = w.table.start_date
 
     def score(part):
         return evaluate(predict, part, VIEWS, start_date=start).views
@@ -540,7 +538,7 @@ def scored_windows(draw):
     if h > 1:
         # a horizon that runs past midnight into the next day's buckets
         anchors.add(draw(st.integers(8, days - 1)) * ppd - 1)
-    windows = Windows(truth, truth, cfg, np.array(sorted(anchors)))
+    windows = Windows(truth, cfg, np.array(sorted(anchors)))
     cells = rng.normal(size=(p, h, days * ppd))
     hidden = np.stack([np.roll(~mask, -j, axis=1) for j in range(h)], axis=1)
     junk_pred = np.where(hidden, rng.choice([np.nan, 1e200, -1e200], cells.shape), cells)
@@ -550,7 +548,7 @@ def scored_windows(draw):
 
 def per_cell_oracle(windows, pred):
     """Sums of |error| and error^2 and cell counts per bucket, one cell at a time."""
-    table, h = windows.targets, windows.cfg.h
+    table, h = windows.table, windows.cfg.h
     p, ppd = table.num_stations, table.points_per_day
     sizes = {"overall": 1, "horizon": h, "timestamp": ppd, "weekday": 7, "station": p}
     sums = {name: np.zeros((size, 2)) for name, size in sizes.items()}

@@ -339,10 +339,10 @@ class TestPrepareData:
         ds = dataclasses.replace(synth, flows=flows)
         prep = prepare_data(ds, "mean")
         val, test = prep.val_samples, prep.test_samples
-        assert val.targets is test.targets
-        assert np.shares_memory(val.targets.flows, prep.dataset.flows)
-        np.testing.assert_array_equal(val.targets.mask, clean(ds).mask)
-        assert ds.mask[0, t] and not val.targets.mask[0, t]
+        assert val.table is test.table
+        assert np.shares_memory(val.table.flows, prep.dataset.flows)
+        np.testing.assert_array_equal(val.table.mask, clean(ds).mask)
+        assert ds.mask[0, t] and not val.table.mask[0, t]
         joined = val + test
         assert joined.anchors.tolist() == [*val.anchors, *test.anchors]
 
@@ -424,8 +424,8 @@ class TestTrain:
     def test_unscorable_validation_rejected(self, synth, prepared):
         model = tiny_model(synth)
         val = prepared.val_samples
-        truth = dataclasses.replace(val.targets, mask=np.zeros_like(val.targets.mask))
-        blind = dataclasses.replace(val, targets=truth)
+        truth = dataclasses.replace(val.table, mask=np.zeros_like(val.table.mask))
+        blind = dataclasses.replace(val, table=truth)
         cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
         with pytest.raises(DataError, match="no observed target cells"):
             train(model, prepared.train_samples, blind, cfg)

@@ -373,14 +373,9 @@ def clean(ds: FlowDataset) -> FlowDataset:
     return replace(ds, mask=ds.mask & ~bad)
 
 
-def standardize(
-    ds: FlowDataset, train_days: tuple[int, int]
-) -> tuple[FlowDataset, StandardStats]:
-    """Shift and scale each station using statistics from the training days.
-
-    Uses the sample standard deviation (N-1 denominator) over observed
-    training entries; the whole dataset is transformed with those statistics.
-    """
+def standard_stats(ds: FlowDataset, train_days: tuple[int, int]) -> StandardStats:
+    """Each station's mean and sample standard deviation (N-1 denominator)
+    over its observed entries in the training days."""
     start, stop = check_day_range(train_days, ds.num_days)
     lo = start * ds.points_per_day
     hi = stop * ds.points_per_day
@@ -397,14 +392,28 @@ def standardize(
         std[s] = values.std(ddof=1)
         if std[s] == 0.0:
             raise DataError(f"station {ds.station_ids[s]} has zero training variance")
-    stats = StandardStats(mean=mean, std=std, train_days=(start, stop))
+    return StandardStats(mean=mean, std=std, train_days=(start, stop))
+
+
+def standardize(
+    ds: FlowDataset, train_days: tuple[int, int]
+) -> tuple[FlowDataset, StandardStats]:
+    """Shift and scale the whole dataset with each station's
+    ``standard_stats`` over the training days."""
+    stats = standard_stats(ds, train_days)
     return apply_standardization(ds, stats), stats
 
 
 def apply_standardization(ds: FlowDataset, stats: StandardStats) -> FlowDataset:
-    scaled = ds.flows - stats.mean[:, None]
-    scaled /= stats.std[:, None]
-    return replace(ds, flows=scaled)
+    return replace(ds, flows=standardize_in_place(ds.flows.copy(), stats))
+
+
+def standardize_in_place(flows: np.ndarray, stats: StandardStats) -> np.ndarray:
+    """Shift and scale a writable [p, T] flows array with each station's
+    stats, in place; returns it."""
+    flows -= stats.mean[:, None]
+    flows /= stats.std[:, None]
+    return flows
 
 
 def slice_days(ds: FlowDataset, day_range: tuple[int, int]) -> FlowDataset:

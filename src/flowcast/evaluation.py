@@ -5,12 +5,14 @@ mask is set, so injected or natively missing readings are never treated as
 ground truth. Buckets that end up with zero scored cells report NaN and are
 flagged as undefined rather than silently contributing zeros.
 
-Views are scored by reduction. Per day batch, the residual is zeroed where
-the target mask is off, then its absolute value, its square and the mask are
-summed over the station axis once, into an [h, batch] plane. The overall,
-horizon, timestamp and weekday views bucket only that plane; the station
-view sums each station's block. Sums therefore accumulate in numpy's
-reduction order, not cell by cell; counts are exact.
+Views are scored by reduction. Per day batch, the residual is taken in C
+order, whatever the predictor's layout, and zeroed where the target mask is
+off; then its absolute value, its square and the mask are summed over the
+station axis once, into an [h, batch] plane. The overall, horizon, timestamp
+and weekday views bucket only that plane; the station view sums each
+station's block. Sums therefore accumulate in numpy's reduction order, not
+cell by cell, and the same predictions score the same bits in any layout;
+counts are exact.
 """
 
 from __future__ import annotations
@@ -161,9 +163,10 @@ def _view_rules(
     }
 
 
-# An overflow in a scored cell leaves a non-finite sum, which evaluate reports
-# as a NumericError; one in a masked-off cell is never scored.
-@np.errstate(over="ignore")
+# An overflow or an invalid operation (``inf - inf``) in a scored cell leaves
+# a non-finite sum, which evaluate reports as a NumericError; one in a
+# masked-off cell is zeroed before it is scored.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     subject,
     samples: Windows,
@@ -228,9 +231,11 @@ def evaluate(
             raise DataError(
                 f"predictor returned shape {pred.shape}, expected {target.shape}"
             )
-        # Masked-off cells stay 0 and are never subtracted, so whatever the
-        # predictor or the table holds there can neither leak in nor overflow.
-        resid = np.subtract(pred, target, out=np.zeros_like(pred), where=target_mask)
+        # A C-order residual is reduced in one order whatever the predictor's
+        # layout; masked-off cells are zeroed, so whatever the predictor or the
+        # table holds there never leaks in.
+        resid = np.subtract(pred, target, order="C")
+        np.copyto(resid, 0.0, where=~target_mask)
         blocks = (np.abs(resid), resid * resid, target_mask)
         plane = [block.sum(axis=0) for block in blocks]
         t = ts + hz
@@ -286,7 +291,7 @@ def historical_mean_predictor(
 
     def predict(s, s_d, s_w, ts):
         taus = (ts[None, :] + np.arange(h)[:, None]) % ppd
-        return table[:, taus]
+        return np.take(table, taus, axis=1)
 
     return predict
 

@@ -41,17 +41,6 @@ class ImputationModel:
     train_mask: np.ndarray | None = None
 
 
-def _station_fallback(cube, observed, station_ids, reduce) -> np.ndarray:
-    """Per-station statistic over all observed training entries."""
-    fallback = np.empty(len(station_ids))
-    for s in range(len(station_ids)):
-        values = cube[s][observed[s]]
-        if values.size == 0:
-            raise DataError(f"station {station_ids[s]} has no observed training values")
-        fallback[s] = reduce(values)
-    return fallback
-
-
 # Bytes of one gather of slot rows: a block of slots is gathered and reduced
 # at a time, so a fit's peak does not grow with the table.
 _GATHER_BYTES = 2**18
@@ -80,10 +69,19 @@ def fit(
     cube = train.flows[:, start * ppd : stop * ppd].reshape(p, span, ppd)
     observed = train.mask[:, start * ppd : stop * ppd].reshape(p, span, ppd)
     reduce = np.median if method == MEDIAN else np.mean
-    fallback = _station_fallback(cube, observed, train.station_ids, reduce)
-    table = np.repeat(fallback[:, None], ppd, axis=1)
+    counts = observed.sum(axis=1)
+    table = np.empty((p, ppd))
+    # A station's fallback, its statistic over all its observed training
+    # entries, fills the slots no training day observed; an interp model's
+    # table is all fallback.
+    for s in np.flatnonzero((counts == 0).any(axis=1) | (method == INTERP)):
+        values = cube[s][observed[s]]
+        if values.size == 0:
+            raise DataError(
+                f"station {train.station_ids[s]} has no observed training values"
+            )
+        table[s] = reduce(values)
     if method != INTERP:
-        counts = observed.sum(axis=1)
         step = max(1, _GATHER_BYTES // cube.itemsize // span)
         for k in np.unique(counts[counts > 0]):
             slots = np.nonzero(counts == k)
@@ -139,8 +137,9 @@ def _interpolate(model: ImputationModel, ds: FlowDataset, holes) -> np.ndarray:
     return fill
 
 
-def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
-    """Fill every masked cell; observed cells pass through untouched."""
+def fill(model: ImputationModel, ds: FlowDataset) -> np.ndarray:
+    """The table's flows with every masked cell filled, as a new writable
+    array; observed cells keep their values."""
     if ds.station_ids != model.station_ids:
         raise DataError(
             f"dataset stations {ds.station_ids} do not match model "
@@ -148,8 +147,6 @@ def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
         )
     if ds.points_per_day != model.points_per_day:
         raise DataError("points-per-day mismatch between dataset and model")
-    if ds.mask.all():
-        return ds
     filled = ds.flows.copy()
     if model.method in (MEAN, MEDIAN):
         shape = (ds.num_stations, ds.num_days, ds.points_per_day)
@@ -158,10 +155,17 @@ def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
             model.table[:, None, :],
             where=~ds.mask.reshape(shape),
         )
-    else:
+    elif not ds.mask.all():
         holes = np.nonzero(~ds.mask)
         filled[holes] = _interpolate(model, ds, holes)
-    return replace(ds, flows=filled, mask=np.ones_like(ds.mask))
+    return filled
+
+
+def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
+    """Fill every masked cell; observed cells pass through untouched, and a
+    table with no masked cell is returned as it is."""
+    flows = fill(model, ds)
+    return ds if ds.mask.all() else replace(ds, flows=flows, mask=np.ones_like(ds.mask))
 
 
 def inject_missing(

@@ -26,14 +26,14 @@ from .dataset import (
     StandardStats,
     WindowConfig,
     Windows,
-    apply_standardization,
     clean,
     day_batches,
     extract_windows,
     slice_days,
     split,
     stack_batch,
-    standardize,
+    standard_stats,
+    standardize_in_place,
 )
 from .errors import DataError, NumericError, check_field_types
 from .evaluation import EvalReport, evaluate
@@ -248,7 +248,12 @@ def prepare_data(
     train_range, val_range, test_range = ranges
     cleaned = clean(ds)
     imputer = imputation.fit(method, cleaned, train_range)
-    filled_std, stats = standardize(imputation.impute(imputer, cleaned), train_range)
+    # The fill is this call's own array: its stats are read through a frozen
+    # view of it, and then it is standardized in place.
+    flows = imputation.fill(imputer, cleaned)
+    full = cleaned.mask if cleaned.mask.all() else np.ones_like(cleaned.mask)
+    stats = standard_stats(replace(cleaned, flows=flows.view(), mask=full), train_range)
+    filled_std = replace(cleaned, flows=standardize_in_place(flows, stats), mask=full)
     scored = replace(filled_std, mask=cleaned.mask)
     return PreparedData(
         dataset=filled_std,
@@ -391,9 +396,8 @@ def _score_test(
     """Score the model, or a predictor standing in for it, on the test range
     of a cleaned table under a fitted rule, standardized with the model's
     stats; the windows read the filled values under the cleaned table's mask."""
-    filled = apply_standardization(imputation.impute(imputer, table), trained.stats)
-    scored = replace(filled, mask=table.mask)
-    samples = extract_windows(scored, trained.window_cfg, test_range)
+    flows = standardize_in_place(imputation.fill(imputer, table), trained.stats)
+    samples = extract_windows(replace(table, flows=flows), trained.window_cfg, test_range)
     return evaluate(
         subject,
         samples,
@@ -412,6 +416,10 @@ class RunTask:
     method: str
     ratio: float
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DataError(f"build seed {self.seed} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -480,7 +488,8 @@ def train_once(
     seed: int = 0,
 ) -> tuple[TrainedModel, TrainLog, PreparedData]:
     """Prepare the dataset and train a single model from one seed."""
+    task = RunTask(arch, method, 0.0, seed)
     spec = model_spec_for(arch, ds.num_stations, wcfg)
     prepared = prepare_data(ds, method, wcfg)
-    run = _run(RunTask(arch, method, 0.0, seed), spec, prepared, cfg)
+    run = _run(task, spec, prepared, cfg)
     return run.trained, run.log, prepared

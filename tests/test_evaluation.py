@@ -3,6 +3,7 @@
 import datetime as dt
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,54 @@ class TestEvaluate:
 
         with pytest.raises(NumericError, match="non-finite error sums"):
             evaluate(predict, samples, VIEWS, points_per_day=PPD)
+
+    @pytest.mark.parametrize("p", [P, 64])
+    def test_scores_do_not_depend_on_the_prediction_layout(self, p):
+        # A station-fastest prediction, as a gather from a [p, ppd] table
+        # returns, scores the bits of a C-order one; at p=64 numpy would sum
+        # a station-fastest axis pairwise, in other last bits.
+        def patchy(t):
+            return np.random.default_rng(t).random((p, H)) < 0.8
+
+        samples = make_samples(np.random.default_rng(14), range(1, 40), patchy, p)
+
+        def laid_out(order):
+            def predict(s, s_d, s_w, ts):
+                return np.array(1.1 * s[:, :H, :] + 0.01 * ts, order=order)
+
+            return predict
+
+        c, f = (evaluate(laid_out(order), samples, VIEWS) for order in "CF")
+        assert c.csv_rows() == f.csv_rows()
+        for name in VIEWS:
+            assert np.array_equal(c.views[name].counts, f.views[name].counts)
+
+    def test_infinite_masked_off_cell_scores_nothing_and_warns_nothing(self):
+        def drop_station_zero(t):
+            mask = np.ones((P, H), dtype=bool)
+            mask[0] = False
+            return mask
+
+        samples = make_samples(np.random.default_rng(15), [2, 7, 19], drop_station_zero)
+        table = samples.table
+        flows = np.where(table.mask, table.flows, math.inf)
+        infinite = Windows(replace(table, flows=flows), WINDOW, samples.anchors)
+
+        def predict(fill):
+            def scored(s, s_d, s_w, ts):
+                out = grid_predictor(s, s_d, s_w, ts)
+                out[0] = fill
+                return out
+
+            return scored
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(predict(math.inf), infinite, VIEWS, points_per_day=PPD)
+        want = evaluate(predict(0.0), samples, VIEWS, points_per_day=PPD)
+        assert got.csv_rows() == want.csv_rows()
+        assert got.views["station"].counts[0] == 0
+        assert got.cells == want.cells > 0
 
     def test_junk_predictor_rejected(self):
         samples = make_samples(np.random.default_rng(7), [3])

@@ -227,8 +227,11 @@ def _claim(*paths: Path) -> None:
             ) from None
 
 
-def _out(args, config: dict) -> Path:
-    return Path(args.out or _text(config.get("out", "."), "out"))
+def _out(args, config: dict, default: str = ".") -> Path:
+    """The result path: ``--out``, else config ``out``, else ``default``
+    (a null ``out`` is no value, as for every other config path)."""
+    out = args.out or _text(config.get("out"), "out")
+    return Path(default if out is None else out)
 
 
 def cmd_synth(args, config: dict) -> None:
@@ -245,7 +248,7 @@ def cmd_synth(args, config: dict) -> None:
         cfg = SynthConfig(**section)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid synth settings: {exc}") from None
-    out = Path(args.out or _text(config.get("out", "synth.csv"), "out"))
+    out = _out(args, config, "synth.csv")
     _claim(out)
     ds = generate(cfg)
     save_csv(ds, out)

@@ -13,6 +13,10 @@ cell is missing when it is empty, blank or NaN in any spelling (``nan``,
 it holds one day of the file's text, never the whole file. A sidecar named
 ``<file>.meta.json`` carries the ordered station list, the lane label and
 the cadence.
+
+Standardization is two steps: ``standard_stats`` fits each station's mean
+and standard deviation on its observed training cells, and
+``standardize_in_place`` applies them to a writable flows array.
 """
 
 from __future__ import annotations
@@ -393,19 +397,6 @@ def standard_stats(ds: FlowDataset, train_days: tuple[int, int]) -> StandardStat
         if std[s] == 0.0:
             raise DataError(f"station {ds.station_ids[s]} has zero training variance")
     return StandardStats(mean=mean, std=std, train_days=(start, stop))
-
-
-def standardize(
-    ds: FlowDataset, train_days: tuple[int, int]
-) -> tuple[FlowDataset, StandardStats]:
-    """Shift and scale the whole dataset with each station's
-    ``standard_stats`` over the training days."""
-    stats = standard_stats(ds, train_days)
-    return apply_standardization(ds, stats), stats
-
-
-def apply_standardization(ds: FlowDataset, stats: StandardStats) -> FlowDataset:
-    return replace(ds, flows=standardize_in_place(ds.flows.copy(), stats))
 
 
 def standardize_in_place(flows: np.ndarray, stats: StandardStats) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exception types and the settings type check shared across the package."""
+"""Exception types and the settings and seed checks shared across the package."""
 
 import dataclasses
 import datetime as dt
@@ -40,3 +40,9 @@ def check_field_types(settings) -> None:
                 )
         if kind == "float":
             object.__setattr__(settings, f.name, float(value))
+
+
+def check_seed(seed) -> None:
+    """Raise DataError, before any draw, unless a seed is a nonnegative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DataError(f"seed {seed!r} must be a nonnegative integer")

@@ -13,6 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .autodiff import Tensor, flat_leaves, reshape
+from .errors import check_seed
 from .layers import (
     ConvLayerParams,
     DenseParams,
@@ -155,6 +156,7 @@ def blank(spec: ModelSpec) -> Model:
 def build(spec: ModelSpec, seed: int) -> Model:
     """Initialize a model deterministically from the seed: draws run in the
     value vector's order; biases start at zero except the LSTM forget gate's."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     model = blank(spec)
     for blocks in model.blocks:

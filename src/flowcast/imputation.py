@@ -3,6 +3,8 @@
 All three techniques work per station and per timestamp-of-day: statistics
 are gathered across training dates at a fixed position inside the day, so a
 filled 8:15 cell reflects other 8:15 readings rather than adjacent minutes.
+``fit`` then ``fill`` is the one fill step the pipeline runs; ``impute`` is
+``fill`` wrapped in a table, kept for library callers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import FlowDataset, check_day_range
-from .errors import DataError
+from .errors import DataError, check_seed
 
 MEAN = "mean"
 MEDIAN = "median"
@@ -162,8 +164,9 @@ def fill(model: ImputationModel, ds: FlowDataset) -> np.ndarray:
 
 
 def impute(model: ImputationModel, ds: FlowDataset) -> FlowDataset:
-    """Fill every masked cell; observed cells pass through untouched, and a
-    table with no masked cell is returned as it is."""
+    """``fill`` wrapped in a table, for library callers: every masked cell
+    filled, observed cells untouched, and a table with no masked cell
+    returned as it is."""
     flows = fill(model, ds)
     return ds if ds.mask.all() else replace(ds, flows=flows, mask=np.ones_like(ds.mask))
 
@@ -181,6 +184,7 @@ def inject_missing(
     range, a contiguous block of days (for test-set-only corruption). The
     removed cells are ``ds.mask & ~injected.mask``.
     """
+    check_seed(seed)
     if not (0.0 <= ratio <= 0.5):
         raise DataError(f"injection ratio {ratio} outside [0, 0.5]")
     lo, hi = 0, ds.num_timestamps

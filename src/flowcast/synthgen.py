@@ -88,17 +88,21 @@ def generate(cfg: SynthConfig) -> FlowDataset:
 
     signal = np.empty((cfg.p, T))
     for s in range(cfg.p):
-        shifted = cfg.base_profile[(t - s * cfg.propagation_lag) % ppd]
+        # Reduced in Python ints first, so a lag past int64 wraps like any other.
+        shifted = cfg.base_profile[(t - (s * cfg.propagation_lag) % ppd) % ppd]
         signal[s] = scale * shifted
 
     if cfg.noise_std > 0:
         draws = rng.standard_normal((cfg.p, T))
-        innovations = draws * (cfg.noise_std * np.sqrt(1.0 - cfg.noise_phi**2))
-        innovations[:, 0] = draws[:, 0] * cfg.noise_std
-        wander = innovations  # the AR(1) chain w[t] = e[t] + phi * w[t - 1]
-        for j in range(1, T):
-            wander[:, j] += cfg.noise_phi * wander[:, j - 1]
-        flows = signal * (1.0 + wander)
+        # A noise std near the float limit overflows here; the dataset's own
+        # check reports the non-finite flows that leaves as a DataError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            innovations = draws * (cfg.noise_std * np.sqrt(1.0 - cfg.noise_phi**2))
+            innovations[:, 0] = draws[:, 0] * cfg.noise_std
+            wander = innovations  # the AR(1) chain w[t] = e[t] + phi * w[t - 1]
+            for j in range(1, T):
+                wander[:, j] += cfg.noise_phi * wander[:, j - 1]
+            flows = signal * (1.0 + wander)
     else:
         flows = signal.copy()
     np.maximum(flows, 0.0, out=flows)

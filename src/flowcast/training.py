@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -113,17 +113,7 @@ class TrainLog:
         return min(self.entries, key=lambda e: e.val_mae)
 
     def to_json_lines(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "epoch": e.epoch,
-                    "train_loss": e.train_loss,
-                    "val_mae": e.val_mae,
-                    "val_rmse": e.val_rmse,
-                }
-            )
-            for e in self.entries
-        ]
+        lines = [json.dumps(asdict(e)) for e in self.entries]
         lines.append(
             json.dumps(
                 {"wall_time": self.wall_time, "checkpoint_id": self.checkpoint_id}
@@ -266,6 +256,9 @@ def prepare_data(
     )
 
 
+# Weights a divergent step drives huge overflow in the next forward pass; the
+# loss and gradient checks report that as a NumericError.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Model,
     train_samples: Windows,

@@ -15,12 +15,12 @@ from flowcast.dataset import (
     FlowDataset,
     WindowConfig,
     Windows,
-    apply_standardization,
     clean,
     day_batches,
     extract_windows,
     slice_days,
     stack_batch,
+    standardize_in_place,
 )
 from flowcast.errors import DataError, NumericError
 from flowcast.evaluation import (
@@ -795,9 +795,12 @@ class TestTestScopeReuse:
         imputer = imputation.fit(
             method, slice_days(injected, trained.ranges[0])
         )
-        filled = apply_standardization(imputation.impute(imputer, injected), trained.stats)
+        filled = imputation.impute(imputer, injected)
+        flows = standardize_in_place(filled.flows.copy(), trained.stats)
         samples = extract_windows(
-            replace(filled, mask=injected.mask), trained.window_cfg, trained.ranges[2]
+            replace(filled, flows=flows, mask=injected.mask),
+            trained.window_cfg,
+            trained.ranges[2],
         )
         whole = evaluate(trained.model, samples, VIEWS, station_ids=ds.station_ids)
         sliced = training.evaluate_on(trained, injected, VIEWS, method)

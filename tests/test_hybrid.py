@@ -5,6 +5,7 @@ import pytest
 
 from flowcast import autodiff
 from flowcast.autodiff import Tensor, backward, tensor_sum
+from flowcast.errors import DataError
 from flowcast.hybrid import (
     ARCHITECTURES,
     Model,
@@ -95,6 +96,12 @@ def test_build_deterministic():
         assert np.array_equal(ta.data, tb.data)
     c = build(spec_for("LSTM2-SP-CNN3"), seed=8)
     assert not np.array_equal(a.head.W.data, c.head.W.data)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_build_rejects_a_seed_that_is_no_nonnegative_integer(seed):
+    with pytest.raises(DataError, match=f"seed {seed} must be"):
+        build(spec_for("LSTM1-S-CNN1"), seed)
 
 
 def test_parameter_names_unique():

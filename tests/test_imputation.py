@@ -267,6 +267,15 @@ class TestInjectMissing:
         with pytest.raises(DataError, match="outside"):
             inject_missing(ds, -0.1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_rejected_before_any_draw(self, seed):
+        # Before, numpy raised a bare ValueError (-1) or a TypeError (1.5),
+        # and at ratio 0 nothing checked the seed at all.
+        ds = random_dataset()
+        for ratio in (0.1, 0.0):
+            with pytest.raises(DataError, match=f"seed {seed} must be"):
+                inject_missing(ds, ratio, seed)
+
     def test_ratio_beyond_observed_rejected(self):
         cube = np.ones((1, 1, 288))
         mask = np.zeros((1, 1, 288), bool)

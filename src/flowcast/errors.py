@@ -1,4 +1,4 @@
-"""Exception types and the settings and seed checks shared across the package."""
+"""Exception types, the settings check, and the one seed rule and its list form."""
 
 import dataclasses
 import datetime as dt
@@ -42,7 +42,18 @@ def check_field_types(settings) -> None:
             object.__setattr__(settings, f.name, float(value))
 
 
-def check_seed(seed) -> None:
-    """Raise DataError, before any draw, unless a seed is a nonnegative integer."""
+def check_seed(seed) -> int:
+    """The seed, checked before any draw: DataError unless a nonnegative integer."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DataError(f"seed {seed!r} must be a nonnegative integer")
+        raise DataError(f"seed {seed!r} must be nonnegative and an integer")
+    return seed
+
+
+def check_seeds(seeds) -> tuple:
+    """The seeds as a tuple: one or more, each passing ``check_seed``, none repeated."""
+    seeds = tuple(map(check_seed, seeds))
+    if not seeds:
+        raise DataError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise DataError(f"seeds {seeds} repeat; each must be its own draw")
+    return seeds

@@ -36,7 +36,7 @@ from .dataset import (
     day_batches,
     stack_batch,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_seeds
 from .hybrid import Model, apply_topology, forward_batch, head
 
 VIEWS = ("overall", "horizon", "timestamp", "weekday", "station")
@@ -348,15 +348,12 @@ def _aggregate(ratio: float, reports: Sequence[EvalReport]) -> SweepPoint:
 
 def _check_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
     try:
-        grid = tuple(float(r) for r in ratios)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"ratios must be numbers within [0, 0.5]: {exc}") from None
-    if not all(0.0 <= r <= 0.5 for r in grid):
-        raise DataError(f"ratios must be finite and within [0, 0.5], got {grid}")
-    if not grid or grid[0] != 0.0:
-        raise DataError(f"ratio grid must start at 0, got {grid}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DataError(f"ratio grid must be strictly ascending, got {grid}")
+        grid = tuple(imputation.check_ratio(float(r)) for r in ratios)
+    except (TypeError, ValueError, OverflowError) as exc:  # a DataError is a ValueError
+        bound = imputation.MAX_RATIO
+        raise DataError(f"ratios must be numbers within [0, {bound}]: {exc}") from None
+    if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DataError(f"ratio grid must start at 0, ascending strictly, got {grid}")
     return grid
 
 
@@ -406,26 +403,16 @@ def robustness_sweep(
     model (``subject`` must be a TrainedModel); scope="all" corrupts the whole
     table and retrains from scratch per ratio and seed, pairing each injection
     seed with the same build seed, at ``window_cfg`` (by default a
-    TrainedModel's own window, else the default one). Metrics are aggregated
-    over the injection seeds, which must be distinct and nonnegative; targets
-    are scored at cells still observed after injection.
+    TrainedModel's own window, else the default one). The grid, the seeds
+    (``check_seeds``) and the rule are checked before any point is scored;
+    metrics are aggregated over the seeds, at cells still observed after injection.
     """
     from . import training
 
     grid = _check_ratios(ratios)
-    seeds = tuple(injection_seeds)
-    if not seeds:
-        raise DataError("need at least one injection seed")
-    if len(set(seeds)) != len(seeds):
-        raise DataError(f"injection seeds {seeds} repeat; each must be its own draw")
-    if min(seeds) < 0:
-        raise DataError(f"injection seeds {seeds} must be nonnegative")
+    seeds = check_seeds(injection_seeds)
     if scope not in ("test", "all"):
         raise DataError(f"unknown sweep scope {scope!r}")
-    if method not in imputation.METHODS:
-        raise DataError(
-            f"unknown imputation method {method!r}, expected {imputation.METHODS}"
-        )
     if scope == "test":
         if not isinstance(subject, training.TrainedModel):
             raise DataError("scope 'test' reuses a trained model; pass a TrainedModel")

@@ -156,8 +156,7 @@ def blank(spec: ModelSpec) -> Model:
 def build(spec: ModelSpec, seed: int) -> Model:
     """Initialize a model deterministically from the seed: draws run in the
     value vector's order; biases start at zero except the LSTM forget gate's."""
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     model = blank(spec)
     for blocks in model.blocks:
         for lstm in blocks.lstms:

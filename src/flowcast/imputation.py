@@ -21,6 +21,18 @@ MEAN = "mean"
 MEDIAN = "median"
 INTERP = "interp"
 METHODS = (MEAN, MEDIAN, INTERP)
+MAX_RATIO = 0.5  # the largest share of cells an injection removes
+
+
+def check_method(method: str) -> None:
+    if method not in METHODS:
+        raise DataError(f"unknown imputation method {method!r}, expected {METHODS}")
+
+
+def check_ratio(ratio: float) -> float:
+    if not 0.0 <= ratio <= MAX_RATIO:
+        raise DataError(f"injection ratio {ratio} outside [0, {MAX_RATIO}]")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -61,8 +73,7 @@ def fit(
     at a time, row by row, which agrees bit-for-bit with reducing each slot
     on its own.
     """
-    if method not in METHODS:
-        raise DataError(f"unknown imputation method {method!r}, expected {METHODS}")
+    check_method(method)
     days = (0, train.num_days) if days is None else days
     start, stop = check_day_range(days, train.num_days)
     p = train.num_stations
@@ -185,8 +196,7 @@ def inject_missing(
     removed cells are ``ds.mask & ~injected.mask``.
     """
     check_seed(seed)
-    if not (0.0 <= ratio <= 0.5):
-        raise DataError(f"injection ratio {ratio} outside [0, 0.5]")
+    check_ratio(ratio)
     lo, hi = 0, ds.num_timestamps
     if day_range is not None:
         start, stop = check_day_range(day_range, ds.num_days)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import POINTS_PER_DAY, FlowDataset, _check_last_day
-from .errors import DataError, check_field_types
+from .errors import DataError, check_field_types, check_seed
 
 
 def default_profile() -> np.ndarray:
@@ -45,8 +45,7 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.seed < 0:
-            raise DataError(f"seed {self.seed} must be nonnegative")
+        check_seed(self.seed)
         if self.p < 1 or self.days < 1:
             raise DataError(
                 f"need at least one station and one day, got p={self.p}, days={self.days}"

@@ -35,7 +35,7 @@ from .dataset import (
     standard_stats,
     standardize_in_place,
 )
-from .errors import DataError, NumericError, check_field_types
+from .errors import DataError, NumericError, check_field_types, check_seed, check_seeds
 from .evaluation import EvalReport, evaluate
 from .hybrid import (
     ARCHITECTURES,
@@ -76,17 +76,9 @@ class TrainConfig:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be at least 1, got {self.runs}")
-        if len(self.seeds) < self.runs:
-            raise ValueError(
-                f"need at least {self.runs} seeds for {self.runs} runs, "
-                f"got {len(self.seeds)}"
-            )
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds {self.seeds} repeat; each run needs its own seed")
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError(f"seeds {self.seeds} must be nonnegative")
+        check_seeds(self.seeds)
+        if not 1 <= self.runs <= len(self.seeds):
+            raise ValueError(f"runs {self.runs} not in 1..{len(self.seeds)}, one per seed")
 
 
 @dataclass(frozen=True)
@@ -403,7 +395,8 @@ def _score_test(
 @dataclass(frozen=True)
 class RunTask:
     """Train ``arch`` from build seed ``seed`` under fill rule ``method`` on the
-    table with ``ratio`` of its cleaned cells injected by the same seed."""
+    table with ``ratio`` of its cleaned cells injected by the same seed. The
+    rule, ratio and seed are checked on construction, before any run."""
 
     arch: str
     method: str
@@ -411,8 +404,9 @@ class RunTask:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise DataError(f"build seed {self.seed} must be nonnegative")
+        imputation.check_method(self.method)
+        imputation.check_ratio(self.ratio)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ SIZES = {"p", "days", "max_epochs", "runs", "n", "h", "n_d", "n_w"}
 VALUES = [
     None, True, False, 0, 1, -1, 2, 3, -3, 0.5, -0.5, 1.5, 1e308, -1e308,
     float("nan"), float("inf"), float("-inf"), "", "x", "1", "all",
-    [], [1], ["a"], [-1], [0, -1], [1, 1], {}, {"a": 1}, 10**30, 2**63,
+    [], [1], ["a"], [-1], [0, -1], [1, 1], [1.5], [True], {}, {"a": 1}, 10**30, 2**63,
 ]  # fmt: skip
 SECTIONS = {
     None: [

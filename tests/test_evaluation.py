@@ -560,18 +560,30 @@ class TestRobustnessSweep:
             )
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "seeds, ratios, message",
+        [
+            ((1, 2, 1), (0.0, 0.1), "repeat"),
+            ((1.5,), (0.0,), "seed 1.5 must be"),
+            ((1.5,), (0.0, 0.1), "seed 1.5 must be"),
+            ((True,), (0.0,), "seed True must be"),
+            ((True,), (0.0, 0.1), "seed True must be"),
+            ((), (0.0,), "at least one"),
+        ],
+        ids=["repeat", "float-at-0", "float", "bool-at-0", "bool", "empty"],
+    )
     @pytest.mark.parametrize("scope", ["test", "all"])
     def test_repeated_injection_seeds_rejected_before_any_work(
-        self, small_trained, monkeypatch, scope
+        self, small_trained, monkeypatch, scope, seeds, ratios, message
     ):
         ds, trained, _ = small_trained
         calls = []
         for module, name in ((imputation, "fit"), (training, "run_tasks")):
             monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
         cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
-        with pytest.raises(DataError, match="repeat"):
+        with pytest.raises(DataError, match=message):
             robustness_sweep(
-                trained, ds, "mean", (0.0, 0.1), scope, injection_seeds=(1, 2, 1), cfg=cfg
+                trained, ds, "mean", ratios, scope, injection_seeds=seeds, cfg=cfg
             )
         assert calls == []
 

@@ -75,6 +75,7 @@ class TestTrainConfig:
             {"runs": 3, "seeds": (0, 1)},
             {"runs": 2, "seeds": (0, 0)},
             {"runs": 1, "seeds": (4, 5, 4)},
+            {"runs": 1, "seeds": ()},
             {"lr": math.nan},
             {"lr": math.inf},
             {"l2": math.nan},
@@ -606,10 +607,39 @@ class TestRunner:
         calls = []
         monkeypatch.setattr(training, "prepare_data", lambda *a: calls.append(a))
         cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
-        with pytest.raises(DataError, match="build seed -1 must be nonnegative"):
+        with pytest.raises(DataError, match="seed -1 must be nonnegative"):
             train_once("LSTM1", synth, "mean", cfg, seed=-1)
-        with pytest.raises(DataError, match="build seed -2 must be nonnegative"):
+        with pytest.raises(DataError, match="seed -2 must be nonnegative"):
             RunTask("LSTM1", "mean", 0.0, -2)
+        # A float or a bool is no seed either, though a bool is an int.
+        for seed in (1.5, True):
+            with pytest.raises(DataError, match=f"seed {seed} must be"):
+                train_once("LSTM1", synth, "mean", cfg, seed=seed)
+            with pytest.raises(DataError, match=f"seed {seed} must be"):
+                RunTask("LSTM1", "mean", 0.0, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "method, ratio, message",
+        [("bogus", 0.0, "unknown imputation method"), ("mean", 0.7, "outside")],
+        ids=["rule", "ratio"],
+    )
+    def test_a_bad_later_task_rejected_before_the_first_run(
+        self, synth, monkeypatch, method, ratio, message
+    ):
+        calls = []
+        original = training.train
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", counted)
+        cfg = TrainConfig(max_epochs=1, runs=1, seeds=(0,))
+        with pytest.raises(DataError, match=message):
+            tasks = [RunTask("LSTM1", "mean", 0.0, 0), RunTask("LSTM1", method, ratio, 0)]
+            for _ in run_tasks(synth, tasks, cfg, WINDOWS):
+                pass
         assert calls == []
 
     def test_every_architecture_checked_before_the_first_run(self, synth, monkeypatch):

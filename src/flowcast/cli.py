@@ -20,8 +20,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import WindowConfig, load_csv, save_csv
-from .errors import DataError, NumericError, UsageError
-from .evaluation import DEFAULT_RATIOS, VIEWS, mean_sd, robustness_sweep
+from .errors import DataError, NumericError, UsageError, check_seeds
+from .evaluation import DEFAULT_RATIOS, VIEWS, _check_ratios, mean_sd, robustness_sweep
 from .hybrid import ARCHITECTURES
 from .imputation import MEAN, METHODS
 from .synthgen import SynthConfig, generate
@@ -357,9 +357,14 @@ def cmd_sweep(args, config: dict) -> None:
             "injection seeds must be explicit (--seed or config sweep.seeds)"
         )
     resolved = {"command": "sweep", "scope": scope, "methods": methods, "seeds": seeds}
+    # The grid, and a test-scope sweep's seeds, are checked as the sweep
+    # would check them, before anything is read or made; the checked grid is
+    # hashed, alike however it was written.
+    resolved["ratios"] = _check_ratios(ratios)
 
     cfg = wcfg = None
     if scope == "test":
+        check_seeds(seeds)
         checkpoint_path = args.checkpoint or _text(
             section.get("checkpoint"), "sweep checkpoint"
         )
@@ -405,7 +410,6 @@ def cmd_sweep(args, config: dict) -> None:
         if 0.21 in sweep.ratios:
             print(f"{method}: degradation at 21% = {sweep.degradation():.4f}")
 
-    resolved["ratios"] = sweep.ratios  # the checked grid, hashed alike however written
     _write_csv(
         out / "sweep.csv",
         _config_digest(resolved),

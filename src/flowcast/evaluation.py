@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -387,6 +391,95 @@ def _reusing_predictor(model: Model, points_per_day: int, first_day: int) -> Cal
     return predict
 
 
+def _run_share(fn: Callable, items: Sequence, share: range) -> tuple[list, tuple | None]:
+    """``fn`` of each item of a share in order, up to its first failure: the
+    results so far and, if an item raised, that item's index and exception."""
+    done = []
+    for index in share:
+        try:
+            done.append(fn(items[index]))
+        except Exception as exc:
+            return done, (index, exc)
+    return done, None
+
+
+def _serve_share(fn: Callable, items: Sequence, share: range, write: int) -> NoReturn:
+    """In a forked child: pipe back one share's pickled outcome and leave at
+    once, flushing no inherited buffer and running no exit handler. A child
+    that cannot pickle its outcome writes nothing."""
+    code = 1
+    try:
+        payload = pickle.dumps(_run_share(fn, items, share))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, computed in forked children, one per
+    usable core, and returned in the items' order.
+
+    The items are dealt into ``min(usable cores, len(items))`` interleaved
+    shares. Each child computes one share and pipes back its pickled results;
+    the parent computes a smallest share itself, then reads every pipe to the
+    end before it reaps any child. A share stops at its first failing item,
+    and the exception of the earliest failing item is raised, with its own
+    type and message, once every child is reaped. If the parent itself
+    raises, or a child ends without writing, the children are killed first.
+    With one usable core or one item, without ``os.fork`` or
+    ``os.sched_getaffinity``, or with another Python thread alive, the items
+    are computed here, in order.
+    """
+    try:
+        workers = min(len(os.sched_getaffinity(0)), len(items))
+    except AttributeError:
+        workers = 1
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    shares = [range(i, len(items), workers) for i in range(workers)]
+    pids, pipes = [], []
+    try:
+        for share in shares[:-1]:
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(fn, items, share, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        own = _run_share(fn, items, shares[-1])
+        outcomes = []
+        for pid, pipe in zip(pids, pipes):
+            payload = pipe.read()
+            if not payload:
+                raise ChildProcessError(f"worker {pid} ended without writing its results")
+            outcomes.append(pickle.loads(payload))
+        outcomes.append(own)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    results = [None] * len(items)
+    failures = []
+    for share, (done, failed) in zip(shares, outcomes):
+        for index, result in zip(share, done):
+            results[index] = result
+        if failed is not None:
+            failures.append(failed)
+    if failures:
+        raise min(failures, key=lambda failed: failed[0])[1]
+    return results
+
+
 def robustness_sweep(
     subject,
     dataset: FlowDataset,
@@ -406,6 +499,8 @@ def robustness_sweep(
     TrainedModel's own window, else the default one). The grid, the seeds
     (``check_seeds``) and the rule are checked before any point is scored;
     metrics are aggregated over the seeds, at cells still observed after injection.
+    A test-scope sweep scores its injected points in forked workers, one per
+    usable core (``_fork_map``), with the bytes a one-core run gives.
     """
     from . import training
 
@@ -421,18 +516,18 @@ def robustness_sweep(
         # fitted on the clean table serves every injected one; at ratio 0 every
         # seed leaves the table clean, so it is scored once. Every point reads
         # only the test days and the week before them, and the blocks that
-        # read only that week are computed once, at ratio 0.
+        # read only that week are computed once, at ratio 0, before the
+        # injected points are shared out among forked workers.
         table, test_range, imputer = training._test_days(subject, dataset, method)
         predict = _reusing_predictor(subject.model, table.points_per_day, test_range[0])
         at_zero = training._score_test(subject, table, test_range, imputer, predict)
 
-        def score(ratio: float, seed: int) -> EvalReport:
-            if ratio == 0.0:
-                return at_zero
-            injected = imputation.inject_missing(table, ratio, seed, test_range)
+        def score(point: tuple[float, int]) -> EvalReport:
+            injected = imputation.inject_missing(table, *point, test_range)
             return training._score_test(subject, injected, test_range, imputer, predict)
 
-        reports = (score(ratio, seed) for ratio in grid for seed in seeds)
+        injections = [(ratio, seed) for ratio in grid[1:] for seed in seeds]
+        reports = iter([at_zero] * len(seeds) + _fork_map(score, injections))
     else:
         trained = isinstance(subject, training.TrainedModel)
         arch = subject.arch if trained else subject

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -60,6 +61,15 @@ class ImputationModel:
 _GATHER_BYTES = 2**18
 
 
+def _median(rows: np.ndarray) -> np.ndarray:
+    """np.median over the last axis, taken by a sort rather than a partition
+    (several times faster on a block of slot rows): the mean of the middle one
+    or two values, as np.median takes it, with the same bytes, tied zeros of
+    either sign included."""
+    k = rows.shape[-1]
+    return np.mean(np.sort(rows, axis=-1)[..., (k - 1) // 2 : k // 2 + 1], axis=-1)
+
+
 def fit(
     method: str, train: FlowDataset, days: tuple[int, int] | None = None
 ) -> ImputationModel:
@@ -81,7 +91,7 @@ def fit(
     span = stop - start
     cube = train.flows[:, start * ppd : stop * ppd].reshape(p, span, ppd)
     observed = train.mask[:, start * ppd : stop * ppd].reshape(p, span, ppd)
-    reduce = np.median if method == MEDIAN else np.mean
+    reduce = _median if method == MEDIAN else partial(np.mean, axis=-1)
     counts = observed.sum(axis=1)
     table = np.empty((p, ppd))
     # A station's fallback, its statistic over all its observed training
@@ -103,7 +113,7 @@ def fit(
                 rows = cube[stations, :, taus]
                 if k < span:
                     rows = rows[observed[stations, :, taus]].reshape(stations.size, k)
-                table[stations, taus] = reduce(rows, axis=1)
+                table[stations, taus] = reduce(rows)
     keep = method == INTERP
     return ImputationModel(
         method=method,

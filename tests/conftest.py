@@ -4,10 +4,27 @@ Training the reference hybrid takes minutes, so the corpus and the trained
 bundle are built once per session and reused by every test that needs them.
 """
 
+import os
+
 import pytest
 
 from flowcast.synthgen import SynthConfig, generate
 from flowcast.training import TrainConfig, train_once
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Fail a test that leaves a child process running or unreaped. The
+    check reaps nothing (WNOWAIT), so it cannot steal a caller's status."""
+    yield
+    if not hasattr(os, "waitid"):
+        return
+    try:
+        left = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return
+    state = "running" if left is None else f"unreaped (pid {left.si_pid})"
+    pytest.fail(f"the test left a child process {state}")
 
 
 @pytest.fixture(scope="session")

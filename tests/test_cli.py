@@ -1084,6 +1084,48 @@ class TestEval:
 
 
 class TestSweep:
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["--seed", "1,1"], "seeds (1, 1) repeat"),
+            (["--seed", "0", "--ratios", "0,0.7"], "within [0, 0.5]"),
+            (["--seed", "0", "--ratios", "0.1,0.2"], "must start at 0"),
+            (["--scope", "all", "--arch", "LSTM1", "--seed", "0", "--ratios", "0,0.7"],
+             "within [0, 0.5]"),
+        ],
+        ids=["test-seeds", "test-ratios", "test-grid", "all-ratios"],
+    )
+    def test_bad_arguments_rejected_before_anything_is_read_or_made(
+        self, ws, tmp_path, monkeypatch, capsys, command, message
+    ):
+        reads = []
+        for name in ("load_csv", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, lambda *a, _n=name: reads.append(_n))
+        args = ["sweep", "--impute", "mean", "--dataset", str(ws["data"]), *command]
+        if "all" not in command:
+            args += ["--checkpoint", str(ws["checkpoint"])]
+        assert cli.main(args + ["--out", str(tmp_path / "new_dir")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err, err
+        assert reads == []
+        assert not (tmp_path / "new_dir").exists()
+
+    def test_one_core_writes_the_bytes_of_the_default(self, ws, tmp_path, monkeypatch, capsys):
+        # A test-scope sweep shares its injected points among forked workers,
+        # one per usable core; one core scores them all in this process.
+        args = ["sweep", "--checkpoint", str(ws["checkpoint"]), "--dataset", str(ws["data"])]
+        args += ["--impute", "all", "--ratios", "0,0.1,0.21", "--seed", "0,1,2"]
+        outputs = []
+        for name in ("default", "one-core"):
+            if name == "one-core":
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # stdout names the relative --out
+            assert cli.main(args + ["--out", "out"]) == 0
+            outputs.append((Path("out", "sweep.csv").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count("degradation at 21%") == 3
+
     def test_grid_layout(self, ws, tmp_path):
         rc = cli.main(
             [

@@ -3,6 +3,9 @@
 import datetime as dt
 import json
 import math
+import os
+import signal
+import threading
 import warnings
 from dataclasses import replace
 
@@ -732,6 +735,157 @@ class TestRobustnessSweep:
         assert zero.seed_mae == (want.mae,) and zero.seed_rmse == (want.rmse,)
 
 
+def use_cores(monkeypatch, n):
+    """Make ``n`` cores usable, as ``taskset`` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def counted_forks(monkeypatch):
+    forks = []
+    original = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return original()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+def sweep_bytes(sweep):
+    return [
+        (pt.ratio, *(np.array(v).tobytes() for v in (pt.seed_mae, pt.seed_rmse, pt.seed_cells)))
+        for pt in sweep.points
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedSweep:
+    # Nine injected points, dealt to two workers as grid indices 0, 2, 4, 6, 8
+    # (the child) and 1, 3, 5, 7 (the parent, which also scored ratio 0).
+    RATIOS, SEEDS = (0.0, 0.1, 0.2, 0.3), (0, 1, 2)
+
+    def sweep(self, trained, ds, method="mean", ratios=RATIOS, seeds=SEEDS):
+        return robustness_sweep(trained, ds, method, ratios, injection_seeds=seeds)
+
+    @pytest.mark.parametrize("method", imputation.METHODS)
+    def test_two_cores_fork_and_score_the_bytes_of_one(
+        self, small_trained, monkeypatch, method
+    ):
+        ds, trained, _ = small_trained
+        forks = counted_forks(monkeypatch)
+        sweeps = []
+        for n in (1, 2):
+            use_cores(monkeypatch, n)
+            sweeps.append(self.sweep(trained, ds, method))
+        assert forks == [os.getpid()]
+        assert sweep_bytes(sweeps[1]) == sweep_bytes(sweeps[0])
+        assert sweeps[1] == sweeps[0]
+        assert_no_child()
+
+    @pytest.mark.parametrize(
+        "failing, where",
+        [
+            ({(0.2, 1): DataError}, "child"),
+            ({(0.2, 1): NumericError}, "child"),
+            ({(0.1, 2): DataError, (0.2, 0): NumericError}, "child"),
+            ({(0.1, 1): NumericError, (0.3, 2): DataError}, "parent"),
+            ({(0.2, 1): DataError, (0.3, 0): NumericError}, "child"),
+        ],
+        ids=["data", "numeric", "child-first", "parent-first", "one-share"],
+    )
+    def test_the_earliest_failing_point_is_raised(
+        self, small_trained, monkeypatch, failing, where
+    ):
+        ds, trained, _ = small_trained
+        original = imputation.inject_missing
+
+        def inject(table, ratio, seed, day_range):
+            if (ratio, seed) in failing:
+                raise failing[ratio, seed](f"point {ratio}, {seed} failed in {os.getpid()}")
+            return original(table, ratio, seed, day_range)
+
+        monkeypatch.setattr(imputation, "inject_missing", inject)
+        ratio, seed = min(failing)
+        pids = []
+        for n in (1, 2):
+            use_cores(monkeypatch, n)
+            with pytest.raises(failing[ratio, seed], match=f"^point {ratio}, {seed} failed"):
+                try:
+                    self.sweep(trained, ds)
+                except Exception as exc:
+                    pids.append(int(str(exc).rsplit(" ", 1)[1]))
+                    raise
+            assert_no_child()
+        assert pids[0] == os.getpid()
+        assert (pids[1] == os.getpid()) == (where == "parent")
+
+    def test_a_child_that_dies_without_writing_fails_the_sweep(
+        self, small_trained, monkeypatch
+    ):
+        ds, trained, _ = small_trained
+        use_cores(monkeypatch, 2)
+        parent = os.getpid()
+        original = imputation.inject_missing
+
+        def inject(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("the sweep waited a minute on a dead child")
+
+        monkeypatch.setattr(imputation, "inject_missing", inject)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ChildProcessError, match="ended without writing"):
+                self.sweep(trained, ds)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child()
+
+    @pytest.mark.parametrize(
+        "case", ["one-core", "one-point", "no-affinity", "no-fork", "thread"]
+    )
+    def test_runs_in_process_when_it_cannot_fork_usefully(
+        self, small_trained, monkeypatch, case
+    ):
+        ds, trained, _ = small_trained
+        use_cores(monkeypatch, 2)
+        want = self.sweep(trained, ds, ratios=(0.0, 0.1), seeds=(0,))
+        forks = counted_forks(monkeypatch)
+        ratios, seeds = self.RATIOS, self.SEEDS
+        if case == "one-core":
+            use_cores(monkeypatch, 1)
+        elif case == "one-point":
+            ratios, seeds = (0.0, 0.1), (0,)
+        elif case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        elif case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        done = threading.Event()
+        worker = threading.Thread(target=done.wait)
+        if case == "thread":
+            worker.start()
+        try:
+            got = self.sweep(trained, ds, ratios=ratios, seeds=seeds)
+        finally:
+            done.set()
+            if case == "thread":
+                worker.join()
+        assert forks == []
+        assert got.point(0.1).seed_mae[:1] == want.point(0.1).seed_mae
+        assert_no_child()
+
+
 def untrained(ds, arch, seed=0):
     """A built, untrained model bundled like a trained one for ``ds``."""
     prepared = training.prepare_data(ds)
@@ -776,6 +930,8 @@ class TestTestScopeReuse:
             calls.append(args)
             return original(*args)
 
+        # Calls made in a forked worker are not counted here: score in-process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(evaluation, "apply_topology", counted)
         ratios, seeds = (0.0, 0.1, 0.2), (0, 1)
         sweep = robustness_sweep(

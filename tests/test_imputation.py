@@ -77,6 +77,35 @@ class TestFit:
         expected = ds.flows[0][ds.mask[0]].mean()
         assert abs(model.table[0, 50] - expected) < 1e-12
 
+    def test_median_has_the_bytes_of_np_median_for_every_count(self):
+        # Slots observed on k = 1 to 60 days, eight per k, hold repeated
+        # values; half hold only zeros of both signs, so middles tie at 0.0
+        # and -0.0. Station 0's last slot is never observed and takes the
+        # station's median over all its observed values.
+        rng = np.random.default_rng(7)
+        days = 60
+        cube = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(2, days, 288))
+        mask = np.ones((2, days, 288), bool)
+        for k in range(1, days + 1):
+            for j, s in np.ndindex(4, 2):
+                tau = 4 * (k - 1) + j
+                if j % 2 == 0:
+                    cube[s, :, tau] = rng.choice([0.0, -0.0], size=days)
+                mask[s, :, tau] = False
+                mask[s, rng.choice(days, size=k, replace=False), tau] = True
+        mask[0, :, 287] = False
+        ds = dataset_from_cube(cube, mask)
+        got = fit("median", ds).table
+        zeros = 0
+        for s, tau in np.ndindex(2, 288):
+            values = cube[s, mask[s, :, tau], tau]
+            if tau == 287 and s == 0:
+                values = ds.flows[0][ds.mask[0]]
+            want = np.median(values)
+            assert got[s, tau].tobytes() == want.tobytes(), (s, tau, values)
+            zeros += want == 0.0 and np.signbit(np.sort(values)).any()
+        assert zeros > 100
+
     def test_fully_missing_station_rejected(self):
         cube = np.ones((2, 3, 288))
         mask = np.ones((2, 3, 288), bool)

@@ -417,60 +417,83 @@ def _serve_share(fn: Callable, items: Sequence, share: range, write: int) -> NoR
         os._exit(code)
 
 
+def _process_threads() -> int:
+    """The threads this process runs: every one the system lists, so a BLAS
+    library's own pool counts, else (with no ``/proc/self/task``) its Python
+    threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _fork_cores() -> int:
+    """How many processes may share this process's work: the cores it may run
+    on (``os.sched_getaffinity``, so ``taskset -c 0`` gives 1) when it is
+    single-threaded, else 1. It is 1 without ``os.fork`` or
+    ``os.sched_getaffinity``, and with any other thread alive: a forked child
+    copies only the calling thread, and a BLAS library that runs a pool of
+    threads already uses the cores, so that two such processes crowd them
+    (both ran about x1.8 slower on two cores with a two-thread OpenBLAS)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if _process_threads() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _fork_map(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]``, computed in forked children, one per
-    usable core, and returned in the items' order.
+    usable core (``_fork_cores``), and returned in the items' order.
 
     The items are dealt into ``min(usable cores, len(items))`` interleaved
     shares. Each child computes one share and pipes back its pickled results;
-    the parent computes a smallest share itself, then reads every pipe to the
-    end before it reaps any child. A share stops at its first failing item,
-    and the exception of the earliest failing item is raised, with its own
-    type and message, once every child is reaped. If the parent itself
-    raises, or a child ends without writing, the children are killed first.
-    With one usable core or one item, without ``os.fork`` or
-    ``os.sched_getaffinity``, or with another Python thread alive, the items
-    are computed here, in order.
+    the parent computes a smallest share itself, and any share whose
+    ``os.fork`` raised ``OSError``, then reads every pipe to the end before
+    it reaps any child. A share stops at its first failing item, and the
+    exception of the earliest failing item is raised, with its own type and
+    message, once every child is reaped. If the parent itself raises, or a
+    child ends without writing, the children are killed first. With one
+    usable core or one item the items are computed here, in order.
     """
-    try:
-        workers = min(len(os.sched_getaffinity(0)), len(items))
-    except AttributeError:
-        workers = 1
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    workers = min(_fork_cores(), len(items))
+    if workers < 2:
         return [fn(item) for item in items]
     shares = [range(i, len(items), workers) for i in range(workers)]
-    pids, pipes = [], []
+    here = [shares[-1]]
+    children = []  # (share, pid, pipe)
     try:
         for share in shares[:-1]:
             read, write = os.pipe()
-            pipes.append(os.fdopen(read, "rb"))
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _serve_share(fn, items, share, write)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        own = _run_share(fn, items, shares[-1])
-        outcomes = []
-        for pid, pipe in zip(pids, pipes):
+            except OSError:
+                pid = None
+            if pid == 0:
+                _serve_share(fn, items, share, write)
+            os.close(write)
+            if pid is None:
+                os.close(read)
+                here.append(share)
+            else:
+                children.append((share, pid, os.fdopen(read, "rb")))
+        outcomes = {share: _run_share(fn, items, share) for share in here}
+        for share, pid, pipe in children:
             payload = pipe.read()
             if not payload:
                 raise ChildProcessError(f"worker {pid} ended without writing its results")
-            outcomes.append(pickle.loads(payload))
-        outcomes.append(own)
+            outcomes[share] = pickle.loads(payload)
     except BaseException:
-        for pid in pids:
+        for _, pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pipe in pipes:
+        for _, pid, pipe in children:
             pipe.close()
-        for pid in pids:
             os.waitpid(pid, 0)
     results = [None] * len(items)
     failures = []
-    for share, (done, failed) in zip(shares, outcomes):
+    for share, (done, failed) in outcomes.items():
         for index, result in zip(share, done):
             results[index] = result
         if failed is not None:

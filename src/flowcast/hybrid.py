@@ -199,26 +199,35 @@ def apply_topology(topology: Topology, blocks: StreamBlocks, x: Tensor) -> list[
 
 
 def forward_batch(model: Model, s, s_d, s_w) -> Tensor:
-    """Forecast a batch stacked on a trailing axis; returns [p, h, batch]."""
+    """Forecast a batch stacked on a trailing axis; returns [p, h, batch].
+
+    Each stream is its [p, n, batch] input block, or a function that returns
+    the stream's output parts computed elsewhere. Streams run in order, so
+    such a function is called once the streams before it are computed.
+    """
     spec = model.spec
-    xs = [t if isinstance(t, Tensor) else Tensor(t) for t in (s, s_d, s_w)]
-    for index, x in enumerate(xs):
+    streams = [x if callable(x) or isinstance(x, Tensor) else Tensor(x) for x in (s, s_d, s_w)]
+    inputs = [(index, x) for index, x in enumerate(streams) if not callable(x)]
+    for index, x in inputs:
         if x.data.shape[:2] != (spec.p, spec.n):
             raise ValueError(
                 f"stream {index} has shape {x.data.shape}, "
                 f"expected leading dims ({spec.p}, {spec.n})"
             )
-    shapes = [x.data.shape for x in xs]
-    if len(set(shapes)) != 1 or len(shapes[0]) != 3:
+    shapes = [x.data.shape for _, x in inputs]
+    if len(set(shapes)) > 1 or any(len(shape) != 3 for shape in shapes):
         raise ValueError(f"streams must share one [p, n, batch] shape, got {shapes}")
-    return head(
-        model,
-        [
-            part
-            for blocks, x in zip(model.blocks, xs)
-            for part in apply_topology(spec.topology, blocks, x)
-        ],
-    )
+    parts = []
+    for blocks, x in zip(model.blocks, streams):
+        parts += x() if callable(x) else apply_topology(spec.topology, blocks, x)
+    return head(model, parts)
+
+
+def stream_slice(model: Model, stream: int) -> slice:
+    """Where one stream's parameters lie in ``values`` and ``grads``: the
+    vectors hold the streams' blocks in stream order, then the head."""
+    size = (model.values.size - model.head.W.data.size - model.head.b.data.size) // STREAMS
+    return slice(stream * size, (stream + 1) * size)
 
 
 def head(model: Model, parts: list[Tensor]) -> Tensor:

@@ -29,6 +29,7 @@ from flowcast.version import VERSION
 
 from test_checkpoint import rewrite
 from test_dataset import write_seven_per_day_csv, write_two_per_day_csv
+from test_evaluation import counted_forks, use_cores
 
 
 def read_rows(path):
@@ -1010,6 +1011,33 @@ class TestTrain:
         assert len(list((tmp_path / "checkpoints").iterdir())) == 4
         assert [row[0] for row in read_rows(tmp_path / "metrics.csv")] == ["LSTM1", "LSTM2"]
 
+    def test_one_core_writes_the_bytes_of_two(self, ws, tmp_path, monkeypatch, capsys):
+        # With a second usable core, each run forks a worker that computes its
+        # weekly stream; one core computes every stream in this process.
+        data = tmp_path / "wide.csv"
+        save_csv(generate(SynthConfig(p=4, days=14, seed=3)), data)
+        args = ["train", "--config", str(ws["cfg"]), "--dataset", str(data)]
+        args += ["--arch", "LSTM2,LSTM1-SP-CNN1", "--seed", "0,1", "--out", "out"]
+        forks = counted_forks(monkeypatch)
+        outputs = []
+        for name, cores in (("two-cores", 2), ("one-core", 1)):
+            use_cores(monkeypatch, cores)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert cli.main(args) == 0
+            files = {}
+            for path in sorted(Path("out").rglob("*")):
+                if path.suffix == ".jsonl":
+                    lines = [json.loads(line) for line in path.read_text().splitlines()]
+                    lines[-1].pop("wall_time")
+                    files[str(path)] = lines
+                elif path.is_file():
+                    files[str(path)] = path.read_bytes()
+            outputs.append((files, capsys.readouterr().out))
+            assert len(forks) == 4
+        assert outputs[0] == outputs[1]
+        assert len([f for f in outputs[0][0] if f.endswith(".npz")]) == 4
+
     def test_log_lines_parse(self, ws):
         lines = (ws["out"] / "logs" / "LSTM1_mean_seed0.jsonl").read_text().splitlines()
         entries = [json.loads(line) for line in lines]
@@ -1119,6 +1147,8 @@ class TestSweep:
         for name in ("default", "one-core"):
             if name == "one-core":
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            else:
+                use_cores(monkeypatch, 2)  # so that the default forks, whatever the BLAS
             (tmp_path / name).mkdir()
             monkeypatch.chdir(tmp_path / name)  # stdout names the relative --out
             assert cli.main(args + ["--out", "out"]) == 0

@@ -1,6 +1,7 @@
 """Tests for metrics, views, baselines, and robustness sweeps."""
 
 import datetime as dt
+import errno
 import json
 import math
 import os
@@ -736,8 +737,10 @@ class TestRobustnessSweep:
 
 
 def use_cores(monkeypatch, n):
-    """Make ``n`` cores usable, as ``taskset`` would."""
+    """Make ``n`` cores usable, as ``taskset`` would, in a process whose only
+    threads are Python's, as under a one-thread BLAS."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(evaluation, "_process_threads", threading.active_count)
 
 
 def counted_forks(monkeypatch):
@@ -750,6 +753,19 @@ def counted_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return forks
+
+
+def refused_forks(monkeypatch):
+    """Make ``os.fork`` raise ``EAGAIN``, as it does when no process id is
+    free; returns the pids that called it."""
+    refused = []
+
+    def fork():
+        refused.append(os.getpid())
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    return refused
 
 
 def assert_no_child():
@@ -853,7 +869,8 @@ class TestForkedSweep:
         assert_no_child()
 
     @pytest.mark.parametrize(
-        "case", ["one-core", "one-point", "no-affinity", "no-fork", "thread"]
+        "case",
+        ["one-core", "one-point", "no-affinity", "no-fork", "fork-fails", "thread", "pool"],
     )
     def test_runs_in_process_when_it_cannot_fork_usefully(
         self, small_trained, monkeypatch, case
@@ -871,6 +888,9 @@ class TestForkedSweep:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         elif case == "no-fork":
             monkeypatch.delattr(os, "fork")
+        elif case == "pool":
+            monkeypatch.setattr(evaluation, "_process_threads", lambda: 2)
+        refused = refused_forks(monkeypatch) if case == "fork-fails" else []
         done = threading.Event()
         worker = threading.Thread(target=done.wait)
         if case == "thread":
@@ -882,8 +902,26 @@ class TestForkedSweep:
             if case == "thread":
                 worker.join()
         assert forks == []
+        assert refused == ([os.getpid()] if case == "fork-fails" else [])
         assert got.point(0.1).seed_mae[:1] == want.point(0.1).seed_mae
         assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_process_threads_counts_every_thread():
+    # A BLAS library's own pool counts too, so the count is never below
+    # Python's.
+    before = evaluation._process_threads()
+    assert before >= threading.active_count()
+    done = threading.Event()
+    worker = threading.Thread(target=done.wait)
+    worker.start()
+    try:
+        assert evaluation._process_threads() == before + 1
+    finally:
+        done.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
 
 
 def untrained(ds, arch, seed=0):

@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import os
+import signal
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from flowcast import training
+from flowcast import evaluation, training
 from flowcast.autodiff import Tensor, backward
 from flowcast.dataset import WindowConfig, clean
 from flowcast.errors import DataError, NumericError
@@ -32,6 +35,7 @@ from flowcast.training import (
 
 from gradcheck import finite_difference
 from memory import traced_peak
+from test_evaluation import assert_no_child, counted_forks, refused_forks, use_cores
 from test_hybrid import assert_on_buffer
 
 
@@ -493,7 +497,9 @@ def test_prepare_data_standardizes_its_fill_in_place(method):
 def test_later_steps_do_not_hold_the_previous_graph(monkeypatch):
     # Four LSTM2-SP-CNN3 steps at p=8 on 253-window day batches. Traced bytes
     # are deterministic; a step that still held the previous step's graph
-    # peaked about 1.6x the first step's.
+    # peaked about 1.6x the first step's. One core, so that this process
+    # holds every stream's graph.
+    use_cores(monkeypatch, 1)
     table = generate(SynthConfig(p=8, days=20, seed=3, native_missing_ratio=0.0))
     prepared = prepare_data(table)
     model = build(model_spec_for("LSTM2-SP-CNN3", 8, WINDOWS), seed=0)
@@ -511,6 +517,122 @@ def test_later_steps_do_not_hold_the_previous_graph(monkeypatch):
     )
     assert len(peaks) == 4
     assert max(peaks[1:]) <= 1.25 * peaks[0]
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """Four stations, so that every wiring fits, 4-wide kernels included."""
+    return prepare_data(generate(SynthConfig(p=4, days=14, seed=7)))
+
+
+def trained_bytes(prepared, arch, cfg):
+    model = build(model_spec_for(arch, 4, WINDOWS), seed=0)
+    model, log = train(model, prepared.train_samples, prepared.val_samples, cfg)
+    return model.values.tobytes(), log.checkpoint_id, log.entries
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestStreamWorker:
+    # With two usable cores, train forks one worker that computes the weekly
+    # stream of every step.
+    CFG = TrainConfig(max_epochs=2, runs=1, seeds=(0,))
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_two_cores_train_the_bytes_of_one(self, wide, monkeypatch, arch):
+        forks = counted_forks(monkeypatch)
+        got = []
+        for n in (1, 2):
+            use_cores(monkeypatch, n)
+            got.append(trained_bytes(wide, arch, self.CFG))
+        assert forks == [os.getpid()]
+        assert got[1] == got[0]
+        assert_no_child()
+
+    def test_a_diverging_run_raises_with_the_worker_alive(self, wide, monkeypatch):
+        forks = counted_forks(monkeypatch)
+        messages = []
+        for n in (1, 2):
+            use_cores(monkeypatch, n)
+            model = build(model_spec_for("LSTM2-SP-CNN3", 4, WINDOWS), seed=0)
+            model.blocks[-1].lstms[0].W.data[0, 0] = np.nan
+            with pytest.raises(NumericError, match="diverged") as raised:
+                train(model, wide.train_samples, wide.val_samples, self.CFG)
+            messages.append(str(raised.value))
+            assert_no_child()
+        assert forks == [os.getpid()]
+        assert messages[1] == messages[0] == "training diverged: loss nan at epoch 1"
+
+    def test_a_failing_worker_step_raises_its_exception_here(self, wide, monkeypatch):
+        use_cores(monkeypatch, 2)
+        parent = os.getpid()
+        original = training.apply_topology
+
+        def apply_topology(*args):
+            if os.getpid() != parent:
+                raise NumericError(f"weekly stream failed in {os.getpid()}")
+            return original(*args)
+
+        monkeypatch.setattr(training, "apply_topology", apply_topology)
+        with pytest.raises(NumericError, match="^weekly stream failed in ") as raised:
+            trained_bytes(wide, "CNN1-S-LSTM1", self.CFG)
+        assert int(str(raised.value).rsplit(" ", 1)[1]) != parent
+        assert_no_child()
+
+    def test_a_worker_that_ends_without_replying_fails_the_run(self, wide, monkeypatch):
+        use_cores(monkeypatch, 2)
+        parent = os.getpid()
+        original = training.apply_topology
+
+        def apply_topology(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("train waited a minute on a dead worker")
+
+        monkeypatch.setattr(training, "apply_topology", apply_topology)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ChildProcessError, match="ended without replying"):
+                trained_bytes(wide, "LSTM1-P-CNN1", self.CFG)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child()
+
+    @pytest.mark.parametrize(
+        "case", ["one-core", "no-affinity", "no-fork", "fork-fails", "thread", "pool"]
+    )
+    def test_trains_in_process_when_it_cannot_fork(self, wide, monkeypatch, case):
+        use_cores(monkeypatch, 1)
+        want = trained_bytes(wide, "LSTM1-SP-CNN1", self.CFG)
+        use_cores(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        if case == "one-core":
+            use_cores(monkeypatch, 1)
+        elif case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        elif case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "pool":
+            monkeypatch.setattr(evaluation, "_process_threads", lambda: 2)
+        refused = refused_forks(monkeypatch) if case == "fork-fails" else []
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "thread":
+            thread.start()
+        try:
+            got = trained_bytes(wide, "LSTM1-SP-CNN1", self.CFG)
+        finally:
+            done.set()
+            if case == "thread":
+                thread.join()
+        assert forks == []
+        assert refused == ([os.getpid()] if case == "fork-fails" else [])
+        assert got == want
+        assert_no_child()
 
 
 class TestExperiments:

@@ -476,6 +476,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except ChildProcessError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

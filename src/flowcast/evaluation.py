@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +38,7 @@ from .dataset import (
 )
 from .errors import DataError, NumericError, check_seeds
 from .hybrid import Model, apply_topology, forward_batch, head
+from .workers import _fork_map
 
 VIEWS = ("overall", "horizon", "timestamp", "weekday", "station")
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -389,118 +386,6 @@ def _reusing_predictor(model: Model, points_per_day: int, first_day: int) -> Cal
         return head(model, parts).data
 
     return predict
-
-
-def _run_share(fn: Callable, items: Sequence, share: range) -> tuple[list, tuple | None]:
-    """``fn`` of each item of a share in order, up to its first failure: the
-    results so far and, if an item raised, that item's index and exception."""
-    done = []
-    for index in share:
-        try:
-            done.append(fn(items[index]))
-        except Exception as exc:
-            return done, (index, exc)
-    return done, None
-
-
-def _serve_share(fn: Callable, items: Sequence, share: range, write: int) -> NoReturn:
-    """In a forked child: pipe back one share's pickled outcome and leave at
-    once, flushing no inherited buffer and running no exit handler. A child
-    that cannot pickle its outcome writes nothing."""
-    code = 1
-    try:
-        payload = pickle.dumps(_run_share(fn, items, share))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _process_threads() -> int:
-    """The threads this process runs: every one the system lists, so a BLAS
-    library's own pool counts, else (with no ``/proc/self/task``) its Python
-    threads."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
-def _fork_cores() -> int:
-    """How many processes may share this process's work: the cores it may run
-    on (``os.sched_getaffinity``, so ``taskset -c 0`` gives 1) when it is
-    single-threaded, else 1. It is 1 without ``os.fork`` or
-    ``os.sched_getaffinity``, and with any other thread alive: a forked child
-    copies only the calling thread, and a BLAS library that runs a pool of
-    threads already uses the cores, so that two such processes crowd them
-    (both ran about x1.8 slower on two cores with a two-thread OpenBLAS)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if _process_threads() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(item) for item in items]``, computed in forked children, one per
-    usable core (``_fork_cores``), and returned in the items' order.
-
-    The items are dealt into ``min(usable cores, len(items))`` interleaved
-    shares. Each child computes one share and pipes back its pickled results;
-    the parent computes a smallest share itself, and any share whose
-    ``os.fork`` raised ``OSError``, then reads every pipe to the end before
-    it reaps any child. A share stops at its first failing item, and the
-    exception of the earliest failing item is raised, with its own type and
-    message, once every child is reaped. If the parent itself raises, or a
-    child ends without writing, the children are killed first. With one
-    usable core or one item the items are computed here, in order.
-    """
-    workers = min(_fork_cores(), len(items))
-    if workers < 2:
-        return [fn(item) for item in items]
-    shares = [range(i, len(items), workers) for i in range(workers)]
-    here = [shares[-1]]
-    children = []  # (share, pid, pipe)
-    try:
-        for share in shares[:-1]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                pid = None
-            if pid == 0:
-                _serve_share(fn, items, share, write)
-            os.close(write)
-            if pid is None:
-                os.close(read)
-                here.append(share)
-            else:
-                children.append((share, pid, os.fdopen(read, "rb")))
-        outcomes = {share: _run_share(fn, items, share) for share in here}
-        for share, pid, pipe in children:
-            payload = pipe.read()
-            if not payload:
-                raise ChildProcessError(f"worker {pid} ended without writing its results")
-            outcomes[share] = pickle.loads(payload)
-    except BaseException:
-        for _, pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for _, pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-    results = [None] * len(items)
-    failures = []
-    for share, (done, failed) in outcomes.items():
-        for index, result in zip(share, done):
-            results[index] = result
-        if failed is not None:
-            failures.append(failed)
-    if failures:
-        raise min(failures, key=lambda failed: failed[0])[1]
-    return results
 
 
 def robustness_sweep(

@@ -8,17 +8,13 @@ of (architecture, fill rule, injected ratio, seed) tasks in order.
 
 from __future__ import annotations
 
-import contextlib
 import datetime as dt
 import hashlib
 import json
 import math
-import os
-import pickle
-import signal
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +36,7 @@ from .dataset import (
     standardize_in_place,
 )
 from .errors import DataError, NumericError, check_field_types, check_seed, check_seeds
-from .evaluation import EvalReport, _fork_cores, evaluate
+from .evaluation import EvalReport, evaluate
 from .hybrid import (
     ARCHITECTURES,
     STREAMS,
@@ -52,6 +48,7 @@ from .hybrid import (
     named_parameters,
     stream_slice,
 )
+from .workers import _fork_cores, _Worker
 from . import imputation
 
 
@@ -255,126 +252,72 @@ def prepare_data(
     )
 
 
-class _LastStream:
+class _LastStream(_Worker):
     """The last (weekly) stream of each step of one ``train`` call.
 
-    When a second core is usable (``evaluation._fork_cores``) and ``os.fork``
-    succeeds, a forked worker computes it in lock-step: ``start`` sends the
+    When a second core is usable (``workers._fork_cores``) and ``os.fork``
+    succeeds, a forked worker computes it in lock-step: ``start`` tells the
     worker the batch index and the stream's values and returns a function,
-    for ``forward_batch``, that receives the stream's parts joined as one
-    tape node; that node's closure sends the worker its gradient rows, and
-    ``finish`` writes the stream's gradients that the worker returns into
+    for ``forward_batch``, that takes the stream's parts joined as one
+    tape node; that node's closure tells the worker its gradient rows, and
+    ``finish`` writes the stream's gradients that the worker replies into
     ``model.grads``. Otherwise ``start`` returns the input block, which
     ``forward_batch`` computes here, and ``finish`` does nothing. The bytes
     are the same either way: the stream's parameters take gradient only from
     the stream's own nodes, which run in the same order in both processes.
-    On leaving its ``with`` block the worker is reaped, and killed first if
-    the block raised.
     """
 
     def __init__(self, model: Model, batches: list[Windows]):
         self.model = model
         self.span = stream_slice(model, STREAMS - 1)
         self.pid = None
-        if _fork_cores() < 2:
-            return
-        down, up = os.pipe(), os.pipe()  # to the worker, and back
-        with contextlib.suppress(OSError):  # no process to spare: train here
-            self.pid = os.fork()
-        if self.pid == 0:
-            os.close(down[1])
-            os.close(up[0])
-            _serve_last_stream(model, batches, os.fdopen(down[0], "rb"), os.fdopen(up[1], "wb"))
-        os.close(down[0])
-        os.close(up[1])
-        if self.pid is None:
-            os.close(down[1])
-            os.close(up[0])
-        else:
-            self.send, self.receive = os.fdopen(down[1], "wb"), os.fdopen(up[0], "rb")
-
-    def __enter__(self) -> _LastStream:
-        return self
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if self.pid is None:
-            return
-        if kind is not None:
-            os.kill(self.pid, signal.SIGKILL)
-        with contextlib.suppress(BrokenPipeError):  # a write the worker never read
-            self.send.close()
-        self.receive.close()
-        os.waitpid(self.pid, 0)
+        if _fork_cores() > 1:
+            super().__init__(lambda worker: _serve_last_stream(model, batches, worker))
 
     def start(self, index: int, x: np.ndarray) -> np.ndarray | Callable[[], list[Tensor]]:
         if self.pid is None:
             return x
-        self._tell((index, self.model.values[self.span]))
-        return lambda: [Tensor(self._reply(), requires_grad=True, _backward=self._tell)]
+        self.tell((index, self.model.values[self.span]))
+        return lambda: [Tensor(self.reply(), requires_grad=True, _backward=self.tell)]
 
     def finish(self) -> None:
         if self.pid is not None:
-            self.model.grads[self.span] = self._reply()
-
-    def _tell(self, message) -> None:
-        try:
-            _write(self.send, message)
-        except BrokenPipeError:
-            raise ChildProcessError("the stream worker ended without replying") from None
-
-    def _reply(self):
-        try:
-            reply = pickle.load(self.receive)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError("the stream worker ended without replying") from None
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
+            self.model.grads[self.span] = self.reply()
 
 
-def _write(pipe, message) -> None:
-    pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
-    pipe.flush()
-
-
-def _serve_last_stream(model: Model, batches: list[Windows], receive, send) -> NoReturn:
+def _serve_last_stream(model: Model, batches: list[Windows], worker: _Worker) -> None:
     """In a forked worker: per step, compute the last stream of the batch whose
     index arrives, under the values that arrive with it, and reply its parts
     joined; then take their gradient rows, as ``dense`` splits them, through
     the stream's own tape and reply the stream's gradients. A failing step
-    replies its exception. The worker leaves at once when the parent closes
-    its pipe, flushing no inherited buffer and running no exit handler."""
+    replies its exception. The worker returns when the parent closes its
+    pipe."""
     span = stream_slice(model, STREAMS - 1)
-    code = 1
-    try:
-        while True:
-            try:
-                index, values = pickle.load(receive)
-            except EOFError:
-                break
-            try:
-                model.values[span] = values
-                x = Tensor(stack_batch(batches[index])[2])
-                parts = apply_topology(model.spec.topology, model.blocks[-1], x)
-                _write(send, np.concatenate([t.data for t in parts]))
-                cuts = np.cumsum([t.data.shape[0] for t in parts])[:-1]
-                rows = np.split(pickle.load(receive), cuts)
+    while True:
+        try:
+            index, values = worker.reply()
+        except ChildProcessError:  # the parent is done with the stream
+            return
+        try:
+            model.values[span] = values
+            x = Tensor(stack_batch(batches[index])[2])
+            parts = apply_topology(model.spec.topology, model.blocks[-1], x)
+            worker.tell(np.concatenate([t.data for t in parts]))
+            cuts = np.cumsum([t.data.shape[0] for t in parts])[:-1]
+            rows = np.split(worker.reply(), cuts)
 
-                # A scalar root over the parts hands each its rows, as dense
-                # does; then the stream's nodes run in the parent's order.
-                def seed(_unit):
-                    for t, g in zip(parts, rows):
-                        _accumulate(t, g)
+            # A scalar root over the parts hands each its rows, as dense
+            # does; then the stream's nodes run in the parent's order.
+            def seed(_unit):
+                for t, g in zip(parts, rows):
+                    _accumulate(t, g)
 
-                model.grads[span] = 0.0
-                backward(Tensor(0.0, _parents=tuple(parts), _backward=seed))
-                _write(send, model.grads[span])
-            except Exception as exc:
-                _write(send, exc)
-                break
-        code = 0
-    finally:
-        os._exit(code)
+            model.grads[span] = 0.0
+            backward(Tensor(0.0, _parents=tuple(parts), _backward=seed))
+            worker.tell(model.grads[span])
+        except Exception as exc:
+            worker.tell(exc)
+            return
 
 
 # Weights a divergent step drives huge overflow in the next forward pass; the

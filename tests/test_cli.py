@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import flowcast
-from flowcast import cli, training
+from flowcast import cli, imputation, training
 from flowcast.checkpoint import load_checkpoint, save_checkpoint
 from flowcast.dataset import load_csv, save_csv
 from flowcast.errors import NumericError
@@ -29,7 +29,7 @@ from flowcast.version import VERSION
 
 from test_checkpoint import rewrite
 from test_dataset import write_seven_per_day_csv, write_two_per_day_csv
-from test_evaluation import counted_forks, use_cores
+from test_workers import alarm, counted_forks, use_cores  # noqa: F401 (alarm is a fixture)
 
 
 def read_rows(path):
@@ -861,6 +861,33 @@ class TestNumericErrors:
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err, err
         assert not list(tmp_path.glob("out/*"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestWorkerErrors:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_a_dead_worker_exits_three(self, ws, tmp_path, capsys, monkeypatch, alarm, command):
+        # The weekly stream of train, or a test-scope sweep's second share of
+        # two injected points, dies without replying, as when the kernel
+        # kills it for memory.
+        use_cores(monkeypatch, 2)
+        parent = os.getpid()
+        module, name = {"train": (training, "apply_topology"),
+                        "sweep": (imputation, "inject_missing")}[command]
+        original = getattr(module, name)
+
+        def dies_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, dies_in_a_child)
+        args = TestArgumentErrors.command_args(ws, command)
+        if command == "sweep":
+            args[args.index("--ratios") + 1] = "0,0.1,0.2"
+        assert cli.main(args + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "worker error: a forked worker ended without replying\n", err
 
 
 class TestSynth:

@@ -1,7 +1,6 @@
 """Tests for metrics, views, baselines, and robustness sweeps."""
 
 import datetime as dt
-import errno
 import json
 import math
 import os
@@ -13,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowcast import evaluation, imputation, training
+from flowcast import evaluation, imputation, training, workers
 from flowcast.dataset import (
     STREAM_DAY_LAGS,
     FlowDataset,
@@ -43,6 +42,7 @@ from flowcast.synthgen import SynthConfig, generate
 from flowcast.training import TrainConfig, train_once
 
 from memory import traced_peak
+from test_workers import assert_no_child, counted_forks, refused_forks, use_cores
 
 
 class TestMae:
@@ -736,43 +736,6 @@ class TestRobustnessSweep:
         assert zero.seed_mae == (want.mae,) and zero.seed_rmse == (want.rmse,)
 
 
-def use_cores(monkeypatch, n):
-    """Make ``n`` cores usable, as ``taskset`` would, in a process whose only
-    threads are Python's, as under a one-thread BLAS."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(evaluation, "_process_threads", threading.active_count)
-
-
-def counted_forks(monkeypatch):
-    forks = []
-    original = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return original()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def refused_forks(monkeypatch):
-    """Make ``os.fork`` raise ``EAGAIN``, as it does when no process id is
-    free; returns the pids that called it."""
-    refused = []
-
-    def fork():
-        refused.append(os.getpid())
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", fork)
-    return refused
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-
-
 def sweep_bytes(sweep):
     return [
         (pt.ratio, *(np.array(v).tobytes() for v in (pt.seed_mae, pt.seed_rmse, pt.seed_cells)))
@@ -861,7 +824,7 @@ class TestForkedSweep:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
-            with pytest.raises(ChildProcessError, match="ended without writing"):
+            with pytest.raises(ChildProcessError, match="ended without replying"):
                 self.sweep(trained, ds)
         finally:
             signal.alarm(0)
@@ -889,7 +852,7 @@ class TestForkedSweep:
         elif case == "no-fork":
             monkeypatch.delattr(os, "fork")
         elif case == "pool":
-            monkeypatch.setattr(evaluation, "_process_threads", lambda: 2)
+            monkeypatch.setattr(workers, "_process_threads", lambda: 2)
         refused = refused_forks(monkeypatch) if case == "fork-fails" else []
         done = threading.Event()
         worker = threading.Thread(target=done.wait)
@@ -905,23 +868,6 @@ class TestForkedSweep:
         assert refused == ([os.getpid()] if case == "fork-fails" else [])
         assert got.point(0.1).seed_mae[:1] == want.point(0.1).seed_mae
         assert_no_child()
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-def test_process_threads_counts_every_thread():
-    # A BLAS library's own pool counts too, so the count is never below
-    # Python's.
-    before = evaluation._process_threads()
-    assert before >= threading.active_count()
-    done = threading.Event()
-    worker = threading.Thread(target=done.wait)
-    worker.start()
-    try:
-        assert evaluation._process_threads() == before + 1
-    finally:
-        done.set()
-        worker.join(timeout=60)
-    assert not worker.is_alive()
 
 
 def untrained(ds, arch, seed=0):

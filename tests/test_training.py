@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from flowcast import evaluation, training
+from flowcast import training, workers
 from flowcast.autodiff import Tensor, backward
 from flowcast.dataset import WindowConfig, clean
 from flowcast.errors import DataError, NumericError
@@ -35,8 +35,8 @@ from flowcast.training import (
 
 from gradcheck import finite_difference
 from memory import traced_peak
-from test_evaluation import assert_no_child, counted_forks, refused_forks, use_cores
 from test_hybrid import assert_on_buffer
+from test_workers import assert_no_child, counted_forks, refused_forks, use_cores
 
 
 WINDOWS = WindowConfig()
@@ -617,7 +617,7 @@ class TestStreamWorker:
         elif case == "no-fork":
             monkeypatch.delattr(os, "fork")
         elif case == "pool":
-            monkeypatch.setattr(evaluation, "_process_threads", lambda: 2)
+            monkeypatch.setattr(workers, "_process_threads", lambda: 2)
         refused = refused_forks(monkeypatch) if case == "fork-fails" else []
         done = threading.Event()
         thread = threading.Thread(target=done.wait)

@@ -870,6 +870,23 @@ class TestForkedSweep:
         assert_no_child()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_process_threads_counts_every_thread():
+    # A BLAS library's own pool counts too, so the count is never below
+    # Python's.
+    before = workers._process_threads()
+    assert before >= threading.active_count()
+    done = threading.Event()
+    worker = threading.Thread(target=done.wait)
+    worker.start()
+    try:
+        assert workers._process_threads() == before + 1
+    finally:
+        done.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+
+
 def untrained(ds, arch, seed=0):
     """A built, untrained model bundled like a trained one for ``ds``."""
     prepared = training.prepare_data(ds)

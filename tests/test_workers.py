@@ -65,23 +65,6 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-def test_process_threads_counts_every_thread():
-    # A BLAS library's own pool counts too, so the count is never below
-    # Python's.
-    before = workers._process_threads()
-    assert before >= threading.active_count()
-    done = threading.Event()
-    worker = threading.Thread(target=done.wait)
-    worker.start()
-    try:
-        assert workers._process_threads() == before + 1
-    finally:
-        done.set()
-        worker.join(timeout=60)
-    assert not worker.is_alive()
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkMap:
     # Ten items at three cores: shares 0, 3, 6, 9 and 1, 4, 7 go to two

@@ -363,10 +363,11 @@ def _reusing_predictor(model: Model, points_per_day: int, first_day: int) -> Cal
     reading only days before ``first_day``, and reuses them for an equal block.
 
     Stream k of a day-d batch reads only day ``d - STREAM_DAY_LAGS[k]``. Such
-    a block's input and parts are kept when they are computed, and the parts
-    are reused only for an input equal to the kept one; any other block is
-    computed. Each stream runs on its own, so a reused part has the bytes a
-    computed one would.
+    a block's input and parts are kept wherever they are computed, in each
+    process that calls the predictor (a forked sweep worker keeps its own from
+    the first point it scores), and the parts are reused only for an input
+    equal to the kept one; any other block is computed. Each stream runs on
+    its own, so a reused part has the bytes a computed one would.
     """
     topology = model.spec.topology
     kept: dict[tuple[int, int], tuple[np.ndarray, list[Tensor]]] = {}
@@ -407,8 +408,9 @@ def robustness_sweep(
     TrainedModel's own window, else the default one). The grid, the seeds
     (``check_seeds``) and the rule are checked before any point is scored;
     metrics are aggregated over the seeds, at cells still observed after injection.
-    A test-scope sweep scores its injected points in forked workers, one per
-    usable core (``_fork_map``), with the bytes a one-core run gives.
+    A test-scope sweep deals every point, ratio 0 at one seed first and then
+    the injected points in grid order, into forked workers, one per usable
+    core (``_fork_map``), with the bytes a one-core run gives.
     """
     from . import training
 
@@ -422,20 +424,21 @@ def robustness_sweep(
         arch = subject.arch
         # Test-scope injection never touches the training days, so one rule
         # fitted on the clean table serves every injected one; at ratio 0 every
-        # seed leaves the table clean, so it is scored once. Every point reads
-        # only the test days and the week before them, and the blocks that
-        # read only that week are computed once, at ratio 0, before the
-        # injected points are shared out among forked workers.
+        # seed leaves the table clean (``inject_missing`` returns it), so it is
+        # scored once. Every point reads only the test days and the week before
+        # them. Every point, ratio 0 first, is dealt into the forked workers'
+        # shares, and each process computes the blocks that read only that
+        # week at the first point it scores, then reuses them.
         table, test_range, imputer = training._test_days(subject, dataset, method)
         predict = _reusing_predictor(subject.model, table.points_per_day, test_range[0])
-        at_zero = training._score_test(subject, table, test_range, imputer, predict)
 
         def score(point: tuple[float, int]) -> EvalReport:
             injected = imputation.inject_missing(table, *point, test_range)
             return training._score_test(subject, injected, test_range, imputer, predict)
 
-        injections = [(ratio, seed) for ratio in grid[1:] for seed in seeds]
-        reports = iter([at_zero] * len(seeds) + _fork_map(score, injections))
+        points = [(0.0, seeds[0])] + [(ratio, seed) for ratio in grid[1:] for seed in seeds]
+        at_zero, *rest = _fork_map(score, points)
+        reports = iter([at_zero] * len(seeds) + rest)
     else:
         trained = isinstance(subject, training.TrainedModel)
         arch = subject.arch if trained else subject

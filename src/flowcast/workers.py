@@ -1,6 +1,6 @@
 """Forked workers: the one fork rule and the one worker type.
 
-A test-scope sweep shares its injected points out among forked children
+A test-scope sweep shares its points out among forked children
 (``_fork_map``), and training computes its weekly stream in a forked worker
 (``training._LastStream``). Both ask ``_fork_cores`` whether to fork, and
 both talk to their children through ``_Worker``: two pipes of pickled
@@ -48,17 +48,25 @@ class _Worker:
 
     The two processes talk through two pipes of pickled messages: ``tell``
     sends one to the other side, and ``reply`` receives one, raising it if it
-    is an exception. ``pid`` is None when ``os.fork`` raised ``OSError`` (no
-    process to spare); the caller then does the work itself. On leaving its
+    is an exception. ``pid`` is None when ``os.pipe`` or ``os.fork`` raised
+    ``OSError`` (no descriptor or process to spare); every descriptor already
+    made is then closed, and the caller does the work itself. On leaving its
     ``with`` block the child is killed if the block raised, then both pipes
     are closed and the child is reaped.
     """
 
     def __init__(self, serve: Callable[[_Worker], object]):
         self.pid = None
-        down, up = os.pipe(), os.pipe()  # to the child, and back
+        made = []  # the pipe to the child, then the one back
         with contextlib.suppress(OSError):
+            made += os.pipe()
+            made += os.pipe()
             self.pid = os.fork()
+        if self.pid is None:
+            for fd in made:
+                os.close(fd)
+            return
+        down, up = made[:2], made[2:]
         if self.pid == 0:
             code = 1
             try:
@@ -71,11 +79,7 @@ class _Worker:
                 os._exit(code)
         os.close(down[0])
         os.close(up[1])
-        if self.pid is None:
-            os.close(down[1])
-            os.close(up[0])
-        else:
-            self._send, self._receive = os.fdopen(down[1], "wb"), os.fdopen(up[0], "rb")
+        self._send, self._receive = os.fdopen(down[1], "wb"), os.fdopen(up[0], "rb")
 
     def __enter__(self) -> _Worker:
         return self

@@ -4,6 +4,7 @@ Training the reference hybrid takes minutes, so the corpus and the trained
 bundle are built once per session and reused by every test that needs them.
 """
 
+import contextlib
 import os
 
 import pytest
@@ -25,6 +26,29 @@ def _no_child_left():
         return
     state = "running" if left is None else f"unreaped (pid {left.si_pid})"
     pytest.fail(f"the test left a child process {state}")
+
+
+def open_pipes() -> int:
+    """How many pipe descriptors this process holds (``/proc/self/fd``)."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own descriptor
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("pipe:")
+    return count
+
+
+@pytest.fixture(autouse=True)
+def _no_pipe_left():
+    """Fail a test that ends with more pipe descriptors open than it started
+    with. A raw ``os.pipe`` descriptor left open raises no ResourceWarning."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = open_pipes()
+    yield
+    left = open_pipes() - before
+    if left > 0:
+        pytest.fail(f"the test left {left} more pipe descriptors open")
 
 
 @pytest.fixture(scope="session")

@@ -867,9 +867,9 @@ class TestNumericErrors:
 class TestWorkerErrors:
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_a_dead_worker_exits_three(self, ws, tmp_path, capsys, monkeypatch, alarm, command):
-        # The weekly stream of train, or a test-scope sweep's second share of
-        # two injected points, dies without replying, as when the kernel
-        # kills it for memory.
+        # The weekly stream of train, or a test-scope sweep's forked share
+        # (ratio 0 and the second injected point), dies without replying, as
+        # when the kernel kills it for memory.
         use_cores(monkeypatch, 2)
         parent = os.getpid()
         module, name = {"train": (training, "apply_topology"),
@@ -1166,7 +1166,7 @@ class TestSweep:
         assert not (tmp_path / "new_dir").exists()
 
     def test_one_core_writes_the_bytes_of_the_default(self, ws, tmp_path, monkeypatch, capsys):
-        # A test-scope sweep shares its injected points among forked workers,
+        # A test-scope sweep shares its points among forked workers,
         # one per usable core; one core scores them all in this process.
         args = ["sweep", "--checkpoint", str(ws["checkpoint"]), "--dataset", str(ws["data"])]
         args += ["--impute", "all", "--ratios", "0,0.1,0.21", "--seed", "0,1,2"]

@@ -745,8 +745,10 @@ def sweep_bytes(sweep):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedSweep:
-    # Nine injected points, dealt to two workers as grid indices 0, 2, 4, 6, 8
-    # (the child) and 1, 3, 5, 7 (the parent, which also scored ratio 0).
+    # Ten points, ratio 0 at one seed and then the nine injected ones in grid
+    # order, dealt to two workers as items 0, 2, 4, 6, 8 (the child: ratio 0,
+    # (0.1, 1), (0.2, 0), (0.2, 2), (0.3, 1)) and 1, 3, 5, 7, 9 (the parent:
+    # (0.1, 0), (0.1, 2), (0.2, 1), (0.3, 0), (0.3, 2)).
     RATIOS, SEEDS = (0.0, 0.1, 0.2, 0.3), (0, 1, 2)
 
     def sweep(self, trained, ds, method="mean", ratios=RATIOS, seeds=SEEDS):
@@ -770,13 +772,14 @@ class TestForkedSweep:
     @pytest.mark.parametrize(
         "failing, where",
         [
-            ({(0.2, 1): DataError}, "child"),
-            ({(0.2, 1): NumericError}, "child"),
-            ({(0.1, 2): DataError, (0.2, 0): NumericError}, "child"),
-            ({(0.1, 1): NumericError, (0.3, 2): DataError}, "parent"),
-            ({(0.2, 1): DataError, (0.3, 0): NumericError}, "child"),
+            ({(0.2, 0): DataError}, "child"),
+            ({(0.2, 0): NumericError}, "child"),
+            ({(0.1, 1): DataError, (0.2, 1): NumericError}, "child"),
+            ({(0.1, 0): NumericError, (0.3, 1): DataError}, "parent"),
+            ({(0.2, 0): DataError, (0.3, 1): NumericError}, "child"),
+            ({(0.0, 0): NumericError, (0.1, 0): DataError, (0.1, 1): DataError}, "child"),
         ],
-        ids=["data", "numeric", "child-first", "parent-first", "one-share"],
+        ids=["data", "numeric", "child-first", "parent-first", "one-share", "ratio-zero"],
     )
     def test_the_earliest_failing_point_is_raised(
         self, small_trained, monkeypatch, failing, where
@@ -846,7 +849,7 @@ class TestForkedSweep:
         if case == "one-core":
             use_cores(monkeypatch, 1)
         elif case == "one-point":
-            ratios, seeds = (0.0, 0.1), (0,)
+            ratios, seeds = (0.0,), (0,)
         elif case == "no-affinity":
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         elif case == "no-fork":
@@ -866,8 +869,82 @@ class TestForkedSweep:
                 worker.join()
         assert forks == []
         assert refused == ([os.getpid()] if case == "fork-fails" else [])
-        assert got.point(0.1).seed_mae[:1] == want.point(0.1).seed_mae
+        for ratio in ratios[:2]:
+            assert got.point(ratio).seed_mae[:1] == want.point(ratio).seed_mae
         assert_no_child()
+
+    def test_ratio_zero_and_one_injected_point_fork_once(self, small_trained, monkeypatch):
+        # Ratio 0 is a point of the shares too, so two points are enough.
+        ds, trained, _ = small_trained
+        forks = counted_forks(monkeypatch)
+        sweeps = []
+        for n in (1, 2):
+            use_cores(monkeypatch, n)
+            sweeps.append(self.sweep(trained, ds, ratios=(0.0, 0.1), seeds=(0,)))
+        assert forks == [os.getpid()]
+        assert sweep_bytes(sweeps[1]) == sweep_bytes(sweeps[0])
+        assert_no_child()
+
+    def test_each_process_keeps_its_own_pre_test_blocks(
+        self, small_trained, monkeypatch, tmp_path
+    ):
+        # The parent forks before it computes any stream block, and each
+        # process computes each block that reads only days before the test
+        # range once, at the first point it scores, then reuses it.
+        ds, trained, _ = small_trained
+        use_cores(monkeypatch, 2)
+        log = tmp_path / "events"
+        day, first_day = [], []
+
+        def note(*event):
+            with open(log, "a") as f:
+                f.write(" ".join(map(str, (os.getpid(), *event))) + "\n")
+
+        original_fork, original_apply = os.fork, evaluation.apply_topology
+        original_predictor = evaluation._reusing_predictor
+
+        def fork():
+            note("fork")
+            return original_fork()
+
+        def reusing(model, points_per_day, first):
+            predict = original_predictor(model, points_per_day, first)
+            first_day.append(first)
+
+            def noted(s, s_d, s_w, ts):
+                day[:] = [int(ts[0]) // points_per_day]
+                return predict(s, s_d, s_w, ts)
+
+            return noted
+
+        def apply(topology, blocks, x):
+            stream = [b is blocks for b in trained.model.blocks].index(True)
+            note(day[0], stream)
+            return original_apply(topology, blocks, x)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(evaluation, "_reusing_predictor", reusing)
+        monkeypatch.setattr(evaluation, "apply_topology", apply)
+        self.sweep(trained, ds)
+        assert_no_child()
+        events = [line.split() for line in log.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert [event[1:] for event in events if event[0] == parent][0] == ["fork"]
+        (first,) = first_day  # the test range's first day in the table scored
+        test_days = trained.ranges[2][1] - trained.ranges[2][0]
+        kept = [
+            (d, k) for d in range(first, first + test_days)
+            for k, lag in enumerate(STREAM_DAY_LAGS) if d - lag < first
+        ]
+        assert kept == [(first, 1), (first, 2)]  # the one test day's daily and weekly
+        pids = {event[0] for event in events}
+        assert len(pids) == 2
+        for pid in pids:
+            blocks = [
+                (int(d), int(k)) for p, *event in events if p == pid and event != ["fork"]
+                for d, k in [event] if int(d) - STREAM_DAY_LAGS[int(k)] < first
+            ]
+            assert sorted(blocks) == kept, pid
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import open_pipes
 from flowcast import workers
 from flowcast.errors import DataError, NumericError
 from flowcast.workers import _fork_map, _Worker
@@ -44,6 +45,23 @@ def refused_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return refused
+
+
+def refused_pipes(monkeypatch, first):
+    """Make ``os.pipe`` raise ``EMFILE`` from its ``first``-th call on, as it
+    does when the process has no descriptor to spare; returns the pids of
+    every call."""
+    calls = []
+    original = os.pipe
+
+    def pipe():
+        calls.append(os.getpid())
+        if len(calls) >= first:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return original()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    return calls
 
 
 def assert_no_child():
@@ -112,6 +130,22 @@ class TestForkMap:
         assert first % 3 == share
         assert_no_child()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    @pytest.mark.parametrize("first", [1, 2], ids=["first-pipe", "second-pipe"])
+    def test_a_refused_pipe_computes_here(self, monkeypatch, first):
+        # The pipe to the child, or the one back, cannot be made: no share is
+        # forked, and the parent computes every item, in order.
+        use_cores(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        calls = refused_pipes(monkeypatch, first)
+        before = open_pipes()
+        got = _fork_map(lambda item: (item * item, os.getpid()), self.ITEMS)
+        assert got == [(item * item, os.getpid()) for item in self.ITEMS]
+        assert open_pipes() == before
+        assert calls == [os.getpid()] * first
+        assert forks == []
+        assert_no_child()
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestWorker:
@@ -157,3 +191,14 @@ class TestWorker:
             assert worker.pid is None
         assert len(os.listdir("/proc/self/fd")) == before
         assert refused == [os.getpid()]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    @pytest.mark.parametrize("first", [1, 2], ids=["first-pipe", "second-pipe"])
+    def test_a_refused_pipe_forks_nothing_and_leaves_no_pipe_open(self, monkeypatch, first):
+        forks = counted_forks(monkeypatch)
+        refused_pipes(monkeypatch, first)
+        before = open_pipes()
+        with _Worker(lambda w: None) as worker:
+            assert worker.pid is None
+        assert open_pipes() == before
+        assert forks == []

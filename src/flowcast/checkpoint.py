@@ -99,10 +99,11 @@ def save_checkpoint(path, trained: TrainedModel) -> str:
 def _read_archive(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The structurally validated manifest and every stored parameter array.
 
-    Any failure to read the file as an npz archive is a DataError.
+    Any failure to read the file as an npz archive is a DataError. The file
+    is opened here, so that it is closed when ``np.load`` fails part-way.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as file, np.load(file, allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
     except FileNotFoundError:
         raise DataError(f"checkpoint {path} not found") from None

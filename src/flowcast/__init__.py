@@ -9,6 +9,12 @@ Each piece is importable on its own; the ``flowcast`` console script drives
 the same code paths from the command line.
 """
 
+import os
+import sys
+
+if "numpy" not in sys.modules:  # one BLAS thread, whatever the environment: see README
+    os.environ |= dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
 from .autodiff import Tensor
 from .dataset import FlowDataset, StandardStats, WindowConfig, load_csv, save_csv
 from .errors import DataError, NumericError, UsageError

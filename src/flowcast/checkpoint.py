@@ -99,14 +99,18 @@ def save_checkpoint(path, trained: TrainedModel) -> str:
 def _read_archive(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The structurally validated manifest and every stored parameter array.
 
-    Any failure to read the file as an npz archive is a DataError. The file
-    is opened here, so that it is closed when ``np.load`` fails part-way.
+    Failing to open the file or to read it as an npz archive is a DataError.
+    It is opened here, so that it is closed when ``np.load`` fails part-way.
     """
     try:
-        with open(path, "rb") as file, np.load(file, allow_pickle=False) as archive:
-            arrays = {key: archive[key] for key in archive.files}
+        file = open(path, "rb")
     except FileNotFoundError:
         raise DataError(f"checkpoint {path} not found") from None
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    try:
+        with file, np.load(file, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
     except _UNREADABLE as exc:
         raise DataError(f"{path} is not a checkpoint archive: {exc}") from None
     if "manifest" not in arrays:

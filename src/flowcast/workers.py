@@ -32,9 +32,9 @@ def _fork_cores() -> int:
     on (``os.sched_getaffinity``, so ``taskset -c 0`` gives 1) when it is
     single-threaded, else 1. It is 1 without ``os.fork`` or
     ``os.sched_getaffinity``, and with any other thread alive: a forked child
-    copies only the calling thread, and a BLAS library that runs a pool of
-    threads already uses the cores, so that two such processes crowd them
-    (both ran about x1.8 slower on two cores with a two-thread OpenBLAS)."""
+    copies only the calling thread, and the BLAS pool of a caller that loaded
+    numpy before flowcast already uses the cores, so that two such processes
+    crowd them (both ran about x1.8 slower on two cores with two threads each)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if _process_threads() > 1:

@@ -3,6 +3,8 @@
 import datetime as dt
 import hashlib
 import json
+import os
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +168,21 @@ class TestIntegrity:
         path.write_text("this is not a zip")
         with pytest.raises(DataError, match="not a checkpoint archive"):
             load_checkpoint(path)
+
+    def test_out_of_descriptors_is_not_called_corrupt(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, fake_trained())
+        lowest_free = os.dup(0)
+        os.close(lowest_free)
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (lowest_free, hard))
+        try:
+            with pytest.raises(DataError) as caught:
+                load_checkpoint(path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert str(caught.value) == f"cannot read checkpoint {path}: Too many open files"
+        load_checkpoint(path)
 
     def test_archive_without_manifest(self, tmp_path):
         path = tmp_path / "plain.npz"

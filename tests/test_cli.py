@@ -1360,3 +1360,89 @@ class TestCheckpointWindow:
         assert files == sorted(path.name for path in given.iterdir())
         for name in files:
             assert (plain / name).read_bytes() == (given / name).read_bytes()
+
+
+class TestBlasThreads:
+    """``import flowcast`` before numpy runs numpy on one BLAS thread, the
+    one count under which every CLI output is written."""
+
+    @staticmethod
+    def python(args, cwd, **variables):
+        """Run ``python args`` with the package on the path and, of the BLAS
+        thread variables, only ``variables`` set; its stdout."""
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env={**env, **variables},
+            cwd=cwd,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_outputs_do_not_depend_on_the_blas_variables(self, tmp_path):
+        # Two OpenBLAS threads round some matrix products differently from one.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config_version": 1, "train": {"max_epochs": 2}}))
+        data = tmp_path / "data.csv"
+        save_csv(generate(SynthConfig(p=4, days=20, seed=3)), data)
+        checkpoint = Path("out", "checkpoints", "LSTM2-SP-CNN3_mean_seed0.npz")
+        commands = [
+            ["train", "--arch", "LSTM2-SP-CNN3", "--impute", "mean", "--seed", "0"],
+            ["eval", "--checkpoint", str(checkpoint)],
+            ["sweep", "--checkpoint", str(checkpoint), "--impute", "mean", "--seed", "0,1,2"],
+        ]
+        common = ["--config", str(cfg), "--dataset", str(data), "--out", "out"]
+        outputs = []
+        for name, variables in (
+            ("unset", {}),
+            ("one", {"OPENBLAS_NUM_THREADS": "1"}),
+            ("two", {"OPENBLAS_NUM_THREADS": "2"}),
+        ):
+            (tmp_path / name).mkdir()
+            printed = [
+                self.python(["-m", "flowcast.cli", *command, *common], tmp_path / name, **variables)
+                for command in commands
+            ]
+            files = {}
+            for path in sorted((tmp_path / name / "out").rglob("*")):
+                if path.suffix == ".jsonl":
+                    lines = [json.loads(line) for line in path.read_text().splitlines()]
+                    lines[-1].pop("wall_time")
+                    files[path.name] = lines
+                elif path.is_file():
+                    files[path.name] = path.read_bytes()
+            outputs.append((files, printed))
+        assert sorted(outputs[0][0]) == [
+            "LSTM2-SP-CNN3_mean_seed0.jsonl",
+            "LSTM2-SP-CNN3_mean_seed0.npz",
+            "eval_report.csv",
+            "eval_report.json",
+            "metrics.csv",
+            "sweep.csv",
+        ]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_the_entry_point_forks_on_every_usable_core(self, tmp_path):
+        code = (
+            "import os, flowcast.cli; from flowcast import workers; "
+            "print(workers._fork_cores(), len(os.sched_getaffinity(0)))"
+        )
+        forks, usable = self.python(["-c", code], tmp_path).split()
+        assert forks == usable
+
+    def test_a_caller_that_loaded_numpy_first_keeps_its_count(self, tmp_path):
+        code = (
+            "import os, numpy, flowcast; from flowcast import workers; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], workers._fork_cores())"
+        )
+        printed = self.python(["-c", code], tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert printed.split() == ["2", "1"]

@@ -8,11 +8,12 @@ flagged as undefined rather than silently contributing zeros.
 Views are scored by reduction. Per day batch, the residual is taken in C
 order, whatever the predictor's layout, and zeroed where the target mask is
 off; then its absolute value, its square and the mask are summed over the
-station axis once, into an [h, batch] plane. The overall, horizon, timestamp
-and weekday views bucket only that plane; the station view sums each
-station's block. Sums therefore accumulate in numpy's reduction order, not
-cell by cell, and the same predictions score the same bits in any layout;
-counts are exact.
+station axis once, into an [h, batch] plane, one at a time: the first two
+overwrite the residual in turn, so scoring allocates one block per batch. The
+overall, horizon, timestamp and weekday views bucket only that plane; the
+station view sums each station's block. Sums therefore accumulate in numpy's
+reduction order, not cell by cell, and the same predictions score the same
+bits in any layout; counts are exact.
 """
 
 from __future__ import annotations
@@ -237,19 +238,22 @@ def evaluate(
         # table holds there never leaks in.
         resid = np.subtract(pred, target, order="C")
         np.copyto(resid, 0.0, where=~target_mask)
-        blocks = (np.abs(resid), resid * resid, target_mask)
-        plane = [block.sum(axis=0) for block in blocks]
         t = ts + hz
-        for name in requested:
-            labels, rule = rules[name]
-            if rule is None:
-                sums[name] += [block.sum(axis=(1, 2)) for block in blocks]
-            else:
-                idx = np.broadcast_to(rule(hz, t), t.shape).ravel()
-                sums[name] += [
-                    np.bincount(idx, weights=w.ravel(), minlength=len(labels))
-                    for w in plane
-                ]
+        idx = {
+            name: np.broadcast_to(rule(hz, t), t.shape).ravel()
+            for name, (_, rule) in rules.items()
+            if rule and name in sums
+        }
+        # |r| and then r * r (|r| * |r| to the bit) overwrite the residual,
+        # each reduced before the next.
+        for row, step in enumerate((np.abs, np.square, None)):
+            block = target_mask if step is None else step(resid, out=resid)
+            plane = block.sum(axis=0).ravel()
+            for name, rows in sums.items():
+                if name in idx:
+                    rows[row] += np.bincount(idx[name], plane, rows.shape[1])
+                else:
+                    rows[row] += block.sum(axis=(1, 2))
 
     abs_total, sq_total, _ = sums["overall"][:, 0]
     if not (math.isfinite(abs_total) and math.isfinite(sq_total)):

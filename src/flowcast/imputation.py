@@ -133,15 +133,19 @@ def _interpolate(model: ImputationModel, ds: FlowDataset, holes) -> np.ndarray:
     value is used, an observed day takes its own value, and in between the
     value is ``(f1 - f0) / (x1 - x0) * (x - x0) + f0``, np.interp's formula,
     so results match it bit-for-bit. Slots never observed take the fallback.
+
+    Day indices take the smallest signed type that holds -1 to ``days`` (one
+    byte up to 127 training days, then two) and are scanned in place.
     """
     values, observed = model.train_flows, model.train_mask
     days = values.shape[1]
-    day = np.arange(days, dtype=np.int32)[:, None]
+    day = np.arange(days, dtype=np.min_scalar_type(-days - 1))[:, None]
     # Last observed day at or before each day (-1 if none) and first observed
     # day at or after it (``days`` if none), per slot.
-    before = np.maximum.accumulate(np.where(observed, day, -1), axis=1)
-    after = np.minimum.accumulate(np.where(observed, day, days)[:, ::-1], axis=1)
-    after = after[:, ::-1]
+    before = np.where(observed, day, -1)
+    np.maximum.accumulate(before, axis=1, out=before)
+    after = np.where(observed, day, days)
+    np.minimum.accumulate(after[:, ::-1], axis=1, out=after[:, ::-1])
     stations, columns = holes
     taus = columns % ds.points_per_day
     fill = model.table[stations, taus]
